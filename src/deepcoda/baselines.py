@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .coda import CompositionMatrix, clr
-from .evaluate import auc
+from .metrics import auc
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",

@@ -26,7 +26,7 @@ from .baselines import (
     lasso_logistic_fit,
     scaled_magnitudes,
 )
-from .coda import CompositionMatrix, replace_zeros
+from .coda import _RELATIVE_SUM_TOL, CompositionMatrix, replace_zeros
 from .evaluate import (
     LabeledDataset,
     benchmark,
@@ -45,18 +45,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_TYPES = {
-    "n_bottlenecks": int,
-    "lambda_c": float,
-    "lambda_s": float,
-    "learning_rate": float,
-    "epochs": int,
-    "seed": int,
-    "head": str,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-}
+_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
 
 
 def read_dataset_csv(path):
@@ -98,7 +87,7 @@ def read_dataset_csv(path):
 def load_dataset(path, delta_fraction: float = 0.5):
     """Read a dataset file into a strictly positive CompositionMatrix + labels."""
     sample_ids, feature_names, values, labels = read_dataset_csv(path)
-    kind = "relative" if np.all(np.abs(values.sum(axis=1) - 1.0) <= 1e-9) else "absolute"
+    kind = "relative" if np.all(np.abs(values.sum(axis=1) - 1.0) <= _RELATIVE_SUM_TOL) else "absolute"
     matrix = CompositionMatrix(values, sample_ids, feature_names, kind)
     if (values == 0).any():
         matrix = replace_zeros(matrix, delta_fraction)

@@ -1,4 +1,4 @@
-"""Split management, rank-based AUC, and the repeated-split benchmark protocol."""
+"""Split management and the repeated-split benchmark protocol."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
+from . import baselines
+from .metrics import auc
 from .model import HEADS, predict_proba
 from .train import TrainConfig, train
 
@@ -41,30 +42,6 @@ def split(n: int, test_fraction: float = 0.1, seed: int = 0):
         raise ValueError(f"n={n} is too small for a nonempty train/test split")
     perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
-
-
-def auc(scores, labels) -> float:
-    """Probability a random positive outranks a random negative; ties count half.
-
-    Computed from average ranks, which equals the pairwise definition
-    exactly (tied pairs contribute 0.5 each).
-    """
-    s = np.asarray(scores, dtype=float)
-    yv = np.asarray(labels)
-    if s.ndim != 1 or yv.shape != s.shape:
-        raise ValueError("scores and labels must be equal-length vectors")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
-    if not np.all((yv == 0) | (yv == 1)):
-        raise ValueError("labels must be 0 or 1")
-    pos = yv == 1
-    n_pos = int(pos.sum())
-    n_neg = s.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("both classes must be present")
-    ranks = rankdata(s, method="average")
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
 
 
 @dataclass(frozen=True)
@@ -133,14 +110,12 @@ def make_lasso_method(
         name = "lasso" if transform == "none" else f"lasso-{transform}"
 
     def fit_score(x_train, y_train, x_test, seed):
-        from .baselines import apply_transform, cv_select_lambda, lasso_logistic_fit
-
-        xt = apply_transform(x_train, transform)
-        lam = cv_select_lambda(
+        xt = baselines.apply_transform(x_train, transform)
+        lam = baselines.cv_select_lambda(
             xt, y_train, n_folds=n_folds, lambda_grid=lambda_grid, seed=seed
         )
-        model = lasso_logistic_fit(xt, y_train, lam, transform=transform)
-        return model.decision(apply_transform(x_test, transform))
+        model = baselines.lasso_logistic_fit(xt, y_train, lam, transform=transform)
+        return model.decision(baselines.apply_transform(x_test, transform))
 
     return Method(name, fit_score)
 

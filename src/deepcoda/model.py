@@ -12,6 +12,7 @@ gradients here are exact (hand-derived) rather than numeric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from scipy.special import expit
 __all__ = [
     "HEADS",
     "PARAM_FIELDS",
+    "PARAM_LAYOUT",
     "DeepCodaParams",
     "ForwardTrace",
     "forward",
@@ -35,93 +37,113 @@ __all__ = [
 
 HEADS = ("self_explain", "linear")
 
-# Canonical tensor order for initialization, optimizer state, serialization.
-PARAM_FIELDS = (
-    "beta",
-    "beta0",
-    "mlp_w1",
-    "mlp_b1",
-    "mlp_w2",
-    "mlp_b2",
-    "linear_v",
-    "linear_v0",
+# The parameter layout, in buffer, optimizer, file and initialization order:
+# name, shape over the dims (D features, B bottlenecks, H hidden units), and
+# the Philox stream ``init_params`` draws the tensor from (None: starts at 0).
+PARAM_LAYOUT = (
+    ("beta", "DB", 0),
+    ("beta0", "B", None),
+    ("mlp_w1", "BH", 1),
+    ("mlp_b1", "H", None),
+    ("mlp_w2", "HB", 2),
+    ("mlp_b2", "B", None),
+    ("linear_v", "B", 3),
+    ("linear_v0", "", None),
 )
+PARAM_FIELDS = tuple(name for name, _, _ in PARAM_LAYOUT)
 
 _FORMAT_TAG = "deepcoda-params-v1"
 
 
-@dataclass
 class DeepCodaParams:
     """All network parameters plus the head-variant flag.
 
-    Shapes: ``beta`` (D, B), ``beta0`` (B,), ``mlp_w1`` (B, H), ``mlp_b1``
-    (H,), ``mlp_w2`` (H, B), ``mlp_b2`` (B,), ``linear_v`` (B,),
-    ``linear_v0`` scalar. The MLP tensors drive the self_explain head and
+    ``PARAM_LAYOUT`` lists the tensors and their shapes over ``dims`` =
+    (n_features, n_bottlenecks, n_hidden); ``linear_v0`` is a scalar held
+    as a 0-d array. The MLP tensors drive the self_explain head and
     ``linear_v``/``linear_v0`` the linear head; both sets are always
     present so one container serves either head.
+
+    All tensors live in one contiguous float64 buffer, ``flat``, in
+    ``PARAM_LAYOUT`` order, and each field is a named view of its slice, so
+    an optimizer can step every parameter as one vector. Assigning a field
+    (``p.beta = ...``) copies the value into the buffer and requires the
+    field's shape; in-place updates (``p.beta -= ...``) write through the
+    view. ``p["beta"]`` reads a field by name.
     """
 
-    beta: np.ndarray
-    beta0: np.ndarray
-    mlp_w1: np.ndarray
-    mlp_b1: np.ndarray
-    mlp_w2: np.ndarray
-    mlp_b2: np.ndarray
-    head: str = "self_explain"
-    linear_v: np.ndarray | None = None
-    linear_v0: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("beta", "beta0", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
-            setattr(self, name, np.array(getattr(self, name), dtype=float))
-        if self.linear_v is None:
-            self.linear_v = np.zeros(self.beta.shape[1])
-        else:
-            self.linear_v = np.array(self.linear_v, dtype=float)
-        self.linear_v0 = float(self.linear_v0)
+    def __init__(
+        self,
+        beta,
+        beta0,
+        mlp_w1,
+        mlp_b1,
+        mlp_w2,
+        mlp_b2,
+        head: str = "self_explain",
+        linear_v=None,
+        linear_v0: float = 0.0,
+    ) -> None:
+        beta, mlp_w1 = np.asarray(beta, dtype=float), np.asarray(mlp_w1, dtype=float)
+        if beta.ndim != 2:
+            raise ValueError("beta must be a D x B matrix")
+        if mlp_w1.ndim != 2 or mlp_w1.shape[0] != beta.shape[1]:
+            raise ValueError("mlp_w1 must be a B x H matrix")
+        self._allocate((*beta.shape, mlp_w1.shape[1]), head)
+        self.beta, self.beta0, self.mlp_w1, self.mlp_b1 = beta, beta0, mlp_w1, mlp_b1
+        self.mlp_w2, self.mlp_b2, self.linear_v0 = mlp_w2, mlp_b2, linear_v0
+        if linear_v is not None:
+            self.linear_v = linear_v
         self.validate()
 
+    @classmethod
+    def zeros(cls, dims: tuple[int, int, int], head: str = "self_explain") -> "DeepCodaParams":
+        """All-zero parameters for ``dims`` = (n_features, n_bottlenecks, n_hidden)."""
+        p = cls.__new__(cls)
+        p._allocate(dims, head)
+        return p
+
+    def _allocate(self, dims: tuple[int, int, int], head: str) -> None:
+        if head not in HEADS:
+            raise ValueError(f"head must be one of {HEADS}, got {head!r}")
+        if min(dims) < 1:
+            raise ValueError(f"dimensions must be positive, got {dims}")
+        sizes = dict(zip("DBH", dims))
+        shapes = [tuple(sizes[axis] for axis in axes) for _, axes, _ in PARAM_LAYOUT]
+        self.head, self.dims = head, tuple(dims)
+        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes))
+        start = 0
+        for name, shape in zip(PARAM_FIELDS, shapes):
+            stop = start + math.prod(shape)
+            # Stored in the instance dict so a field read is a plain attribute read.
+            self.__dict__[name] = self.flat[start:stop].reshape(shape)
+            start = stop
+
+    def __setattr__(self, name: str, value) -> None:
+        if name not in PARAM_FIELDS:
+            super().__setattr__(name, value)
+            return
+        view = self.__dict__[name]
+        value = np.asarray(value, dtype=float)
+        if value.shape != view.shape:
+            raise ValueError(f"{name} must have shape {view.shape}")
+        view[...] = value
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in PARAM_FIELDS:
+            raise KeyError(name)
+        return self.__dict__[name]
+
     def validate(self) -> None:
-        if self.head not in HEADS:
-            raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
-        if self.beta.ndim != 2:
-            raise ValueError("beta must be a D x B matrix")
-        d, b = self.beta.shape
-        if self.mlp_w1.ndim != 2 or self.mlp_w1.shape[0] != b:
-            raise ValueError("mlp_w1 must be a B x H matrix")
-        h = self.mlp_w1.shape[1]
-        expected = {
-            "beta0": (b,),
-            "mlp_b1": (h,),
-            "mlp_w2": (h, b),
-            "mlp_b2": (b,),
-            "linear_v": (b,),
-        }
-        for name, shape in expected.items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
+        """Raise ValueError if any tensor holds a non-finite value."""
         for name in PARAM_FIELDS:
-            if not np.all(np.isfinite(np.asarray(getattr(self, name)))):
+            if not np.all(np.isfinite(self[name])):
                 raise ValueError(f"{name} contains non-finite values")
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        """(n_features, n_bottlenecks, n_hidden)."""
-        d, b = self.beta.shape
-        return d, b, self.mlp_w1.shape[1]
-
     def copy(self) -> "DeepCodaParams":
-        return DeepCodaParams(
-            beta=self.beta.copy(),
-            beta0=self.beta0.copy(),
-            mlp_w1=self.mlp_w1.copy(),
-            mlp_b1=self.mlp_b1.copy(),
-            mlp_w2=self.mlp_w2.copy(),
-            mlp_b2=self.mlp_b2.copy(),
-            head=self.head,
-            linear_v=self.linear_v.copy(),
-            linear_v0=self.linear_v0,
-        )
+        out = DeepCodaParams.zeros(self.dims, self.head)
+        out.flat[:] = self.flat
+        return out
 
 
 @dataclass(frozen=True)
@@ -204,14 +226,16 @@ def predict_proba(p: DeepCodaParams, X) -> np.ndarray:
 
 def loss_and_gradients(
     p: DeepCodaParams, X, y, lambda_c: float = 1.0, lambda_s: float = 0.01
-) -> tuple[float, dict[str, np.ndarray | float]]:
+) -> tuple[float, DeepCodaParams]:
     """Total training loss and its exact gradient for every parameter tensor.
 
     The loss is ``sum_i (yhat_i - y_i)^2 + lambda_c * sum_b (sum_d
     beta[d,b])^2 + lambda_s * sum |beta|``; the intercepts and MLP
     parameters are unpenalized. Subgradient conventions at the kinks:
     d|b|/db = 0 at b = 0, and the ReLU derivative is 0 at a pre-activation
-    of exactly 0.
+    of exactly 0. The gradient has the layout of ``p`` (``grads.flat``
+    lines up with ``p.flat``) and is read by name, ``grads["beta"]``; the
+    inactive head's tensors get zero gradient.
     """
     if lambda_c < 0 or lambda_s < 0:
         raise ValueError("penalty weights must be nonnegative")
@@ -229,29 +253,21 @@ def loss_and_gradients(
 
     # d(loss)/d(logit): squared error through the logistic output.
     gs = 2.0 * resid * yhat * (1.0 - yhat)
-    grads: dict[str, np.ndarray | float] = {}
+    grads = DeepCodaParams.zeros(p.dims, p.head)
     if p.head == "self_explain":
         gw = gs[:, None] * z
-        grads["mlp_b2"] = gw.sum(axis=0)
-        grads["mlp_w2"] = hidden.T @ gw
+        grads.mlp_b2 = gw.sum(axis=0)
+        grads.mlp_w2 = hidden.T @ gw
         ga = (gw @ p.mlp_w2.T) * (a > 0)
-        grads["mlp_b1"] = ga.sum(axis=0)
-        grads["mlp_w1"] = z.T @ ga
+        grads.mlp_b1 = ga.sum(axis=0)
+        grads.mlp_w1 = z.T @ ga
         gz = gs[:, None] * w + ga @ p.mlp_w1.T
-        grads["linear_v"] = np.zeros_like(p.linear_v)
-        grads["linear_v0"] = 0.0
     else:
-        grads["linear_v"] = z.T @ gs
-        grads["linear_v0"] = float(gs.sum())
+        grads.linear_v = z.T @ gs
+        grads.linear_v0 = gs.sum()
         gz = gs[:, None] * p.linear_v[None, :]
-        grads["mlp_w1"] = np.zeros_like(p.mlp_w1)
-        grads["mlp_b1"] = np.zeros_like(p.mlp_b1)
-        grads["mlp_w2"] = np.zeros_like(p.mlp_w2)
-        grads["mlp_b2"] = np.zeros_like(p.mlp_b2)
-    grads["beta"] = (
-        logx.T @ gz + 2.0 * lambda_c * col_sums[None, :] + lambda_s * np.sign(p.beta)
-    )
-    grads["beta0"] = gz.sum(axis=0)
+    grads.beta = logx.T @ gz + 2.0 * lambda_c * col_sums[None, :] + lambda_s * np.sign(p.beta)
+    grads.beta0 = gz.sum(axis=0)
     return total, grads
 
 
@@ -262,7 +278,7 @@ def loss(p: DeepCodaParams, X, y, lambda_c: float = 1.0, lambda_s: float = 0.01)
 
 def gradients(
     p: DeepCodaParams, X, y, lambda_c: float = 1.0, lambda_s: float = 0.01
-) -> dict[str, np.ndarray | float]:
+) -> DeepCodaParams:
     """Exact analytic gradient of ``loss`` with respect to every parameter."""
     return loss_and_gradients(p, X, y, lambda_c, lambda_s)[1]
 
@@ -280,8 +296,7 @@ def params_to_text(p: DeepCodaParams) -> str:
         f"head = {p.head}",
     ]
     for name in PARAM_FIELDS:
-        flat = np.asarray(getattr(p, name), dtype=float).reshape(-1)
-        lines.append(f"{name} = " + " ".join(f"{x:.17g}" for x in flat))
+        lines.append(f"{name} = " + " ".join(f"{x:.17g}" for x in p[name].reshape(-1)))
     return "\n".join(lines) + "\n"
 
 
@@ -295,35 +310,28 @@ def params_from_text(text: str) -> DeepCodaParams:
         if "=" not in line:
             raise ValueError(f"line {line_no}: expected 'key = values'")
         key, _, rest = line.partition("=")
-        entries[key.strip()] = rest.strip()
+        key = key.strip()
+        if key in entries:
+            raise ValueError(f"line {line_no}: duplicate key {key!r}")
+        entries[key] = rest.strip()
     if entries.get("format") != _FORMAT_TAG:
         raise ValueError(f"not a {_FORMAT_TAG} file")
     try:
         d, b, h = (int(tok) for tok in entries["dims"].split())
     except (KeyError, ValueError) as exc:
         raise ValueError("missing or malformed dims header") from exc
-    head = entries.get("head")
-    shapes: dict[str, tuple[int, ...]] = {
-        "beta": (d, b),
-        "beta0": (b,),
-        "mlp_w1": (b, h),
-        "mlp_b1": (h,),
-        "mlp_w2": (h, b),
-        "mlp_b2": (b,),
-        "linear_v": (b,),
-        "linear_v0": (),
-    }
-    kwargs: dict[str, np.ndarray | float] = {}
-    for name, shape in shapes.items():
+    p = DeepCodaParams.zeros((d, b, h), entries.get("head"))
+    values: list[float] = []
+    for name in PARAM_FIELDS:
         if name not in entries:
             raise ValueError(f"missing parameter {name}")
         tokens = entries[name].split()
-        expected = int(np.prod(shape, dtype=int)) if shape else 1
-        if len(tokens) != expected:
-            raise ValueError(f"{name}: expected {expected} values, got {len(tokens)}")
-        vals = np.array([float(tok) for tok in tokens])
-        kwargs[name] = float(vals[0]) if shape == () else vals.reshape(shape)
-    return DeepCodaParams(head=head, **kwargs)
+        if len(tokens) != p[name].size:
+            raise ValueError(f"{name}: expected {p[name].size} values, got {len(tokens)}")
+        values += [float(tok) for tok in tokens]
+    p.flat[:] = values
+    p.validate()
+    return p
 
 
 def save_params(p: DeepCodaParams, path) -> None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HEADS, PARAM_FIELDS, DeepCodaParams, loss_and_gradients
+from .model import HEADS, PARAM_LAYOUT, DeepCodaParams, loss_and_gradients
 
 __all__ = [
     "HIDDEN_UNITS",
@@ -19,10 +19,6 @@ __all__ = [
 
 HIDDEN_UNITS = 16
 INIT_SCALE = 0.1
-
-# Weight tensors drawn uniform(-INIT_SCALE, INIT_SCALE), in this order;
-# all bias tensors start at zero.
-_WEIGHT_NAMES = ("beta", "mlp_w1", "mlp_w2", "linear_v")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -84,29 +80,13 @@ def init_params(
     head: str = "self_explain",
 ) -> DeepCodaParams:
     """Small uniform weights from per-tensor Philox streams; zero biases."""
-    if n_features < 1 or n_bottlenecks < 1 or hidden_units < 1:
-        raise ValueError("dimensions must be positive")
-    shapes = {
-        "beta": (n_features, n_bottlenecks),
-        "mlp_w1": (n_bottlenecks, hidden_units),
-        "mlp_w2": (hidden_units, n_bottlenecks),
-        "linear_v": (n_bottlenecks,),
-    }
-    drawn = {
-        name: _tensor_rng(seed, k).uniform(-INIT_SCALE, INIT_SCALE, size=shapes[name])
-        for k, name in enumerate(_WEIGHT_NAMES)
-    }
-    return DeepCodaParams(
-        beta=drawn["beta"],
-        beta0=np.zeros(n_bottlenecks),
-        mlp_w1=drawn["mlp_w1"],
-        mlp_b1=np.zeros(hidden_units),
-        mlp_w2=drawn["mlp_w2"],
-        mlp_b2=np.zeros(n_bottlenecks),
-        head=head,
-        linear_v=drawn["linear_v"],
-        linear_v0=0.0,
-    )
+    p = DeepCodaParams.zeros((n_features, n_bottlenecks, hidden_units), head)
+    for name, _, stream in PARAM_LAYOUT:
+        if stream is not None:
+            p[name][...] = _tensor_rng(seed, stream).uniform(
+                -INIT_SCALE, INIT_SCALE, size=p[name].shape
+            )
+    return p
 
 
 def train(X, y, cfg: TrainConfig) -> TrainReport:
@@ -125,11 +105,8 @@ def train(X, y, cfg: TrainConfig) -> TrainReport:
         raise ValueError("need at least two samples with both classes present")
 
     params = init_params(xv.shape[1], cfg.n_bottlenecks, seed=cfg.seed, head=cfg.head)
-    moment1 = {
-        name: np.zeros_like(np.asarray(getattr(params, name), dtype=float))
-        for name in PARAM_FIELDS
-    }
-    moment2 = {name: arr.copy() for name, arr in moment1.items()}
+    moment1 = np.zeros_like(params.flat)
+    moment2 = np.zeros_like(params.flat)
     history = np.empty(cfg.epochs)
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -150,15 +127,12 @@ def train(X, y, cfg: TrainConfig) -> TrainReport:
             step = epoch + 1
             bias1 = 1.0 - cfg.adam_beta1**step
             bias2 = 1.0 - cfg.adam_beta2**step
-            for name in PARAM_FIELDS:
-                g = np.asarray(grads[name], dtype=float)
-                moment1[name] = cfg.adam_beta1 * moment1[name] + (1.0 - cfg.adam_beta1) * g
-                moment2[name] = cfg.adam_beta2 * moment2[name] + (1.0 - cfg.adam_beta2) * g * g
-                update = cfg.learning_rate * (moment1[name] / bias1) / (
-                    np.sqrt(moment2[name] / bias2) + cfg.adam_eps
-                )
-                value = np.asarray(getattr(params, name), dtype=float) - update
-                setattr(params, name, value if value.ndim else float(value))
+            g = grads.flat
+            moment1 = cfg.adam_beta1 * moment1 + (1.0 - cfg.adam_beta1) * g
+            moment2 = cfg.adam_beta2 * moment2 + (1.0 - cfg.adam_beta2) * g * g
+            params.flat -= cfg.learning_rate * (moment1 / bias1) / (
+                np.sqrt(moment2 / bias2) + cfg.adam_eps
+            )
 
     residuals = params.beta.sum(axis=0)
     return TrainReport(

@@ -381,6 +381,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="beta0"):
             params_from_text("\n".join(lines))
 
+    def test_rejects_duplicate_key(self):
+        text = params_to_text(random_params(seed=34)) + "beta0 = 5 5 5\n"
+        with pytest.raises(ValueError, match="duplicate key 'beta0'"):
+            params_from_text(text)
+
+    def test_rejects_zero_dimension(self):
+        # A D = 0 model: every tensor line that scales with D is empty.
+        text = params_to_text(random_params(d=1, n_b=1, n_h=1, seed=35))
+        text = text.replace("dims = 1 1 1", "dims = 0 1 1").replace(
+            next(ln for ln in text.splitlines() if ln.startswith("beta =")), "beta ="
+        )
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            params_from_text(text)
+
 
 class TestParamsValidation:
     def test_rejects_bad_head(self):

@@ -10,7 +10,7 @@ from deepcoda import (
     init_params,
     train,
 )
-from deepcoda.model import PARAM_FIELDS
+from deepcoda.model import PARAM_FIELDS, loss_and_gradients
 
 
 class TestInitParams:
@@ -94,6 +94,39 @@ class TestTrain:
         cfg = TrainConfig(epochs=2)
         with pytest.raises(ValueError):
             train(toy200.relative.values, toy200.labels[:-1], cfg)
+
+
+def reference_adam(X, y, cfg):
+    """Adam written tensor by tensor, as the reference for train()'s flat steps."""
+    params = init_params(X.shape[1], cfg.n_bottlenecks, seed=cfg.seed, head=cfg.head)
+    moment1 = {name: np.zeros_like(np.asarray(getattr(params, name))) for name in PARAM_FIELDS}
+    moment2 = {name: arr.copy() for name, arr in moment1.items()}
+    history = np.empty(cfg.epochs)
+    for epoch in range(cfg.epochs):
+        history[epoch], grads = loss_and_gradients(params, X, y, cfg.lambda_c, cfg.lambda_s)
+        bias1 = 1.0 - cfg.adam_beta1 ** (epoch + 1)
+        bias2 = 1.0 - cfg.adam_beta2 ** (epoch + 1)
+        for name in PARAM_FIELDS:
+            g = np.asarray(grads[name], dtype=float)
+            moment1[name] = cfg.adam_beta1 * moment1[name] + (1.0 - cfg.adam_beta1) * g
+            moment2[name] = cfg.adam_beta2 * moment2[name] + (1.0 - cfg.adam_beta2) * g * g
+            update = cfg.learning_rate * (moment1[name] / bias1) / (
+                np.sqrt(moment2[name] / bias2) + cfg.adam_eps
+            )
+            value = np.asarray(getattr(params, name), dtype=float) - update
+            setattr(params, name, value if value.ndim else float(value))
+    return history, params
+
+
+@pytest.mark.parametrize("head", ["self_explain", "linear"])
+def test_train_matches_per_tensor_adam(toy200, head):
+    cfg = TrainConfig(n_bottlenecks=2, epochs=50, seed=5, head=head)
+    X, y = toy200.relative.values, toy200.labels
+    history, expected = reference_adam(X, y, cfg)
+    report = train(X, y, cfg)
+    assert np.array_equal(report.loss_history, history)
+    for name in PARAM_FIELDS:
+        assert np.array_equal(getattr(report.params, name), getattr(expected, name))
 
 
 class TestTrainConfig:

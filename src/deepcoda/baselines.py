@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .checks import check_array, check_labels
 from .coda import CompositionMatrix, clr
 from .metrics import auc
 
@@ -75,20 +76,6 @@ def lasso_objective(X, y, coef, intercept, lam) -> float:
     return float(np.logaddexp(0.0, -signs * margins).mean() + lam * np.abs(coef).sum())
 
 
-def _check_fit_inputs(X, y):
-    xv = np.asarray(X, dtype=float)
-    yv = np.asarray(y)
-    if xv.ndim != 2 or yv.shape != (xv.shape[0],):
-        raise ValueError("X must be N x D with one label per row")
-    if not np.all(np.isfinite(xv)):
-        raise ValueError("X must be finite")
-    if not np.all((yv == 0) | (yv == 1)):
-        raise ValueError("labels must be 0 or 1")
-    if xv.shape[0] < 2 or np.unique(yv).size < 2:
-        raise ValueError("need at least two samples with both classes present")
-    return xv, yv.astype(float)
-
-
 def lasso_logistic_fit(
     X,
     y,
@@ -105,7 +92,8 @@ def lasso_logistic_fit(
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    xv, yv = _check_fit_inputs(X, y)
+    xv = check_array(X, "X", 2)
+    yv = check_labels(y, xv.shape[0], both_classes=True)
     n, d = xv.shape
 
     mean = xv.mean(axis=0)
@@ -192,7 +180,8 @@ def cv_select_lambda(
 
     Ties are broken toward the larger penalty (the sparser model).
     """
-    xv, yv = _check_fit_inputs(X, y)
+    xv = check_array(X, "X", 2)
+    yv = check_labels(y, xv.shape[0], both_classes=True)
     grid = np.sort(np.asarray(
         DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid, dtype=float
     ))

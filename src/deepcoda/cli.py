@@ -162,21 +162,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _deepcoda_builder(head: str, name: str):
+    def build(args):
+        return make_deepcoda_method(
+            args.bottlenecks, args.lambda_s, head, epochs=args.epochs, name=name
+        )
+
+    return build
+
+
 _METHOD_BUILDERS = {
-    "deepcoda": lambda args: make_deepcoda_method(
-        n_bottlenecks=args.bottlenecks,
-        lambda_s=args.lambda_s,
-        head="self_explain",
-        epochs=args.epochs,
-        name="deepcoda",
-    ),
-    "deepcoda-linear": lambda args: make_deepcoda_method(
-        n_bottlenecks=args.bottlenecks,
-        lambda_s=args.lambda_s,
-        head="linear",
-        epochs=args.epochs,
-        name="deepcoda-linear",
-    ),
+    "deepcoda": _deepcoda_builder("self_explain", "deepcoda"),
+    "deepcoda-linear": _deepcoda_builder("linear", "deepcoda-linear"),
     "lasso": lambda args: make_lasso_method("none"),
     "lasso-clr": lambda args: make_lasso_method("clr"),
 }
@@ -317,10 +314,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TrainingDivergedError, FloatingPointError) as exc:

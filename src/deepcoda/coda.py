@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_array
+
 __all__ = [
     "KINDS",
     "CompositionMatrix",
@@ -53,14 +55,12 @@ class CompositionMatrix:
     kind: str
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
+        values = check_array(np.array(self.values, dtype=float), "abundances", 2, bound=">=0")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sample_ids", tuple(str(s) for s in self.sample_ids))
         object.__setattr__(
             self, "feature_names", tuple(str(f) for f in self.feature_names)
         )
-        if values.ndim != 2:
-            raise ValueError("values must be a 2-D matrix")
         n, d = values.shape
         if len(self.sample_ids) != n:
             raise ValueError(f"expected {n} sample ids, got {len(self.sample_ids)}")
@@ -70,10 +70,6 @@ class CompositionMatrix:
             )
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("abundances must be finite")
-        if np.any(values < 0):
-            raise ValueError("abundances must be nonnegative")
         if self.kind == "relative":
             sums = values.sum(axis=1)
             if np.any(np.abs(sums - 1.0) > _RELATIVE_SUM_TOL):
@@ -102,13 +98,7 @@ def closure(v):
     ndarray
         Same shape as the input; every row sums to 1.
     """
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ValueError("closure expects a vector or a matrix of row vectors")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("closure requires finite input")
-    if np.any(arr < 0):
-        raise ValueError("closure requires nonnegative entries")
+    arr = check_array(v, "v", (1, 2), bound=">=0")
     sums = arr.sum(axis=-1, keepdims=True)
     if np.any(sums <= 0):
         raise ValueError("each row needs at least one positive entry")
@@ -177,11 +167,7 @@ def clr(x):
     ndarray
         ``log(x) - mean(log(x))`` per row; every output row sums to 0.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ValueError("clr expects a vector or a matrix of row vectors")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError("clr requires strictly positive entries")
+    arr = check_array(x, "x", (1, 2), bound=">0")
     logs = np.log(arr)
     return logs - logs.mean(axis=-1, keepdims=True)
 
@@ -194,15 +180,9 @@ def log_contrast(x, beta, beta0: float = 0.0) -> float:
     same answer, and so does any sub-composition containing the support of
     ``beta``.
     """
-    xv = np.asarray(x, dtype=float)
-    bv = np.asarray(beta, dtype=float)
-    if xv.ndim != 1 or bv.shape != xv.shape:
-        raise ValueError("x and beta must be 1-D vectors of equal length")
-    if not np.all(np.isfinite(xv)) or np.any(xv <= 0):
-        raise ValueError("log_contrast requires strictly positive entries")
-    if not np.all(np.isfinite(bv)) or not np.isfinite(beta0):
-        raise ValueError("coefficients must be finite")
-    return float(beta0 + bv @ np.log(xv))
+    xv = check_array(x, "x", 1, bound=">0")
+    bv = check_array(beta, "beta", 1, length=xv.shape[0])
+    return float(check_array(beta0, "beta0", 0) + bv @ np.log(xv))
 
 
 def subcomposition(m: CompositionMatrix, keep) -> CompositionMatrix:

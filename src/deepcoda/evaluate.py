@@ -71,29 +71,31 @@ class BenchmarkResult:
 
 
 def make_deepcoda_method(
-    n_bottlenecks: int = 5,
-    lambda_s: float = 0.01,
-    head: str = "self_explain",
-    lambda_c: float = 1.0,
-    learning_rate: float = 0.01,
-    epochs: int = 2000,
+    n_bottlenecks: int = TrainConfig.n_bottlenecks,
+    lambda_s: float = TrainConfig.lambda_s,
+    head: str = TrainConfig.head,
+    lambda_c: float = TrainConfig.lambda_c,
+    learning_rate: float = TrainConfig.learning_rate,
+    epochs: int = TrainConfig.epochs,
     name: str | None = None,
 ) -> Method:
-    """Method that trains the network on each split (seed = split seed)."""
+    """Method that trains the network on each split (seed = split seed).
+
+    The configuration is validated here, so a bad one fails before any split.
+    """
+    cfg = TrainConfig(
+        n_bottlenecks=n_bottlenecks,
+        lambda_c=lambda_c,
+        lambda_s=lambda_s,
+        learning_rate=learning_rate,
+        epochs=epochs,
+        head=head,
+    )
     if name is None:
         name = f"deepcoda[B={n_bottlenecks};ls={lambda_s:g};{head}]"
 
     def fit_score(x_train, y_train, x_test, seed):
-        cfg = TrainConfig(
-            n_bottlenecks=n_bottlenecks,
-            lambda_c=lambda_c,
-            lambda_s=lambda_s,
-            learning_rate=learning_rate,
-            epochs=epochs,
-            seed=seed,
-            head=head,
-        )
-        report = train(x_train, y_train, cfg)
+        report = train(x_train, y_train, replace(cfg, seed=seed))
         return predict_proba(report.params, x_test)
 
     return Method(name, fit_score)
@@ -169,9 +171,9 @@ def grid_search(
     heads: Sequence[str] = HEADS,
     n_splits: int = DEFAULT_N_SPLITS,
     base_seed: int = 0,
-    lambda_c: float = 1.0,
-    learning_rate: float = 0.01,
-    epochs: int = 2000,
+    lambda_c: float = TrainConfig.lambda_c,
+    learning_rate: float = TrainConfig.learning_rate,
+    epochs: int = TrainConfig.epochs,
 ) -> list[BenchmarkResult]:
     """Benchmark the full bottleneck-count x L1-penalty x head cross product."""
     methods = [

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .checks import check_array, check_labels
+
 __all__ = [
     "HEADS",
     "PARAM_FIELDS",
@@ -53,6 +55,16 @@ PARAM_LAYOUT = (
 PARAM_FIELDS = tuple(name for name, _, _ in PARAM_LAYOUT)
 
 _FORMAT_TAG = "deepcoda-params-v1"
+
+
+def _layout_shapes(dims: tuple[int, int, int], head: str) -> list[tuple[int, ...]]:
+    """Each ``PARAM_LAYOUT`` tensor's shape for ``dims``; checks dims and head."""
+    if head not in HEADS:
+        raise ValueError(f"head must be one of {HEADS}, got {head!r}")
+    if min(dims) < 1:
+        raise ValueError(f"dimensions must be positive, got {dims}")
+    sizes = dict(zip("DBH", dims))
+    return [tuple(sizes[axis] for axis in axes) for _, axes, _ in PARAM_LAYOUT]
 
 
 class DeepCodaParams:
@@ -104,12 +116,7 @@ class DeepCodaParams:
         return p
 
     def _allocate(self, dims: tuple[int, int, int], head: str) -> None:
-        if head not in HEADS:
-            raise ValueError(f"head must be one of {HEADS}, got {head!r}")
-        if min(dims) < 1:
-            raise ValueError(f"dimensions must be positive, got {dims}")
-        sizes = dict(zip("DBH", dims))
-        shapes = [tuple(sizes[axis] for axis in axes) for _, axes, _ in PARAM_LAYOUT]
+        shapes = _layout_shapes(dims, head)
         self.head, self.dims = head, tuple(dims)
         self.flat = np.zeros(sum(math.prod(shape) for shape in shapes))
         start = 0
@@ -156,24 +163,6 @@ class ForwardTrace:
     yhat: float
 
 
-def _as_positive_matrix(X, n_features: int, name: str = "X") -> np.ndarray:
-    arr = np.asarray(X, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != n_features:
-        raise ValueError(f"{name} must be 2-D with {n_features} columns")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError(f"{name} must be strictly positive and finite")
-    return arr
-
-
-def _check_labels(y, n_samples: int) -> np.ndarray:
-    arr = np.asarray(y)
-    if arr.shape != (n_samples,):
-        raise ValueError(f"labels must be a vector of length {n_samples}")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("labels must be 0 or 1")
-    return arr.astype(float)
-
-
 def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # einsum keeps one fixed accumulation order per row, so each output row
     # depends only on that row's content (BLAS kernels may round rows of the
@@ -204,11 +193,7 @@ def forward(p: DeepCodaParams, x) -> ForwardTrace:
     self_explain head ``s`` is exactly the dot product of the returned
     weights and contrasts.
     """
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim != 1 or xv.shape[0] != p.beta.shape[0]:
-        raise ValueError(f"x must be a vector of length {p.beta.shape[0]}")
-    if not np.all(np.isfinite(xv)) or np.any(xv <= 0):
-        raise ValueError("x must be strictly positive and finite")
+    xv = check_array(x, "x", 1, length=p.dims[0], bound=">0")
     _, z, _, _, w, s, yhat = _forward_batch(p, xv[None, :])
     if not (np.all(np.isfinite(z)) and np.isfinite(s[0])):
         raise FloatingPointError("non-finite value in forward pass")
@@ -217,7 +202,7 @@ def forward(p: DeepCodaParams, x) -> ForwardTrace:
 
 def predict_proba(p: DeepCodaParams, X) -> np.ndarray:
     """Row-wise forward pass; returns one probability per sample."""
-    xv = _as_positive_matrix(X, p.beta.shape[0])
+    xv = check_array(X, "X", 2, length=p.dims[0], bound=">0")
     *_, s, yhat = _forward_batch(p, xv)
     if not np.all(np.isfinite(s)):
         raise FloatingPointError("non-finite value in forward pass")
@@ -239,8 +224,8 @@ def loss_and_gradients(
     """
     if lambda_c < 0 or lambda_s < 0:
         raise ValueError("penalty weights must be nonnegative")
-    xv = _as_positive_matrix(X, p.beta.shape[0])
-    yv = _check_labels(y, xv.shape[0])
+    xv = check_array(X, "X", 2, length=p.dims[0], bound=">0")
+    yv = check_labels(y, xv.shape[0])
     logx, z, a, hidden, w, s, yhat = _forward_batch(p, xv)
 
     resid = yhat - yv
@@ -320,15 +305,18 @@ def params_from_text(text: str) -> DeepCodaParams:
         d, b, h = (int(tok) for tok in entries["dims"].split())
     except (KeyError, ValueError) as exc:
         raise ValueError("missing or malformed dims header") from exc
-    p = DeepCodaParams.zeros((d, b, h), entries.get("head"))
+    head = entries.get("head")
     values: list[float] = []
-    for name in PARAM_FIELDS:
+    # Token counts are checked against the header before anything is
+    # allocated, so a forged header cannot request a huge buffer.
+    for name, shape in zip(PARAM_FIELDS, _layout_shapes((d, b, h), head)):
         if name not in entries:
             raise ValueError(f"missing parameter {name}")
         tokens = entries[name].split()
-        if len(tokens) != p[name].size:
-            raise ValueError(f"{name}: expected {p[name].size} values, got {len(tokens)}")
+        if len(tokens) != math.prod(shape):
+            raise ValueError(f"{name}: expected {math.prod(shape)} values, got {len(tokens)}")
         values += [float(tok) for tok in tokens]
+    p = DeepCodaParams.zeros((d, b, h), head)
     p.flat[:] = values
     p.validate()
     return p

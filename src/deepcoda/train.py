@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_array, check_labels
 from .model import HEADS, PARAM_LAYOUT, DeepCodaParams, loss_and_gradients
 
 __all__ = [
@@ -45,16 +47,17 @@ class TrainConfig:
             raise ValueError("n_bottlenecks must be at least 1")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.lambda_c < 0 or self.lambda_s < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        # Chained comparisons are False for NaN, so each also rejects NaN.
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not (0 <= self.lambda_c < math.inf and 0 <= self.lambda_s < math.inf):
+            raise ValueError("penalty weights must be nonnegative and finite")
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
             raise ValueError("adam moment decays must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be positive and finite")
 
 
 @dataclass
@@ -97,12 +100,8 @@ def train(X, y, cfg: TrainConfig) -> TrainReport:
     Raises TrainingDivergedError naming the epoch if the loss becomes
     non-finite.
     """
-    xv = np.asarray(X, dtype=float)
-    yv = np.asarray(y)
-    if xv.ndim != 2 or yv.shape != (xv.shape[0],):
-        raise ValueError("X must be N x D with one label per row")
-    if xv.shape[0] < 2 or np.unique(yv).size < 2:
-        raise ValueError("need at least two samples with both classes present")
+    xv = check_array(X, "X", 2, bound=">0")
+    yv = check_labels(y, xv.shape[0], both_classes=True)
 
     params = init_params(xv.shape[1], cfg.n_bottlenecks, seed=cfg.seed, head=cfg.head)
     moment1 = np.zeros_like(params.flat)

@@ -126,6 +126,13 @@ class TestTrain:
             ["train", str(toy_dir / "relative.csv"), "--config", str(config), "--out", str(tmp_path / "m")]
         ) == EXIT_NUMERIC
 
+    def test_nan_learning_rate_exits_2(self, tmp_path, toy_dir):
+        config = tmp_path / "cfg"
+        config.write_text("learning_rate = nan\nepochs = 10\n")
+        assert run(
+            ["train", str(toy_dir / "relative.csv"), "--config", str(config), "--out", str(tmp_path / "m")]
+        ) == EXIT_USAGE
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["train", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m")]) == EXIT_USAGE
 
@@ -202,6 +209,12 @@ class TestBenchmark:
             ]
         ) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--epochs", "--bottlenecks"])
+    def test_invalid_training_config_exits_2(self, tmp_path, toy_dir, flag):
+        assert run(
+            ["benchmark", str(toy_dir / "relative.csv"), flag, "0", "--out", str(tmp_path / "b.csv")]
+        ) == EXIT_USAGE
+
 
 class TestExplain:
     def test_report_rows_and_identity(self, tmp_path, toy_dir, trained_model):
@@ -234,6 +247,15 @@ class TestExplain:
         ) == EXIT_OK
         assert run(
             ["explain", str(model), str(toy_dir / "relative.csv"), "--out", str(tmp_path / "r")]
+        ) == EXIT_USAGE
+
+    def test_forged_model_dims_exit_2(self, tmp_path, toy_dir, trained_model):
+        text = trained_model.read_text()
+        dims = next(ln for ln in text.splitlines() if ln.startswith("dims ="))
+        forged = tmp_path / "forged.txt"
+        forged.write_text(text.replace(dims, "dims = 1000000 1000000 1"))
+        assert run(
+            ["explain", str(forged), str(toy_dir / "relative.csv"), "--out", str(tmp_path / "r")]
         ) == EXIT_USAGE
 
 

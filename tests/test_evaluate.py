@@ -125,6 +125,11 @@ class TestBenchmark:
         b = benchmark(tiny_dataset, methods, n_splits=3, base_seed=7)
         assert a == b
 
+    @pytest.mark.parametrize("kwargs", [{"epochs": 0}, {"n_bottlenecks": 0}, {"learning_rate": -1.0}])
+    def test_invalid_deepcoda_config_fails_at_creation(self, kwargs):
+        with pytest.raises(ValueError):
+            make_deepcoda_method(**kwargs)
+
     def test_method_errors_are_annotated(self, tiny_dataset):
         def boom(xtr, ytr, xte, seed):
             raise ValueError("inner failure")

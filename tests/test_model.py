@@ -395,6 +395,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="dimensions must be positive"):
             params_from_text(text)
 
+    def test_rejects_forged_dims_before_allocating(self):
+        # The header asks for a 7 TiB buffer; the tensor lines hold 1x1x1 values.
+        text = params_to_text(random_params(d=1, n_b=1, n_h=1, seed=36))
+        text = text.replace("dims = 1 1 1", "dims = 1000000 1000000 1")
+        with pytest.raises(ValueError, match="beta: expected 1000000000000 values, got 1"):
+            params_from_text(text)
+
 
 class TestParamsValidation:
     def test_rejects_bad_head(self):

@@ -151,3 +151,9 @@ class TestTrainConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["learning_rate", "lambda_c", "lambda_s", "adam_eps"])
+    def test_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value})

@@ -54,9 +54,11 @@ from .baselines import (
 from .explain import (
     ContrastMembership,
     Explanation,
+    ExplanationBatch,
     ReportBundle,
     contrast_membership,
     decision_rule,
+    explain_batch,
     explain_sample,
     render_report,
     weight_contrast_correlation,

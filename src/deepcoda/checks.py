@@ -5,6 +5,7 @@
   optionally every entry ``> 0`` (log inputs) or ``>= 0`` (abundances).
 - Labels (``check_labels``): one per sample, each 0 or 1, and optionally
   both values present (fits and AUC need two classes).
+- Penalty weights (``check_penalties``): each finite and ``>= 0``.
 
 Every rejection is a ValueError naming the argument.
 """
@@ -42,3 +43,10 @@ def check_labels(y, n_samples: int, both_classes: bool = False) -> np.ndarray:
     if both_classes and not 0 < labels.sum() < n_samples:
         raise ValueError("labels must contain both 0 and 1")
     return labels
+
+
+def check_penalties(lambda_c: float, lambda_s: float) -> None:
+    """Reject a penalty weight that is negative, NaN or infinite."""
+    # Chained comparisons are False for NaN, so this also rejects NaN.
+    if not (0 <= lambda_c < np.inf and 0 <= lambda_s < np.inf):
+        raise ValueError("penalty weights must be nonnegative and finite")

@@ -36,7 +36,14 @@ from .evaluate import (
     results_to_csv,
     standardize_scores,
 )
-from .explain import contrast_membership, explain_sample, render_report, weight_contrast_correlation
+# ``explain_sample`` is not called here; perfbench/tracer.py wraps it by name on this module.
+from .explain import (  # noqa: F401
+    contrast_membership,
+    explain_batch,
+    explain_sample,
+    render_report,
+    weight_contrast_correlation,
+)
 from .model import load_params, save_params
 from .simulate import gen_cmyc, gen_toy
 from .train import TrainConfig, TrainingDivergedError, train
@@ -51,7 +58,11 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig
 def read_dataset_csv(path):
     """Parse a dataset file; returns (sample_ids, feature_names, values, labels)."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: empty dataset file")
     header = rows[0]
@@ -210,20 +221,15 @@ def cmd_explain(args) -> int:
     d, n_bottlenecks, _ = params.dims
     if matrix.n_features != d:
         raise ValueError(f"model expects {d} features, data has {matrix.n_features}")
-    explanations = [
-        explain_sample(params, matrix.values[i], matrix.sample_ids[i])
-        for i in range(matrix.n_samples)
-    ]
+    batch = explain_batch(params, matrix.values, matrix.sample_ids)
     memberships = [
         contrast_membership(params, b, matrix.feature_names)
         for b in range(n_bottlenecks)
     ]
-    w_matrix = np.array([e.w for e in explanations])
-    z_matrix = np.array([e.z for e in explanations])
     correlations = None
     if matrix.n_samples > n_bottlenecks:
-        correlations = weight_contrast_correlation(w_matrix, z_matrix)
-    bundle = render_report(explanations, memberships, correlations)
+        correlations = weight_contrast_correlation(batch.w, batch.z)
+    bundle = render_report(batch, memberships, correlations)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "explanations.csv").write_text(bundle.explanations_csv, encoding="utf-8")

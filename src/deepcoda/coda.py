@@ -136,21 +136,23 @@ def replace_zeros(
     zero_mask = values == 0
     if not zero_mask.any():
         return m
+    rows = np.flatnonzero(zero_mask.any(axis=1))
+    sub, zeros = values[rows], zero_mask[rows]
+    empty = zeros.all(axis=1)
+    delta = delta_fraction * np.where(zeros, np.inf, sub).min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = 1.0 - zeros.sum(axis=1) * delta / sub.sum(axis=1)
+    bad = empty | (scale <= 0)
+    if bad.any():
+        first = int(np.argmax(bad))
+        if empty[first]:
+            raise ValueError(f"row {rows[first]} is entirely zero")
+        raise ValueError(
+            f"row {rows[first]}: imputed mass exceeds the row total; "
+            "use a smaller delta_fraction"
+        )
     out = values.copy()
-    for i in np.flatnonzero(zero_mask.any(axis=1)):
-        row = values[i]
-        nonzero = row[row > 0]
-        if nonzero.size == 0:
-            raise ValueError(f"row {i} is entirely zero")
-        delta = delta_fraction * nonzero.min()
-        n_zero = int(zero_mask[i].sum())
-        scale = 1.0 - n_zero * delta / row.sum()
-        if scale <= 0:
-            raise ValueError(
-                f"row {i}: imputed mass exceeds the row total; "
-                "use a smaller delta_fraction"
-            )
-        out[i] = np.where(zero_mask[i], delta, row * scale)
+    out[rows] = np.where(zeros, delta[:, None], sub * scale[:, None])
     return CompositionMatrix(out, m.sample_ids, m.feature_names, m.kind)
 
 

@@ -132,6 +132,8 @@ def benchmark(
 
     Split s uses seed ``base_seed + s`` for both the split and the method's
     internal randomness, so results are a pure function of the arguments.
+    An exception from a method propagates as raised, its message prefixed
+    with the method name and the split index.
     """
     x = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y)
@@ -144,9 +146,11 @@ def benchmark(
                 scores = method.fit_score(x[train_idx], y[train_idx], x[test_idx], seed)
                 value = auc(scores, y[test_idx])
             except Exception as exc:
-                raise RuntimeError(
-                    f"method {method.name!r} failed on split {s} of {dataset.name!r}: {exc}"
-                ) from exc
+                # The same exception, so callers can still tell a usage error
+                # from a numeric failure; its message gains the method and split.
+                where = f"method {method.name!r} failed on split {s} of {dataset.name!r}"
+                exc.args = (f"{where}: {exc}",)
+                raise
             results.append(BenchmarkResult(method.name, dataset.name, s, value))
     return results
 

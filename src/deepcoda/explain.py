@@ -14,20 +14,24 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import DeepCodaParams, forward
+from .checks import check_array
+# ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
+from .model import DeepCodaParams, _finite_forward_batch, forward  # noqa: F401
 
 __all__ = [
     "DECISION_NEGATIVE",
     "DECISION_POSITIVE",
     "ContrastMembership",
     "Explanation",
+    "ExplanationBatch",
     "ReportBundle",
     "contrast_membership",
     "decision_rule",
+    "explain_batch",
     "explain_sample",
     "render_report",
     "weight_contrast_correlation",
@@ -39,9 +43,14 @@ DECISION_NEGATIVE = "healthy"
 _CCA_JITTER = 1e-8
 
 
+def _decisions(products: np.ndarray) -> np.ndarray:
+    """Positive class iff the summed product scores exceed zero (logit > 0), per row."""
+    return np.where(products.sum(axis=-1) > 0.0, DECISION_POSITIVE, DECISION_NEGATIVE)
+
+
 def decision_rule(products) -> str:
     """Positive class iff the summed product scores exceed zero (logit > 0)."""
-    return DECISION_POSITIVE if float(np.sum(products)) > 0.0 else DECISION_NEGATIVE
+    return str(_decisions(np.asarray(products, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -66,23 +75,79 @@ class ContrastMembership:
     denominator: tuple[str, ...]
 
 
-def explain_sample(p: DeepCodaParams, x, sample_id: str = "sample") -> Explanation:
-    """Decompose one prediction into per-bottleneck product scores."""
+@dataclass(frozen=True)
+class ExplanationBatch:
+    """N explanations held as columns.
+
+    ``z``, ``w`` and ``products`` are N x B arrays, ``prediction`` and
+    ``decisions`` have length N, and ``batch[i]`` is row i as an
+    ``Explanation``.
+    """
+
+    sample_ids: tuple[str, ...]
+    z: np.ndarray
+    w: np.ndarray
+    products: np.ndarray
+    prediction: np.ndarray
+    decisions: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sample_ids)
+
+    def __getitem__(self, i: int) -> Explanation:
+        return Explanation(
+            sample_id=self.sample_ids[i],
+            z=self.z[i],
+            w=self.w[i],
+            products=self.products[i],
+            prediction=float(self.prediction[i]),
+            decision=str(self.decisions[i]),
+        )
+
+    @classmethod
+    def stack(cls, explanations: Sequence[Explanation]) -> "ExplanationBatch":
+        """The batch whose rows are ``explanations``, in order."""
+        n = len(explanations)
+        n_contrasts = len(explanations[0].z) if n else 0
+
+        def column(field: str) -> np.ndarray:
+            rows = [getattr(e, field) for e in explanations]
+            return np.array(rows, dtype=float).reshape(n, n_contrasts)
+
+        return cls(
+            sample_ids=tuple(e.sample_id for e in explanations),
+            z=column("z"),
+            w=column("w"),
+            products=column("products"),
+            prediction=np.array([e.prediction for e in explanations], dtype=float),
+            decisions=np.array([e.decision for e in explanations], dtype=str),
+        )
+
+
+def explain_batch(p: DeepCodaParams, X, sample_ids: Sequence[str]) -> ExplanationBatch:
+    """Decompose the prediction for every row of a strictly positive N x D batch.
+
+    One forward pass covers all rows. Its kernel rounds each row on its own,
+    so row i is bit for bit ``explain_sample(p, X[i], sample_ids[i])``.
+    """
     if p.head != "self_explain":
         raise ValueError(
             "explanations require the self_explain head; "
             "the linear head has no per-sample weights"
         )
-    trace = forward(p, x)
-    products = trace.w * trace.z
-    return Explanation(
-        sample_id=str(sample_id),
-        z=trace.z,
-        w=trace.w,
-        products=products,
-        prediction=trace.yhat,
-        decision=decision_rule(products),
-    )
+    xv = check_array(X, "X", 2, length=p.dims[0], bound=">0")
+    ids = tuple(str(s) for s in sample_ids)
+    if len(ids) != xv.shape[0]:
+        raise ValueError(f"expected {xv.shape[0]} sample ids, got {len(ids)}")
+    _, z, _, _, w, _, yhat = _finite_forward_batch(p, xv)
+    products = w * z
+    return ExplanationBatch(ids, z, w, products, yhat, _decisions(products))
+
+
+def explain_sample(p: DeepCodaParams, x, sample_id: str = "sample") -> Explanation:
+    """Decompose one prediction into per-bottleneck product scores."""
+    xv = check_array(x, "x", 1, length=p.dims[0], bound=">0")
+    return explain_batch(p, xv[None, :], [sample_id])[0]
 
 
 def contrast_membership(
@@ -176,7 +241,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
+def _csv_table(header: list[str], rows: Iterable[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -185,13 +250,20 @@ def _csv_table(header: list[str], rows: list[list[str]]) -> str:
 
 
 def render_report(
-    explanations: Sequence[Explanation],
+    explanations: ExplanationBatch | Sequence[Explanation],
     memberships: Sequence[ContrastMembership],
     correlations=None,
 ) -> ReportBundle:
-    """Serialize report tables deterministically (17 significant digits)."""
-    if explanations:
-        n_contrasts = len(explanations[0].z)
+    """Serialize report tables deterministically (17 significant digits).
+
+    A sequence of ``Explanation`` is stacked into an ``ExplanationBatch``
+    first, so both forms give the same bytes.
+    """
+    batch = explanations
+    if not isinstance(batch, ExplanationBatch):
+        batch = ExplanationBatch.stack(explanations)
+    if len(batch):
+        n_contrasts = batch.z.shape[1]
         header = (
             ["sample_id"]
             + [f"z_{b + 1}" for b in range(n_contrasts)]
@@ -201,15 +273,12 @@ def render_report(
         )
     else:
         header = ["sample_id", "prob", "decision"]
-    exp_rows = []
-    for e in explanations:
-        exp_rows.append(
-            [e.sample_id]
-            + [_fmt(v) for v in e.z]
-            + [_fmt(v) for v in e.w]
-            + [_fmt(v) for v in e.products]
-            + [_fmt(e.prediction), e.decision]
-        )
+    numbers = np.hstack([batch.z, batch.w, batch.products, batch.prediction[:, None]])
+    # A generator, so each row is formatted only as the writer takes it.
+    exp_rows = (
+        [sample_id, *map(_fmt, row.tolist()), decision]
+        for sample_id, row, decision in zip(batch.sample_ids, numbers, batch.decisions.tolist())
+    )
     explanations_csv = _csv_table(header, exp_rows)
 
     mem_rows = []
@@ -230,11 +299,10 @@ def render_report(
             corr_rows.append(["canonical", str(k), "", _fmt(value)])
     correlations_csv = _csv_table(["kind", "row", "col", "value"], corr_rows)
 
-    n_pos = sum(1 for e in explanations if e.decision == DECISION_POSITIVE)
+    n_pos = int(np.count_nonzero(batch.decisions == DECISION_POSITIVE))
     lines = [
-        f"samples: {len(explanations)}",
-        f"decisions: {n_pos} {DECISION_POSITIVE}, "
-        f"{len(explanations) - n_pos} {DECISION_NEGATIVE}",
+        f"samples: {len(batch)}",
+        f"decisions: {n_pos} {DECISION_POSITIVE}, {len(batch) - n_pos} {DECISION_NEGATIVE}",
     ]
     for m in memberships:
         if m.entries:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .checks import check_array, check_labels
+from .checks import check_array, check_labels, check_penalties
 
 __all__ = [
     "HEADS",
@@ -186,6 +186,15 @@ def _forward_batch(p: DeepCodaParams, X: np.ndarray):
     return logx, z, a, hidden, w, s, expit(s)
 
 
+def _finite_forward_batch(p: DeepCodaParams, X: np.ndarray):
+    """``_forward_batch``, raising FloatingPointError if any contrast or logit is not finite."""
+    out = _forward_batch(p, X)
+    z, s = out[1], out[5]
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(s))):
+        raise FloatingPointError("non-finite value in forward pass")
+    return out
+
+
 def forward(p: DeepCodaParams, x) -> ForwardTrace:
     """Run one strictly positive D-vector through the network.
 
@@ -194,9 +203,7 @@ def forward(p: DeepCodaParams, x) -> ForwardTrace:
     weights and contrasts.
     """
     xv = check_array(x, "x", 1, length=p.dims[0], bound=">0")
-    _, z, _, _, w, s, yhat = _forward_batch(p, xv[None, :])
-    if not (np.all(np.isfinite(z)) and np.isfinite(s[0])):
-        raise FloatingPointError("non-finite value in forward pass")
+    _, z, _, _, w, s, yhat = _finite_forward_batch(p, xv[None, :])
     return ForwardTrace(z=z[0], w=np.array(w[0]), s=float(s[0]), yhat=float(yhat[0]))
 
 
@@ -222,8 +229,7 @@ def loss_and_gradients(
     lines up with ``p.flat``) and is read by name, ``grads["beta"]``; the
     inactive head's tensors get zero gradient.
     """
-    if lambda_c < 0 or lambda_s < 0:
-        raise ValueError("penalty weights must be nonnegative")
+    check_penalties(lambda_c, lambda_s)
     xv = check_array(X, "X", 2, length=p.dims[0], bound=">0")
     yv = check_labels(y, xv.shape[0])
     logx, z, a, hidden, w, s, yhat = _forward_batch(p, xv)

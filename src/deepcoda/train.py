@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_array, check_labels
+from .checks import check_array, check_labels, check_penalties
 from .model import HEADS, PARAM_LAYOUT, DeepCodaParams, loss_and_gradients
 
 __all__ = [
@@ -50,8 +50,7 @@ class TrainConfig:
         # Chained comparisons are False for NaN, so each also rejects NaN.
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if not (0 <= self.lambda_c < math.inf and 0 <= self.lambda_s < math.inf):
-            raise ValueError("penalty weights must be nonnegative and finite")
+        check_penalties(self.lambda_c, self.lambda_s)
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:

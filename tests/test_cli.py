@@ -209,6 +209,24 @@ class TestBenchmark:
             ]
         ) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "methods,extra,code",
+        [
+            # 8 samples leave too few per class for 5-fold stratified CV.
+            ("lasso", [], EXIT_USAGE),
+            # The L1 term overflows at the first epoch.
+            ("deepcoda", ["--lambda-s", "1.7e308", "--epochs", "5"], EXIT_NUMERIC),
+        ],
+    )
+    def test_split_failure_keeps_its_exit_code(self, tmp_path, capsys, methods, extra, code):
+        data = tmp_path / "data"
+        assert run(["simulate", "toy", "--n", "8", "--seed", "0", "--out", str(data)]) == EXIT_OK
+        assert run(
+            ["benchmark", str(data / "relative.csv"), "--methods", methods, "--splits", "1",
+             *extra, "--out", str(tmp_path / "b.csv")]
+        ) == code
+        assert f"method '{methods}' failed on split 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--epochs", "--bottlenecks"])
     def test_invalid_training_config_exits_2(self, tmp_path, toy_dir, flag):
         assert run(
@@ -289,6 +307,12 @@ class TestDatasetIo:
         bad = tmp_path / "bad.csv"
         bad.write_text("sample_id,f1,f2,label\ns0,1.0,2.0,2\n")
         with pytest.raises(ValueError, match="label"):
+            read_dataset_csv(bad)
+
+    def test_rejects_oversized_field(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("sample_id,f1,f2,label\ns0," + "1" * 200_000 + ",2.0,0\n")
+        with pytest.raises(ValueError, match=r"bad.csv:2: field larger"):
             read_dataset_csv(bad)
 
     def test_zero_replacement_on_ingest(self, tmp_path):

@@ -112,6 +112,52 @@ class TestReplaceZeros:
         with pytest.raises(ValueError):
             replace_zeros(m, delta_fraction=fraction)
 
+    @staticmethod
+    def _row_loop(values, delta_fraction):
+        """The row-at-a-time reference: the outcome as an array or an error message."""
+        zero_mask = values == 0
+        out = values.copy()
+        for i in np.flatnonzero(zero_mask.any(axis=1)):
+            row = values[i]
+            nonzero = row[row > 0]
+            if nonzero.size == 0:
+                return f"row {i} is entirely zero"
+            delta = delta_fraction * nonzero.min()
+            n_zero = int(zero_mask[i].sum())
+            scale = 1.0 - n_zero * delta / row.sum()
+            if scale <= 0:
+                return f"row {i}: imputed mass exceeds the row total"
+            out[i] = np.where(zero_mask[i], delta, row * scale)
+        return out
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 9, 17])
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+    def test_bitwise_equal_to_row_loop(self, d, fraction):
+        rng = np.random.default_rng(d)
+        values = rng.lognormal(0.0, 1.0, size=(400, d))
+        # Up to (d - 1) // 2 zeros a row (one for d = 2) keeps every row imputable.
+        n_zero = rng.integers(0, max(1, (d - 1) // 2), size=400, endpoint=True)
+        ranks = rng.random(size=values.shape).argsort(axis=1).argsort(axis=1)
+        values[ranks < n_zero[:, None]] = 0.0
+        m = CompositionMatrix(values, [f"s{i}" for i in range(400)], [f"f{j}" for j in range(d)], "absolute")
+        expected = self._row_loop(values, fraction)
+        assert isinstance(expected, np.ndarray), expected
+        out = replace_zeros(m, fraction).values
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], "row 1: imputed mass exceeds"),
+            ([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], "row 1 is entirely zero"),
+        ],
+    )
+    def test_first_offending_row_is_reported(self, values, message):
+        m = CompositionMatrix(values, ["s0", "s1", "s2"], list("abc"), "absolute")
+        assert self._row_loop(np.array(values), 0.5).startswith(message)
+        with pytest.raises(ValueError, match=message):
+            replace_zeros(m, delta_fraction=0.5)
+
 
 class TestClr:
     def test_uniform_maps_to_zero(self):

@@ -24,7 +24,7 @@ from deepcoda import (
     predict_proba,
     train,
 )
-from deepcoda.cli import parse_train_config
+from deepcoda.cli import parse_train_config, read_dataset_csv
 from deepcoda.model import HEADS, PARAM_LAYOUT
 
 X_OK = np.random.default_rng(0).uniform(0.5, 2.0, size=(8, 3))
@@ -45,7 +45,12 @@ def _relabel(labels):
     return lambda x, y: (x, labels)
 
 
+def _penalty(value):
+    return lambda x, y: (x, y, value)
+
+
 # Each case breaks one rule; the entry points below list the rules they enforce.
+# A case returns the arguments (x, y), plus a penalty weight for the "penalty" rule.
 CASES = {
     "nan": ("finite", _set_first(np.nan)),
     "inf": ("finite", _set_first(np.inf)),
@@ -56,6 +61,8 @@ CASES = {
     "label_2": ("labels", _relabel(np.array([2] + [0, 1] * 3 + [1]))),
     "label_short": ("labels", _relabel(Y_OK[:-1])),
     "single_class": ("both_classes", _relabel(np.zeros(8, dtype=int))),
+    "penalty_nan": ("penalty", _penalty(np.nan)),
+    "penalty_inf": ("penalty", _penalty(np.inf)),
 }
 
 ARRAY_RULES = {"finite", "ndim", "negative"}
@@ -63,12 +70,12 @@ ENTRY_POINTS = {
     "forward": (lambda x, y: forward(PARAMS, x[0]), ARRAY_RULES | {"columns", "zero"}),
     "predict_proba": (lambda x, y: predict_proba(PARAMS, x), ARRAY_RULES | {"columns", "zero"}),
     "loss_and_gradients": (
-        lambda x, y: loss_and_gradients(PARAMS, x, y),
-        ARRAY_RULES | {"columns", "zero", "labels"},
+        lambda x, y, lam=1.0: loss_and_gradients(PARAMS, x, y, lambda_c=lam),
+        ARRAY_RULES | {"columns", "zero", "labels", "penalty"},
     ),
     "train": (
-        lambda x, y: train(x, y, TrainConfig(n_bottlenecks=2, epochs=2)),
-        ARRAY_RULES | {"zero", "labels", "both_classes"},
+        lambda x, y, lam=1.0: train(x, y, TrainConfig(n_bottlenecks=2, epochs=2, lambda_c=lam)),
+        ARRAY_RULES | {"zero", "labels", "both_classes", "penalty"},
     ),
     "lasso_logistic_fit": (
         lambda x, y: lasso_logistic_fit(x, y, 0.01),
@@ -108,9 +115,9 @@ def test_valid_inputs_are_accepted(entry):
 )
 def test_malformed_inputs_raise_value_error(entry, case):
     call = ENTRY_POINTS[entry][0]
-    x, y = CASES[case][1](X_OK, Y_OK)
+    args = CASES[case][1](X_OK, Y_OK)
     with pytest.raises(ValueError):
-        call(x, y)
+        call(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -193,3 +200,45 @@ def test_params_from_text_raises_only_value_error(text):
     except ValueError:
         return
     assert params_from_text(params_to_text(p)).flat.tobytes() == p.flat.tobytes()
+
+
+_ODD_CELLS = st.one_of(
+    st.sampled_from(["-1", "nan", "inf", "1e999", "", "x", '"', " 1", "0x1", "2"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def dataset_bytes(draw):
+    """Raw bytes, or a mostly well-formed dataset file with a few faults."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+
+    def cell(good):
+        return draw(_ODD_CELLS) if draw(st.integers(0, 9)) == 0 else draw(good)
+
+    n_features = draw(st.integers(2, 3))
+    rows = [["sample_id", *(f"f{j}" for j in range(n_features)), "label"]]
+    for _ in range(draw(st.integers(0, 4))):
+        features = [cell(st.floats(0.0, 1e3).map(repr)) for _ in range(n_features)]
+        rows.append([draw(st.text(max_size=4)), *features, cell(st.sampled_from("01"))])
+    if draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        del row[draw(st.integers(0, len(row) - 1))]
+    data = "\n".join(",".join(row) for row in rows).encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=dataset_bytes())
+def test_read_dataset_csv_raises_only_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes(data)
+    try:
+        sample_ids, names, values, labels = read_dataset_csv(path)
+    except ValueError:
+        return
+    assert values.shape == (len(sample_ids), len(names)) and labels.shape == (len(sample_ids),)

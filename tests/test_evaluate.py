@@ -134,7 +134,7 @@ class TestBenchmark:
         def boom(xtr, ytr, xte, seed):
             raise ValueError("inner failure")
 
-        with pytest.raises(RuntimeError, match=r"'bad'.*split 0"):
+        with pytest.raises(ValueError, match=r"'bad'.*split 0.*inner failure"):
             benchmark(tiny_dataset, [Method("bad", boom)], n_splits=2, base_seed=0)
 
 

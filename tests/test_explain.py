@@ -1,6 +1,7 @@
 """Tests for the two-level interpretability reports."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -13,13 +14,17 @@ from deepcoda import (
     TrainConfig,
     contrast_membership,
     decision_rule,
+    explain_batch,
     explain_sample,
     gen_toy,
     predict_proba,
     render_report,
+    replace_zeros,
+    save_params,
     train,
     weight_contrast_correlation,
 )
+from deepcoda.cli import EXIT_NUMERIC, run
 from deepcoda.explain import DECISION_NEGATIVE, DECISION_POSITIVE
 
 
@@ -74,6 +79,67 @@ class TestExplainSample:
         p = small_params(head="linear", seed=3)
         with pytest.raises(ValueError, match="linear"):
             explain_sample(p, [1.0, 2.0, 3.0, 4.0])
+
+
+def overflowing_params():
+    """Contrast 1 is 1e306 * log(x1 / x2) and feeds nothing, so it overflows only
+    on a row where that log-ratio is large."""
+    p = small_params(seed=11)
+    p.beta[:, 0] = [1e306, -1e306, 0.0, 0.0]
+    p.mlp_w1[0, :] = 0.0
+    p.mlp_w2[:, 0] = 0.0
+    p.mlp_b2[0] = 0.0
+    return p
+
+
+OVERFLOW_ROW = [1e300, 1e-300, 1.0, 1.0]
+
+
+class TestExplainBatch:
+    def test_rows_equal_per_row_explanations(self):
+        ds = gen_toy(1200, seed=2)
+        counts = ds.absolute.values.copy()
+        rng = np.random.default_rng(2)
+        hit = np.flatnonzero(rng.random(1200) < 0.5)
+        counts[hit, rng.integers(0, 4, size=hit.size)] = 0.0
+        values = replace_zeros(dataclasses.replace(ds.absolute, values=counts)).values
+        assert not np.array_equal(values, ds.absolute.values)
+        p = small_params(seed=12)
+        batch = explain_batch(p, values, ds.absolute.sample_ids)
+        assert len(batch) == 1200
+        for i, sample_id in enumerate(ds.absolute.sample_ids):
+            e = explain_sample(p, values[i], sample_id)
+            row = batch[i]
+            assert row.sample_id == e.sample_id
+            assert np.array_equal(row.z, e.z)
+            assert np.array_equal(row.w, e.w)
+            assert np.array_equal(row.products, e.products)
+            assert row.prediction == e.prediction
+            assert row.decision == e.decision == decision_rule(e.products)
+
+    def test_rejects_mismatched_sample_ids(self):
+        with pytest.raises(ValueError, match="sample ids"):
+            explain_batch(small_params(), np.ones((3, 4)), ["a", "b"])
+
+    def test_one_overflowing_row_fails_the_batch(self):
+        p = overflowing_params()
+        rows = np.random.default_rng(3).uniform(0.5, 20.0, size=(50, 4))
+        explain_batch(p, rows, [f"S{i}" for i in range(50)])
+        rows[17] = OVERFLOW_ROW
+        with pytest.raises(FloatingPointError):
+            explain_batch(p, rows, [f"S{i}" for i in range(50)])
+
+    def test_explain_command_exits_3_on_overflow(self, tmp_path):
+        p = overflowing_params()
+        save_params(p, tmp_path / "model.txt")
+        rows = np.random.default_rng(4).uniform(0.5, 20.0, size=(10, 4))
+        rows[6] = OVERFLOW_ROW
+        lines = ["sample_id,a,b,c,d,label"]
+        lines += [",".join([f"S{i}", *map(repr, row.tolist()), str(i % 2)]) for i, row in enumerate(rows)]
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        code = run(["explain", str(tmp_path / "model.txt"), str(tmp_path / "data.csv"),
+                    "--out", str(tmp_path / "report")])
+        assert code == EXIT_NUMERIC
 
 
 class TestContrastMembership:
@@ -230,6 +296,28 @@ class TestRenderReport:
         assert kinds == {"pearson", "canonical"}
         pearson_count = sum(1 for row in corr_rows if row[0] == "pearson")
         assert pearson_count == 9
+
+    def test_batch_and_explanation_list_render_the_same_bytes(self):
+        p = small_params(seed=10)
+        rows = np.random.default_rng(10).uniform(0.5, 20.0, size=(40, 4))
+        ids = [f"S{i:03d}" for i in range(40)]
+        batch = explain_batch(p, rows, ids)
+        listed = [explain_sample(p, x, sid) for x, sid in zip(rows, ids)]
+        memberships = [contrast_membership(p, b) for b in range(3)]
+        correlations = weight_contrast_correlation(batch.w, batch.z)
+        assert render_report(batch, memberships, correlations) == render_report(
+            listed, memberships, correlations
+        )
+        empty = explain_batch(p, np.empty((0, 4)), [])
+        assert render_report(empty, [], None) == render_report([], [], None)
+        assert render_report(empty, [], None).explanations_csv == "sample_id,prob,decision\n"
+
+    def test_sample_ids_needing_quotes_round_trip(self):
+        p = small_params(seed=13)
+        ids = ["a,b", 'say "hi"', "two\nlines", "", " padded "]
+        batch = explain_batch(p, np.random.default_rng(13).uniform(0.5, 20.0, size=(5, 4)), ids)
+        rows = list(csv.reader(io.StringIO(render_report(batch, [], None).explanations_csv)))
+        assert [row[0] for row in rows[1:]] == ids
 
     def test_summary_counts_decisions(self):
         _, explanations = self._explanations(n=5, seed=9)

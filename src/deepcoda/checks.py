@@ -6,6 +6,7 @@
 - Labels (``check_labels``): one per sample, each 0 or 1, and optionally
   both values present (fits and AUC need two classes).
 - Penalty weights (``check_penalties``): each finite and ``>= 0``.
+- The zero-replacement fraction (``check_delta_fraction``): in (0, 1).
 
 Every rejection is a ValueError naming the argument.
 """
@@ -50,3 +51,10 @@ def check_penalties(lambda_c: float, lambda_s: float) -> None:
     # Chained comparisons are False for NaN, so this also rejects NaN.
     if not (0 <= lambda_c < np.inf and 0 <= lambda_s < np.inf):
         raise ValueError("penalty weights must be nonnegative and finite")
+
+
+def check_delta_fraction(delta_fraction: float) -> None:
+    """Reject a zero-replacement fraction outside the open interval (0, 1)."""
+    # A chained comparison is False for NaN, so this also rejects NaN.
+    if not 0.0 < delta_fraction < 1.0:
+        raise ValueError("delta_fraction must lie in (0, 1)")

@@ -26,6 +26,7 @@ from .baselines import (
     lasso_logistic_fit,
     scaled_magnitudes,
 )
+from .checks import check_delta_fraction
 from .coda import _RELATIVE_SUM_TOL, CompositionMatrix, replace_zeros
 from .evaluate import (
     LabeledDataset,
@@ -96,7 +97,11 @@ def read_dataset_csv(path):
 
 
 def load_dataset(path, delta_fraction: float = 0.5):
-    """Read a dataset file into a strictly positive CompositionMatrix + labels."""
+    """Read a dataset file into a strictly positive CompositionMatrix + labels.
+
+    ``delta_fraction`` is checked even when the file has no zeros to replace.
+    """
+    check_delta_fraction(delta_fraction)
     sample_ids, feature_names, values, labels = read_dataset_csv(path)
     kind = "relative" if np.all(np.abs(values.sum(axis=1) - 1.0) <= _RELATIVE_SUM_TOL) else "absolute"
     matrix = CompositionMatrix(values, sample_ids, feature_names, kind)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_array
+from .checks import check_array, check_delta_fraction
 
 __all__ = [
     "KINDS",
@@ -130,8 +130,7 @@ def replace_zeros(
         Strictly positive matrix of the same kind. If ``m`` contains no
         zeros it is returned unchanged.
     """
-    if not 0.0 < delta_fraction < 1.0:
-        raise ValueError("delta_fraction must lie in (0, 1)")
+    check_delta_fraction(delta_fraction)
     values = m.values
     zero_mask = values == 0
     if not zero_mask.any():

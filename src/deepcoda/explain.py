@@ -139,7 +139,7 @@ def explain_batch(p: DeepCodaParams, X, sample_ids: Sequence[str]) -> Explanatio
     ids = tuple(str(s) for s in sample_ids)
     if len(ids) != xv.shape[0]:
         raise ValueError(f"expected {xv.shape[0]} sample ids, got {len(ids)}")
-    _, z, _, _, w, _, yhat = _finite_forward_batch(p, xv)
+    z, _, _, w, _, yhat = _finite_forward_batch(p, xv)
     products = w * z
     return ExplanationBatch(ids, z, w, products, yhat, _decisions(products))
 

@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
-from scipy.stats import rankdata
+import numpy as np
 
 from .checks import check_array, check_labels
 
 __all__ = ["auc"]
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector, each run of equal values sharing its mean rank.
+
+    The same as ``scipy.stats.rankdata(x, method="average")``: a run at
+    sorted positions start..stop-1 gets (start + 1 + stop) / 2, an exact
+    half-integer.
+    """
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    stops = np.r_[starts[1:], x.shape[0]]
+    ranks = np.empty(x.shape[0])
+    ranks[order] = np.repeat((starts + 1 + stops) / 2.0, stops - starts)
+    return ranks
 
 
 def auc(scores, labels) -> float:
@@ -19,6 +35,6 @@ def auc(scores, labels) -> float:
     pos = check_labels(labels, s.shape[0], both_classes=True) == 1
     n_pos = int(pos.sum())
     n_neg = s.shape[0] - n_pos
-    ranks = rankdata(s, method="average")
+    ranks = _average_ranks(s)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

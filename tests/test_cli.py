@@ -136,6 +136,14 @@ class TestTrain:
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["train", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("fraction", ["5", "nan", "0"])
+    def test_bad_delta_fraction_exits_2_without_zeros(self, tmp_path, toy_dir, fraction):
+        data = toy_dir / "absolute.csv"
+        assert not (load_dataset(data)[0].values == 0).any()
+        code = run(["train", str(data), "--delta-fraction", fraction, "--out", str(tmp_path / "m")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "m").exists()
+
 
 class TestBenchmark:
     def test_single_method_row_count(self, tmp_path, toy_dir):

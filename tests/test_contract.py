@@ -24,7 +24,14 @@ from deepcoda import (
     predict_proba,
     train,
 )
-from deepcoda.cli import parse_train_config, read_dataset_csv
+from deepcoda.cli import (
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    parse_train_config,
+    read_dataset_csv,
+    run,
+)
 from deepcoda.model import HEADS, PARAM_LAYOUT
 
 X_OK = np.random.default_rng(0).uniform(0.5, 2.0, size=(8, 3))
@@ -209,17 +216,17 @@ _ODD_CELLS = st.one_of(
 
 
 @st.composite
-def dataset_bytes(draw):
+def dataset_bytes(draw, max_rows=4, odd_cell_one_in=10):
     """Raw bytes, or a mostly well-formed dataset file with a few faults."""
     if draw(st.integers(0, 3)) == 0:
         return draw(st.binary(max_size=64))
 
     def cell(good):
-        return draw(_ODD_CELLS) if draw(st.integers(0, 9)) == 0 else draw(good)
+        return draw(_ODD_CELLS) if draw(st.integers(1, odd_cell_one_in)) == 1 else draw(good)
 
     n_features = draw(st.integers(2, 3))
     rows = [["sample_id", *(f"f{j}" for j in range(n_features)), "label"]]
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_rows))):
         features = [cell(st.floats(0.0, 1e3).map(repr)) for _ in range(n_features)]
         rows.append([draw(st.text(max_size=4)), *features, cell(st.sampled_from("01"))])
     if draw(st.integers(0, 3)) == 0:
@@ -242,3 +249,29 @@ def test_read_dataset_csv_raises_only_value_error(tmp_path_factory, data):
     except ValueError:
         return
     assert values.shape == (len(sample_ids), len(names)) and labels.shape == (len(sample_ids),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # Enough rows, and few enough faults, that many files train.
+    data=dataset_bytes(max_rows=12, odd_cell_one_in=200),
+    bottlenecks=st.integers(1, 3),
+    head=st.sampled_from(HEADS),
+    fraction=st.sampled_from(["0.5", "0.01", "0.99"]),
+)
+def test_run_exits_only_0_2_or_3(tmp_path_factory, data, bottlenecks, head, fraction):
+    work = tmp_path_factory.mktemp("run")
+    (work / "data.csv").write_bytes(data)
+    (work / "train.cfg").write_text(f"epochs = 2\nn_bottlenecks = {bottlenecks}\nhead = {head}\n")
+    paths = {name: str(work / name) for name in ("data.csv", "train.cfg", "model.txt", "report")}
+    trained = run(
+        ["train", paths["data.csv"], "--config", paths["train.cfg"], "--out", paths["model.txt"],
+         "--delta-fraction", fraction]
+    )
+    assert trained in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
+    if trained == EXIT_OK:
+        explained = run(
+            ["explain", paths["model.txt"], paths["data.csv"], "--out", paths["report"],
+             "--delta-fraction", fraction]
+        )
+        assert explained in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)

@@ -1,9 +1,16 @@
 """Tests for splitting, AUC, and the benchmark harness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import rankdata
 
+import deepcoda
 from deepcoda import (
     BenchmarkResult,
     LabeledDataset,
@@ -18,6 +25,7 @@ from deepcoda import (
     split,
     standardize_scores,
 )
+from deepcoda.metrics import _average_ranks
 
 
 def brute_force_auc(scores, labels):
@@ -97,6 +105,40 @@ class TestAuc:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [1, 2])
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            np.random.default_rng(2).integers(0, 4, size=200).astype(float),  # tie-heavy
+            np.full(7, 0.25),  # all tied
+            np.random.default_rng(3).permutation(50) * 0.5 - 3.0,  # tie-free
+            np.array([1.0, -1.0]),
+            np.array([2.0, 2.0]),
+            np.array([0.0, -0.0, 1.0, 0.0]),  # signed zeros tie
+        ],
+        ids=["tie_heavy", "all_tied", "tie_free", "length2", "length2_tied", "signed_zero"],
+    )
+    def test_average_ranks_match_rankdata(self, scores):
+        assert np.array_equal(_average_ranks(scores), rankdata(scores, method="average"))
+
+    def test_matches_rankdata_formula_bitwise(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            labels = rng.integers(0, 2, size=n)
+            if labels.sum() in (0, n):
+                labels[0] = 1 - labels[0]
+            scores = rng.normal(size=n) if n % 2 else rng.integers(0, 5, size=n) / 3.0
+            pos = labels == 1
+            n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+            u = rankdata(scores, method="average")[pos].sum() - n_pos * (n_pos + 1) / 2.0
+            assert auc(scores, labels) == float(u / (n_pos * n_neg))
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        src = str(Path(deepcoda.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, deepcoda.cli; sys.exit('scipy.stats' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .checks import check_array, check_labels
+from .checks import check_array, check_labels, check_penalties
 from .coda import CompositionMatrix, clr
 from .metrics import auc
 
@@ -53,12 +53,18 @@ def soft_threshold(u, threshold):
 
 @dataclass(frozen=True)
 class LassoModel:
-    """Fitted coefficients on the original feature scale."""
+    """Fitted coefficients on the original feature scale.
+
+    ``n_iter`` counts the solver's soft-threshold steps; ``converged`` is
+    False when it stopped at its iteration cap instead of its tolerance.
+    """
 
     coef: np.ndarray
     intercept: float
     lam: float
     transform: str = "none"
+    n_iter: int = 0
+    converged: bool = True
 
     def decision(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.coef + self.intercept
@@ -87,11 +93,11 @@ def lasso_logistic_fit(
     """Proximal gradient (backtracking ISTA) on the L1 logistic objective.
 
     Iterates until the relative objective change drops below ``rel_tol`` or
-    ``max_iter`` soft-threshold steps have run. Descent is monotone, so the
-    returned objective never exceeds the all-zero starting point.
+    ``max_iter`` soft-threshold steps have run; the model records which.
+    Descent is monotone, so the returned objective never exceeds the
+    all-zero starting point.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_penalties(lam)
     xv = check_array(X, "X", 2)
     yv = check_labels(y, xv.shape[0], both_classes=True)
     n, d = xv.shape
@@ -114,7 +120,9 @@ def lasso_logistic_fit(
     f_val = smooth(margins)
     objective = f_val  # penalty is zero at the origin
     step = 1.0
-    for _ in range(max_iter):
+    n_iter, done = 0, False
+    while n_iter < max_iter and not done:
+        n_iter += 1
         prob = expit(margins)
         resid = prob - yv
         g_coef = xs.T @ resid / n
@@ -142,12 +150,17 @@ def lasso_logistic_fit(
         done = abs(objective - new_objective) <= rel_tol * max(objective, 1e-12)
         coef, intercept = new_coef, new_int
         margins, f_val, objective = new_margins, f_new, new_objective
-        if done:
-            break
 
     raw_coef = coef / scale
     raw_intercept = float(intercept - (mean / scale) @ coef)
-    return LassoModel(coef=raw_coef, intercept=raw_intercept, lam=float(lam), transform=transform)
+    return LassoModel(
+        coef=raw_coef,
+        intercept=raw_intercept,
+        lam=float(lam),
+        transform=transform,
+        n_iter=n_iter,
+        converged=bool(done),
+    )
 
 
 def _stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> list[np.ndarray]:
@@ -187,6 +200,7 @@ def cv_select_lambda(
     ))
     if grid.size == 0:
         raise ValueError("lambda_grid must be nonempty")
+    check_penalties(*grid)
     folds = _stratified_folds(yv, n_folds, seed)
     all_idx = np.arange(xv.shape[0])
     best_lam = None

@@ -46,10 +46,10 @@ def check_labels(y, n_samples: int, both_classes: bool = False) -> np.ndarray:
     return labels
 
 
-def check_penalties(lambda_c: float, lambda_s: float) -> None:
+def check_penalties(*weights: float) -> None:
     """Reject a penalty weight that is negative, NaN or infinite."""
     # Chained comparisons are False for NaN, so this also rejects NaN.
-    if not (0 <= lambda_c < np.inf and 0 <= lambda_s < np.inf):
+    if not all(0 <= w < np.inf for w in weights):
         raise ValueError("penalty weights must be nonnegative and finite")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -122,36 +123,118 @@ def make_lasso_method(
     return Method(name, fit_score)
 
 
+def _split_auc(x, y, seed: int, method: Method) -> float:
+    """Test AUC of one method on the split drawn with ``seed``."""
+    train_idx, test_idx = split(x.shape[0], 0.1, seed)
+    scores = method.fit_score(x[train_idx], y[train_idx], x[test_idx], seed)
+    return auc(scores, y[test_idx])
+
+
+def _worker_count(jobs: int | None, n_tasks: int) -> int:
+    """``jobs`` (default: all), clamped to the usable CPUs and the task count."""
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    limit = min(cpus or 1, n_tasks)
+    return limit if jobs is None else min(jobs, limit)
+
+
+# (x, y, base_seed, tasks) in a pool worker. Fork hands them over without
+# pickling, so methods built from closures and lambdas work.
+_worker_state = None
+
+
+def _init_worker(*state) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _worker_auc(index: int) -> tuple[int, float | None]:
+    """Task ``index``'s AUC, or None if it raised: exceptions are not pickled."""
+    x, y, base_seed, tasks = _worker_state
+    s, method = tasks[index]
+    try:
+        return index, _split_auc(x, y, base_seed + s, method)
+    except Exception:
+        return index, None
+
+
+def _pool_aucs(x, y, base_seed, tasks, workers) -> list[float | None]:
+    """AUCs from a forked pool; None where a task failed or never finished.
+
+    The pool stops at the first failed task in task order. Without fork, or
+    while other threads run (a forked child could inherit a lock one of
+    them holds, and hang), every entry is None.
+    """
+    # Imported here, so importing deepcoda does not load multiprocessing.
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    aucs: list[float | None] = [None] * len(tasks)
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return aucs
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(x, y, base_seed, tasks),
+    )
+    try:
+        for index, value in pool.map(_worker_auc, range(len(tasks)), chunksize=1):
+            if value is None:
+                break
+            aucs[index] = value
+    except BrokenProcessPool:
+        pass  # a worker died; the caller computes what is missing
+    finally:
+        # Cancel what has not started, so a failure or an interrupt does not
+        # wait for the rest of the run.
+        pool.shutdown(cancel_futures=True)
+    return aucs
+
+
 def benchmark(
     dataset: LabeledDataset,
     methods: Sequence[Method],
     n_splits: int = DEFAULT_N_SPLITS,
     base_seed: int = 0,
+    jobs: int | None = None,
 ) -> list[BenchmarkResult]:
     """Test AUC of every method across seeded train/test splits.
 
     Split s uses seed ``base_seed + s`` for both the split and the method's
     internal randomness, so results are a pure function of the arguments.
-    An exception from a method propagates as raised, its message prefixed
-    with the method name and the split index.
+    The tasks are the (split, method) pairs. They run in up to ``jobs``
+    forked worker processes (default: one per usable CPU; never more than
+    there are CPUs or tasks), or in this process when that is one, when
+    fork is unavailable, or when the caller runs other threads. Results are merged in (split, method) order, so they do
+    not depend on ``jobs``. A method's side effects in a worker do not reach
+    the caller.
+
+    If tasks fail, the lowest-index failing task is run again in this
+    process, and its exception propagates as raised, its message prefixed
+    with the method name and the split index. Tasks left unfinished by a
+    dead worker are also computed here.
     """
     x = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y)
+    tasks = [(s, method) for s in range(n_splits) for method in methods]
+    workers = _worker_count(jobs, len(tasks))
+    aucs = _pool_aucs(x, y, base_seed, tasks, workers) if workers > 1 else [None] * len(tasks)
     results = []
-    for s in range(n_splits):
-        seed = base_seed + s
-        train_idx, test_idx = split(x.shape[0], 0.1, seed)
-        for method in methods:
+    for (s, method), value in zip(tasks, aucs):
+        if value is None:
             try:
-                scores = method.fit_score(x[train_idx], y[train_idx], x[test_idx], seed)
-                value = auc(scores, y[test_idx])
+                value = _split_auc(x, y, base_seed + s, method)
             except Exception as exc:
                 # The same exception, so callers can still tell a usage error
                 # from a numeric failure; its message gains the method and split.
                 where = f"method {method.name!r} failed on split {s} of {dataset.name!r}"
                 exc.args = (f"{where}: {exc}",)
                 raise
-            results.append(BenchmarkResult(method.name, dataset.name, s, value))
+        results.append(BenchmarkResult(method.name, dataset.name, s, value))
     return results
 
 
@@ -178,6 +261,7 @@ def grid_search(
     lambda_c: float = TrainConfig.lambda_c,
     learning_rate: float = TrainConfig.learning_rate,
     epochs: int = TrainConfig.epochs,
+    jobs: int | None = None,
 ) -> list[BenchmarkResult]:
     """Benchmark the full bottleneck-count x L1-penalty x head cross product."""
     methods = [
@@ -193,7 +277,7 @@ def grid_search(
         for ls in lambda_s_grid
         for head in heads
     ]
-    return benchmark(dataset, methods, n_splits=n_splits, base_seed=base_seed)
+    return benchmark(dataset, methods, n_splits=n_splits, base_seed=base_seed, jobs=jobs)
 
 
 def results_to_csv(results: Sequence[BenchmarkResult]) -> str:

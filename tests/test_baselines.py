@@ -89,6 +89,18 @@ class TestLassoFit:
         with pytest.raises(ValueError):
             lasso_logistic_fit(X, y, -0.1)
 
+    def test_fit_stopped_at_cap_is_not_converged(self):
+        X, y = overlap_1d()
+        model = lasso_logistic_fit(X, y, 0.01, max_iter=5)
+        assert model.converged is False
+        assert model.n_iter == 5
+
+    def test_toy_fit_converges(self):
+        ds = gen_toy(200, seed=5)
+        model = lasso_logistic_fit(ds.relative.values, ds.labels, 0.01)
+        assert model.converged is True
+        assert 0 < model.n_iter < 10_000
+
 
 class TestCvSelectLambda:
     def test_single_value_grid(self):
@@ -121,6 +133,12 @@ class TestCvSelectLambda:
         X, y = overlap_1d()
         with pytest.raises(ValueError):
             cv_select_lambda(X, y, lambda_grid=[])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_rejects_bad_grid_value_before_fitting(self, bad):
+        X, y = overlap_1d()
+        with pytest.raises(ValueError, match="penalty weights"):
+            cv_select_lambda(X, y, lambda_grid=[0.01, bad])
 
 
 class TestApplyTransform:

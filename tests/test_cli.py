@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from deepcoda import load_params, predict_proba
+from deepcoda import cli, lasso_logistic_fit, load_params, predict_proba
 from deepcoda.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -235,6 +235,32 @@ class TestBenchmark:
         ) == code
         assert f"method '{methods}' failed on split 0" in capsys.readouterr().err
 
+    def test_csv_does_not_depend_on_jobs(self, tmp_path):
+        assert run(["simulate", "toy", "--n", "300", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+        rows = read_csv(tmp_path / "relative.csv")
+        for row in rows[1::3]:  # flipped labels, so AUCs differ between methods and splits
+            row[-1] = "10"[int(row[-1])]
+        data = tmp_path / "noisy.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        files = []
+        for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
+            out = tmp_path / f"b{len(files)}.csv"
+            assert run(
+                ["benchmark", str(data), "--epochs", "30", "--splits", "3", "--seed", "4", *jobs,
+                 "--out", str(out)]
+            ) == EXIT_OK
+            files.append(out.read_bytes())
+        assert files[0] == files[1] == files[2]
+        assert len({row[3] for row in read_csv(tmp_path / "b0.csv")[1:]}) > 6
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_fewer_than_one_job_exits_2(self, tmp_path, toy_dir, capsys, jobs):
+        assert run(
+            ["benchmark", str(toy_dir / "relative.csv"), "--methods", "lasso", "--jobs", jobs,
+             "--out", str(tmp_path / "b.csv")]
+        ) == EXIT_USAGE
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--epochs", "--bottlenecks"])
     def test_invalid_training_config_exits_2(self, tmp_path, toy_dir, flag):
         assert run(
@@ -296,6 +322,20 @@ class TestBaseline:
         assert len(rows) == 1 + 4 + 1  # header + features + intercept
         assert rows[-1][0] == "(intercept)"
         assert "selected lambda" in capsys.readouterr().out
+
+    def test_fit_at_iteration_cap_warns_on_stderr(self, tmp_path, toy_dir, capsys, monkeypatch):
+        argv = ["baseline", str(toy_dir / "relative.csv"), "--seed", "0"]
+        assert run([*argv, "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+        def capped_fit(*args, **kwargs):
+            return lasso_logistic_fit(*args, **kwargs, max_iter=5)
+
+        monkeypatch.setattr(cli, "lasso_logistic_fit", capped_fit)
+        assert run([*argv, "--out", str(tmp_path / "b.csv")]) == EXIT_OK
+        capped = capsys.readouterr()
+        assert capped.err.startswith("warning: the LASSO fit stopped at its 5-iteration cap")
+        assert "warning" not in capped.out
 
 
 class TestDatasetIo:

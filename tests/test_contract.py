@@ -85,12 +85,12 @@ ENTRY_POINTS = {
         ARRAY_RULES | {"zero", "labels", "both_classes", "penalty"},
     ),
     "lasso_logistic_fit": (
-        lambda x, y: lasso_logistic_fit(x, y, 0.01),
-        {"finite", "ndim", "labels", "both_classes"},
+        lambda x, y, lam=0.01: lasso_logistic_fit(x, y, lam),
+        {"finite", "ndim", "labels", "both_classes", "penalty"},
     ),
     "cv_select_lambda": (
-        lambda x, y: cv_select_lambda(x, y, n_folds=2, lambda_grid=[0.01]),
-        {"finite", "ndim", "labels", "both_classes"},
+        lambda x, y, lam=0.1: cv_select_lambda(x, y, n_folds=2, lambda_grid=[0.01, lam]),
+        {"finite", "ndim", "labels", "both_classes", "penalty"},
     ),
     "auc": (lambda x, y: auc(x[..., 0], y), {"finite", "ndim", "labels", "both_classes"}),
     "clr": (lambda x, y: clr(x), ARRAY_RULES | {"zero"}),

@@ -1,8 +1,11 @@
 """Tests for splitting, AUC, and the benchmark harness."""
 
+import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -140,11 +143,25 @@ class TestAuc:
         code = "import sys, deepcoda.cli; sys.exit('scipy.stats' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_cli_import_leaves_out_multiprocessing(self):
+        src = str(Path(deepcoda.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, deepcoda.cli; sys.exit('multiprocessing' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
     ds = gen_toy(100, seed=3)
     return LabeledDataset("toy100", ds.relative.values, ds.labels)
+
+
+@pytest.fixture(scope="module")
+def noisy_dataset():
+    """30 % flipped labels, so AUCs differ between methods and splits."""
+    ds = gen_toy(300, seed=3)
+    flip = np.random.default_rng(0).random(300) < 0.3
+    return LabeledDataset("noisy300", ds.relative.values, np.where(flip, 1 - ds.labels, ds.labels))
 
 
 def constant_method(value=0.0):
@@ -178,6 +195,117 @@ class TestBenchmark:
 
         with pytest.raises(ValueError, match=r"'bad'.*split 0.*inner failure"):
             benchmark(tiny_dataset, [Method("bad", boom)], n_splits=2, base_seed=0)
+
+
+class SplitZeroError(Exception):
+    pass
+
+
+class TwoArgError(Exception):
+    """Cannot be unpickled: unpickling calls ``TwoArgError(message)``."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def failing_on_both_splits(errors):
+    """A method that raises ``errors[s]()`` on split s (base seed 0)."""
+
+    def fit_score(xtr, ytr, xte, seed):
+        raise errors[seed]()
+
+    return Method("bad", fit_score)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+class TestParallelBenchmark:
+    """Forked workers merge in (split, method) order: results never depend on ``jobs``."""
+
+    def test_cli_methods_match_serial_bitwise(self, noisy_dataset):
+        methods = [
+            make_deepcoda_method(2, 0.01, "self_explain", epochs=30, name="deepcoda"),
+            make_deepcoda_method(2, 0.01, "linear", epochs=30, name="deepcoda-linear"),
+            make_lasso_method("none"),
+            make_lasso_method("clr"),
+        ]
+        serial = benchmark(noisy_dataset, methods, n_splits=3, base_seed=5, jobs=1)
+        parallel = benchmark(noisy_dataset, methods, n_splits=3, base_seed=5, jobs=2)
+        assert parallel == serial
+        assert len({r.auc for r in serial}) > 6
+        assert [(r.split_index, r.method) for r in parallel] == [
+            (s, m.name) for s in range(3) for m in methods
+        ]
+
+    def test_grid_matches_serial_bitwise(self, noisy_dataset):
+        kwargs = dict(
+            B_grid=[1, 2], lambda_s_grid=[0.01], heads=["self_explain", "linear"],
+            n_splits=2, base_seed=0, epochs=20,
+        )
+        serial = grid_search(noisy_dataset, jobs=1, **kwargs)
+        assert grid_search(noisy_dataset, jobs=2, **kwargs) == serial
+        assert len({r.auc for r in serial}) > 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "first,cls",
+        [(lambda: SplitZeroError("first"), SplitZeroError),
+         (lambda: TwoArgError("first", "second"), TwoArgError)],
+        ids=["plain", "unpicklable"],
+    )
+    def test_lowest_failing_task_is_raised(self, tiny_dataset, jobs, first, cls):
+        # Tasks: 0 = (split 0, const), 1 = (0, bad), 2 = (1, const), 3 = (1, bad).
+        methods = [constant_method(), failing_on_both_splits({0: first, 1: lambda: KeyError("3")})]
+        with pytest.raises(cls) as info:
+            benchmark(tiny_dataset, methods, n_splits=2, base_seed=0, jobs=jobs)
+        assert str(info.value).startswith("method 'bad' failed on split 0 of 'toy100': first")
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "cpus,jobs,thread,workers",
+        [(8, 8, False, [2]), (8, None, False, [2]), (1, 8, False, []), (8, 8, True, [])],
+        ids=["tasks", "default", "cpus", "other_thread"],
+    )
+    def test_workers_clamped_to_tasks_and_cpus(
+        self, tiny_dataset, monkeypatch, cpus, jobs, thread, workers
+    ):
+        started = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        if thread:
+            waiter.start()
+        try:
+            results = benchmark(tiny_dataset, [constant_method()], n_splits=2, jobs=jobs)
+        finally:
+            release.set()
+            if thread:
+                waiter.join()
+        assert started == workers
+        assert [r.auc for r in results] == [0.5, 0.5]
+
+    @needs_fork
+    def test_dead_worker_tasks_run_in_process(self, tiny_dataset):
+        parent = os.getpid()
+
+        def fit_score(xtr, ytr, xte, seed):
+            if os.getpid() != parent:
+                os._exit(1)
+            return xte[:, 0] * seed
+
+        methods = [Method("dies", fit_score)]
+        serial = benchmark(tiny_dataset, methods, n_splits=3, base_seed=1, jobs=1)
+        assert benchmark(tiny_dataset, methods, n_splits=3, base_seed=1, jobs=2) == serial
 
 
 class TestStandardize:

@@ -200,8 +200,7 @@ def cmd_benchmark(args) -> int:
     dataset = LabeledDataset(Path(args.data).stem, matrix.values, labels)
     if args.grid:
         results = grid_search(
-            dataset, n_splits=args.splits, base_seed=args.seed, epochs=args.epochs,
-            jobs=args.jobs,
+            dataset, n_splits=args.splits, base_seed=args.seed, epochs=args.epochs
         )
     else:
         methods = []
@@ -212,9 +211,7 @@ def cmd_benchmark(args) -> int:
                     f"unknown method {name!r}; choose from {sorted(_METHOD_BUILDERS)}"
                 )
             methods.append(_METHOD_BUILDERS[name](args))
-        results = benchmark(
-            dataset, methods, n_splits=args.splits, base_seed=args.seed, jobs=args.jobs
-        )
+        results = benchmark(dataset, methods, n_splits=args.splits, base_seed=args.seed)
     results = standardize_scores(results)
     Path(args.out).write_text(results_to_csv(results), encoding="utf-8")
     print(f"wrote {args.out} ({len(results)} rows)")
@@ -308,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--bottlenecks", type=int, default=5)
     p_bench.add_argument("--lambda-s", type=float, default=0.01, dest="lambda_s")
     p_bench.add_argument("--epochs", type=int, default=2000)
-    p_bench.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: one per usable CPU); output does not depend on it",
-    )
     p_bench.add_argument("--out", required=True)
     p_bench.add_argument("--delta-fraction", type=float, default=0.5)
     p_bench.set_defaults(func=cmd_benchmark)

@@ -130,13 +130,10 @@ def _split_auc(x, y, seed: int, method: Method) -> float:
     return auc(scores, y[test_idx])
 
 
-def _worker_count(jobs: int | None, n_tasks: int) -> int:
-    """``jobs`` (default: all), clamped to the usable CPUs and the task count."""
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be at least 1")
+def _worker_count(n_tasks: int) -> int:
+    """One worker per usable CPU, but no more than there are tasks."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    limit = min(cpus or 1, n_tasks)
-    return limit if jobs is None else min(jobs, limit)
+    return min(cpus or 1, n_tasks)
 
 
 # (x, y, base_seed, tasks) in a pool worker. Fork hands them over without
@@ -164,7 +161,8 @@ def _pool_aucs(x, y, base_seed, tasks, workers) -> list[float | None]:
 
     The pool stops at the first failed task in task order. Without fork, or
     while other threads run (a forked child could inherit a lock one of
-    them holds, and hang), every entry is None.
+    them holds, and hang), every entry is None, as are all entries when a
+    worker cannot be started (fork fails with EAGAIN or ENOMEM).
     """
     # Imported here, so importing deepcoda does not load multiprocessing.
     import multiprocessing
@@ -175,6 +173,7 @@ def _pool_aucs(x, y, base_seed, tasks, workers) -> list[float | None]:
     aucs: list[float | None] = [None] * len(tasks)
     if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return aucs
+    children = set(multiprocessing.active_children())
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
@@ -188,6 +187,12 @@ def _pool_aucs(x, y, base_seed, tasks, workers) -> list[float | None]:
             aucs[index] = value
     except BrokenProcessPool:
         pass  # a worker died; the caller computes what is missing
+    except OSError:
+        # fork failed while the pool started its workers. Those already
+        # started would wait on the pool's queue for ever; stop them.
+        for child in set(multiprocessing.active_children()) - children:
+            child.terminate()
+            child.join()
     finally:
         # Cancel what has not started, so a failure or an interrupt does not
         # wait for the rest of the run.
@@ -200,18 +205,17 @@ def benchmark(
     methods: Sequence[Method],
     n_splits: int = DEFAULT_N_SPLITS,
     base_seed: int = 0,
-    jobs: int | None = None,
 ) -> list[BenchmarkResult]:
     """Test AUC of every method across seeded train/test splits.
 
     Split s uses seed ``base_seed + s`` for both the split and the method's
     internal randomness, so results are a pure function of the arguments.
-    The tasks are the (split, method) pairs. They run in up to ``jobs``
-    forked worker processes (default: one per usable CPU; never more than
-    there are CPUs or tasks), or in this process when that is one, when
-    fork is unavailable, or when the caller runs other threads. Results are merged in (split, method) order, so they do
-    not depend on ``jobs``. A method's side effects in a worker do not reach
-    the caller.
+    The tasks are the (split, method) pairs. They run in forked worker
+    processes, one per usable CPU but never more than there are tasks, or
+    in this process when that is one, when fork is unavailable, or when
+    the caller runs other threads. Results are merged in (split, method)
+    order, so they do not depend on the number of workers. A method's side
+    effects in a worker do not reach the caller.
 
     If tasks fail, the lowest-index failing task is run again in this
     process, and its exception propagates as raised, its message prefixed
@@ -221,7 +225,7 @@ def benchmark(
     x = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y)
     tasks = [(s, method) for s in range(n_splits) for method in methods]
-    workers = _worker_count(jobs, len(tasks))
+    workers = _worker_count(len(tasks))
     aucs = _pool_aucs(x, y, base_seed, tasks, workers) if workers > 1 else [None] * len(tasks)
     results = []
     for (s, method), value in zip(tasks, aucs):
@@ -261,7 +265,6 @@ def grid_search(
     lambda_c: float = TrainConfig.lambda_c,
     learning_rate: float = TrainConfig.learning_rate,
     epochs: int = TrainConfig.epochs,
-    jobs: int | None = None,
 ) -> list[BenchmarkResult]:
     """Benchmark the full bottleneck-count x L1-penalty x head cross product."""
     methods = [
@@ -277,7 +280,7 @@ def grid_search(
         for ls in lambda_s_grid
         for head in heads
     ]
-    return benchmark(dataset, methods, n_splits=n_splits, base_seed=base_seed, jobs=jobs)
+    return benchmark(dataset, methods, n_splits=n_splits, base_seed=base_seed)
 
 
 def results_to_csv(results: Sequence[BenchmarkResult]) -> str:

@@ -1,6 +1,7 @@
 """Tests for splitting, AUC, and the benchmark harness."""
 
 import concurrent.futures
+import errno
 import multiprocessing
 import os
 import subprocess
@@ -222,55 +223,70 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-class TestParallelBenchmark:
-    """Forked workers merge in (split, method) order: results never depend on ``jobs``."""
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """Set how many CPUs the benchmark sees, and so how many workers it starts."""
 
-    def test_cli_methods_match_serial_bitwise(self, noisy_dataset):
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return set_cpus
+
+
+class TestParallelBenchmark:
+    """Forked workers merge in (split, method) order: results never depend on the CPU count."""
+
+    def test_cli_methods_match_serial_bitwise(self, noisy_dataset, set_cpus):
         methods = [
             make_deepcoda_method(2, 0.01, "self_explain", epochs=30, name="deepcoda"),
             make_deepcoda_method(2, 0.01, "linear", epochs=30, name="deepcoda-linear"),
             make_lasso_method("none"),
             make_lasso_method("clr"),
         ]
-        serial = benchmark(noisy_dataset, methods, n_splits=3, base_seed=5, jobs=1)
-        parallel = benchmark(noisy_dataset, methods, n_splits=3, base_seed=5, jobs=2)
+        set_cpus(1)
+        serial = benchmark(noisy_dataset, methods, n_splits=3, base_seed=5)
+        set_cpus(2)
+        parallel = benchmark(noisy_dataset, methods, n_splits=3, base_seed=5)
         assert parallel == serial
         assert len({r.auc for r in serial}) > 6
         assert [(r.split_index, r.method) for r in parallel] == [
             (s, m.name) for s in range(3) for m in methods
         ]
 
-    def test_grid_matches_serial_bitwise(self, noisy_dataset):
+    def test_grid_matches_serial_bitwise(self, noisy_dataset, set_cpus):
         kwargs = dict(
             B_grid=[1, 2], lambda_s_grid=[0.01], heads=["self_explain", "linear"],
             n_splits=2, base_seed=0, epochs=20,
         )
-        serial = grid_search(noisy_dataset, jobs=1, **kwargs)
-        assert grid_search(noisy_dataset, jobs=2, **kwargs) == serial
+        set_cpus(1)
+        serial = grid_search(noisy_dataset, **kwargs)
+        set_cpus(2)
+        assert grid_search(noisy_dataset, **kwargs) == serial
         assert len({r.auc for r in serial}) > 4
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
         "first,cls",
         [(lambda: SplitZeroError("first"), SplitZeroError),
          (lambda: TwoArgError("first", "second"), TwoArgError)],
         ids=["plain", "unpicklable"],
     )
-    def test_lowest_failing_task_is_raised(self, tiny_dataset, jobs, first, cls):
+    def test_lowest_failing_task_is_raised(self, tiny_dataset, set_cpus, cpus, first, cls):
         # Tasks: 0 = (split 0, const), 1 = (0, bad), 2 = (1, const), 3 = (1, bad).
         methods = [constant_method(), failing_on_both_splits({0: first, 1: lambda: KeyError("3")})]
+        set_cpus(cpus)
         with pytest.raises(cls) as info:
-            benchmark(tiny_dataset, methods, n_splits=2, base_seed=0, jobs=jobs)
+            benchmark(tiny_dataset, methods, n_splits=2, base_seed=0)
         assert str(info.value).startswith("method 'bad' failed on split 0 of 'toy100': first")
 
     @needs_fork
     @pytest.mark.parametrize(
-        "cpus,jobs,thread,workers",
-        [(8, 8, False, [2]), (8, None, False, [2]), (1, 8, False, []), (8, 8, True, [])],
-        ids=["tasks", "default", "cpus", "other_thread"],
+        "cpus,thread,workers",
+        [(8, False, [2]), (1, False, []), (8, True, [])],
+        ids=["tasks", "cpus", "other_thread"],
     )
     def test_workers_clamped_to_tasks_and_cpus(
-        self, tiny_dataset, monkeypatch, cpus, jobs, thread, workers
+        self, tiny_dataset, monkeypatch, set_cpus, cpus, thread, workers
     ):
         started = []
 
@@ -280,13 +296,13 @@ class TestParallelBenchmark:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        set_cpus(cpus)
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         if thread:
             waiter.start()
         try:
-            results = benchmark(tiny_dataset, [constant_method()], n_splits=2, jobs=jobs)
+            results = benchmark(tiny_dataset, [constant_method()], n_splits=2)
         finally:
             release.set()
             if thread:
@@ -295,7 +311,7 @@ class TestParallelBenchmark:
         assert [r.auc for r in results] == [0.5, 0.5]
 
     @needs_fork
-    def test_dead_worker_tasks_run_in_process(self, tiny_dataset):
+    def test_dead_worker_tasks_run_in_process(self, tiny_dataset, set_cpus):
         parent = os.getpid()
 
         def fit_score(xtr, ytr, xte, seed):
@@ -304,8 +320,38 @@ class TestParallelBenchmark:
             return xte[:, 0] * seed
 
         methods = [Method("dies", fit_score)]
-        serial = benchmark(tiny_dataset, methods, n_splits=3, base_seed=1, jobs=1)
-        assert benchmark(tiny_dataset, methods, n_splits=3, base_seed=1, jobs=2) == serial
+        set_cpus(1)
+        serial = benchmark(tiny_dataset, methods, n_splits=3, base_seed=1)
+        set_cpus(2)
+        assert benchmark(tiny_dataset, methods, n_splits=3, base_seed=1) == serial
+
+    @needs_fork
+    @pytest.mark.parametrize("fails_at", [1, 2], ids=["first_worker", "second_worker"])
+    def test_failed_fork_runs_in_process(self, tiny_dataset, monkeypatch, set_cpus, fails_at):
+        methods = [Method("scaled", lambda xtr, ytr, xte, seed: xte[:, 0] * seed)]
+        set_cpus(1)
+        serial = benchmark(tiny_dataset, methods, n_splits=3, base_seed=1)
+        starts = []
+        start = multiprocessing.get_context("fork").Process.start
+
+        def start_until_pid_limit(process):
+            starts.append(process)
+            if len(starts) >= fails_at:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            start(process)
+
+        monkeypatch.setattr(
+            multiprocessing.get_context("fork").Process, "start", start_until_pid_limit
+        )
+        set_cpus(2)
+        try:
+            assert benchmark(tiny_dataset, methods, n_splits=3, base_seed=1) == serial
+            assert len(starts) == fails_at
+            # A worker started before the failed fork is stopped, not left waiting.
+            assert multiprocessing.active_children() == []
+        finally:
+            for child in multiprocessing.active_children():  # a leftover would hang exit
+                child.terminate()
 
 
 class TestStandardize:

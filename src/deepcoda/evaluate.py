@@ -221,7 +221,19 @@ def benchmark(
     process, and its exception propagates as raised, its message prefixed
     with the method name and the split index. Tasks left unfinished by a
     dead worker are also computed here.
+
+    Raises ValueError before any work if ``n_splits`` is below 1, if there
+    are no methods, or if two methods share a name (their CSV rows could
+    not be told apart).
     """
+    if n_splits < 1:
+        raise ValueError("n_splits must be at least 1")
+    if not methods:
+        raise ValueError("at least one method is required")
+    names = [method.name for method in methods]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate method names: {', '.join(duplicates)}")
     x = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y)
     tasks = [(s, method) for s in range(n_splits) for method in methods]

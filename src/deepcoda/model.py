@@ -119,12 +119,19 @@ class DeepCodaParams:
         shapes = _layout_shapes(dims, head)
         self.head, self.dims = head, tuple(dims)
         self.flat = np.zeros(sum(math.prod(shape) for shape in shapes))
-        start = 0
+        bounds = [0]
         for name, shape in zip(PARAM_FIELDS, shapes):
-            stop = start + math.prod(shape)
+            bounds.append(bounds[-1] + math.prod(shape))
             # Stored in the instance dict so a field read is a plain attribute read.
-            self.__dict__[name] = self.flat[start:stop].reshape(shape)
-            start = stop
+            self.__dict__[name] = self.flat[bounds[-2] : bounds[-1]].reshape(shape)
+        # PARAM_LAYOUT alternates weights and bias, each bias straight after
+        # its weights, so each pair is one (in + 1) x out block whose last
+        # row is the bias: an input extended by a constant 1 applies both in
+        # one matmul, and one matmul gives the gradient of both.
+        self._affine = tuple(
+            self.flat[bounds[i] : bounds[i + 2]].reshape(-1, bounds[i + 2] - bounds[i + 1])
+            for i in range(0, len(shapes), 2)
+        )
 
     def __setattr__(self, name: str, value) -> None:
         if name not in PARAM_FIELDS:
@@ -167,21 +174,18 @@ def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # einsum keeps one fixed accumulation order per row, so each output row
     # depends only on that row's content: prediction and explanation give a
     # row bit for bit the same result alone or in any batch. BLAS kernels may
-    # round rows of one batch differently, so only training, which always
-    # sees the same batch, uses ``np.matmul`` (many times faster).
+    # round rows of one batch differently, so only the training kernel,
+    # which always sees the same batch, uses BLAS (many times faster).
     return np.einsum("nd,db->nb", a, b)
 
 
-def _forward_batch(p: DeepCodaParams, logx: np.ndarray, matmul):
-    """Shared batched pass on log inputs, with the caller's matmul.
-
-    Returns (Z, A, H, W, S, yhat).
-    """
-    z = matmul(logx, p.beta) + p.beta0
+def _forward_batch(p: DeepCodaParams, logx: np.ndarray):
+    """Row-invariant batched pass on log inputs. Returns (Z, A, H, W, S, yhat)."""
+    z = _rowwise_matmul(logx, p.beta) + p.beta0
     if p.head == "self_explain":
-        a = matmul(z, p.mlp_w1) + p.mlp_b1
+        a = _rowwise_matmul(z, p.mlp_w1) + p.mlp_b1
         hidden = np.maximum(a, 0.0)
-        w = matmul(hidden, p.mlp_w2) + p.mlp_b2
+        w = _rowwise_matmul(hidden, p.mlp_w2) + p.mlp_b2
         s = (w * z).sum(axis=1)
     else:
         a = hidden = None
@@ -195,7 +199,7 @@ def _finite_forward_batch(p: DeepCodaParams, X: np.ndarray):
 
     Raises FloatingPointError if any contrast or logit is not finite.
     """
-    out = _forward_batch(p, np.log(X), _rowwise_matmul)
+    out = _forward_batch(p, np.log(X))
     z, s = out[0], out[4]
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(s))):
         raise FloatingPointError("non-finite value in forward pass")
@@ -217,7 +221,7 @@ def forward(p: DeepCodaParams, x) -> ForwardTrace:
 def predict_proba(p: DeepCodaParams, X) -> np.ndarray:
     """Row-wise forward pass; returns one probability per sample."""
     xv = check_array(X, "X", 2, length=p.dims[0], bound=">0")
-    *_, s, yhat = _forward_batch(p, np.log(xv), _rowwise_matmul)
+    *_, s, yhat = _forward_batch(p, np.log(xv))
     if not np.all(np.isfinite(s)):
         raise FloatingPointError("non-finite value in forward pass")
     return yhat
@@ -236,57 +240,105 @@ def loss_and_gradients(
     lines up with ``p.flat``) and is read by name, ``grads["beta"]``; the
     inactive head's tensors get zero gradient.
 
-    ``train`` runs the same kernel each epoch, so the forward pass here uses
-    BLAS and is not row-invariant: a row's loss term may differ in the last
-    bits between batches. ``predict_proba``, ``forward`` and explanations
-    keep the row-invariant einsum.
+    ``train`` runs the same kernel each epoch on one ``_Workspace``; this
+    wrapper builds a workspace per call. The kernel uses BLAS and is not
+    row-invariant: a row's loss term may differ in the last bits between
+    batches. ``predict_proba``, ``forward`` and explanations keep the
+    row-invariant einsum of ``_forward_batch``.
     """
     check_penalties(lambda_c, lambda_s)
     xv = check_array(X, "X", 2, length=p.dims[0], bound=">0")
     yv = check_labels(y, xv.shape[0])
     grads = DeepCodaParams.zeros(p.dims, p.head)
-    return _loss_and_gradients(p, np.log(xv), yv, lambda_c, lambda_s, grads), grads
+    ws = _Workspace(xv, p.dims, p.head)
+    return _loss_and_gradients(p, ws, yv, lambda_c, lambda_s, grads), grads
+
+
+class _Workspace:
+    """Every buffer ``_loss_and_gradients`` writes for one batch, allocated once.
+
+    Activations are stored feature-major (one row per feature, one column
+    per sample), so every elementwise pass runs over contiguous memory.
+    ``logx1``, ``z1`` and ``h1`` end in a row of ones, so a layer is one
+    matmul against a ``DeepCodaParams._affine`` block. The kernel never
+    writes a ones row, so a workspace serves any number of calls on the
+    same ``X``, ``dims`` and ``head``.
+    """
+
+    def __init__(self, X: np.ndarray, dims: tuple[int, int, int], head: str) -> None:
+        (n, d), (_, b, h) = X.shape, dims
+        self.logx1 = np.ones((d + 1, n))
+        np.log(X.T, out=self.logx1[:d])
+        self.z1 = np.ones((b + 1, n))
+        self.s, self.yhat, self.resid, self.gs = np.empty((4, n))
+        self.gz = np.empty((b, n))
+        if head == "self_explain":
+            self.h1 = np.ones((h + 1, n))
+            # The ReLU derivative as 0.0/1.0, so masking is a float multiply.
+            self.relu, self.ga = np.empty((2, h, n))
+            self.w, self.gw = np.empty((2, b, n))
 
 
 def _loss_and_gradients(
     p: DeepCodaParams,
-    logx: np.ndarray,
+    ws: _Workspace,
     y: np.ndarray,
     lambda_c: float,
     lambda_s: float,
     grads: DeepCodaParams,
 ) -> float:
-    """``loss_and_gradients`` on checked log inputs; writes the gradient into ``grads``.
+    """``loss_and_gradients`` on a checked batch's workspace; writes the gradient into ``grads``.
 
     Every tensor of the active head is overwritten, and the inactive head's
     are never written, so ``grads`` can be reused across calls.
     """
-    z, a, hidden, w, s, yhat = _forward_batch(p, logx, np.matmul)
+    beta1, w1b1, w2b2, vv0 = p._affine
+    g_beta1, g_w1b1, g_w2b2, g_vv0 = grads._affine
+    z = ws.z1[:-1]
+    np.matmul(beta1.T, ws.logx1, out=z)
+    if p.head == "self_explain":
+        a = ws.h1[:-1]
+        np.matmul(w1b1.T, ws.z1, out=a)
+        np.greater(a, 0.0, out=ws.relu)
+        np.maximum(a, 0.0, out=a)
+        np.matmul(w2b2.T, ws.h1, out=ws.w)
+        np.einsum("bn,bn->n", ws.w, z, out=ws.s)
+    else:
+        np.matmul(vv0[:, 0], ws.z1, out=ws.s)
+    yhat = expit(ws.s, out=ws.yhat)
 
-    resid = yhat - y
+    resid = np.subtract(yhat, y, out=ws.resid)
     col_sums = p.beta.sum(axis=0)
+    # einsum, not BLAS ddot, which splits long sums across threads and so
+    # would make the loss depend on the CPU count.
     total = float(
-        resid @ resid + lambda_c * (col_sums @ col_sums) + lambda_s * np.abs(p.beta).sum()
+        np.einsum("n,n->", resid, resid)
+        + lambda_c * (col_sums @ col_sums)
+        + lambda_s * np.abs(p.beta).sum()
     )
     if not np.isfinite(total):
         raise FloatingPointError("non-finite loss")
 
-    # d(loss)/d(logit): squared error through the logistic output.
-    gs = 2.0 * resid * yhat * (1.0 - yhat)
+    # d(loss)/d(logit) = 2 resid yhat (1 - yhat): squared error through the logistic output.
+    gs = np.multiply(resid, 2.0, out=ws.gs)
+    gs *= yhat
+    gs *= np.subtract(1.0, yhat, out=ws.yhat)  # yhat is not read again
+    gz = ws.gz
     if p.head == "self_explain":
-        gw = gs[:, None] * z
-        grads.mlp_b2 = gw.sum(axis=0)
-        grads.mlp_w2 = hidden.T @ gw
-        ga = (gw @ p.mlp_w2.T) * (a > 0)
-        grads.mlp_b1 = ga.sum(axis=0)
-        grads.mlp_w1 = z.T @ ga
-        gz = gs[:, None] * w + ga @ p.mlp_w1.T
+        gw = np.multiply(gs, z, out=ws.gw)
+        np.matmul(ws.h1, gw.T, out=g_w2b2)
+        ga = np.matmul(p.mlp_w2, gw, out=ws.ga)
+        ga *= ws.relu
+        np.matmul(ws.z1, ga.T, out=g_w1b1)
+        np.matmul(p.mlp_w1, ga, out=gz)
+        gz += np.multiply(gs, ws.w, out=ws.w)
     else:
-        grads.linear_v = z.T @ gs
-        grads.linear_v0 = gs.sum()
-        gz = gs[:, None] * p.linear_v[None, :]
-    grads.beta = logx.T @ gz + 2.0 * lambda_c * col_sums[None, :] + lambda_s * np.sign(p.beta)
-    grads.beta0 = gz.sum(axis=0)
+        np.matmul(ws.z1, gs, out=g_vv0[:, 0])
+        np.multiply(p.linear_v[:, None], gs, out=gz)
+    np.matmul(ws.logx1, gz.T, out=g_beta1)
+    g_beta = grads.beta
+    g_beta += 2.0 * lambda_c * col_sums
+    g_beta += lambda_s * np.sign(p.beta)
     return total
 
 

@@ -14,6 +14,7 @@ from .model import (  # noqa: F401
     PARAM_LAYOUT,
     DeepCodaParams,
     _loss_and_gradients,
+    _Workspace,
     loss_and_gradients,
 )
 
@@ -104,43 +105,44 @@ def train(X, y, cfg: TrainConfig) -> TrainReport:
     Pure function of (X, y, cfg): identical inputs give bit-identical
     reports. ``loss_history[t]`` is the loss evaluated before step t.
     Raises TrainingDivergedError naming the epoch if the loss becomes
-    non-finite. The inputs are checked and log-transformed once; each epoch
-    runs the ``loss_and_gradients`` kernel into one reused gradient.
+    non-finite. The inputs are checked and log-transformed once, into one
+    ``_Workspace``; each epoch runs the ``loss_and_gradients`` kernel into
+    it and one reused gradient, then steps Adam in place.
     """
     xv = check_array(X, "X", 2, bound=">0")
     yv = check_labels(y, xv.shape[0], both_classes=True)
-    logx = np.log(xv)
 
     params = init_params(xv.shape[1], cfg.n_bottlenecks, seed=cfg.seed, head=cfg.head)
     grads = DeepCodaParams.zeros(params.dims, params.head)
-    moment1 = np.zeros_like(params.flat)
-    moment2 = np.zeros_like(params.flat)
+    ws = _Workspace(xv, params.dims, params.head)
+    moment1, moment2, update, scratch = np.zeros((4, params.flat.size))
     history = np.empty(cfg.epochs)
+    b1, b2, g = cfg.adam_beta1, cfg.adam_beta2, grads.flat
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for epoch in range(cfg.epochs):
             try:
-                current = _loss_and_gradients(
-                    params, logx, yv, cfg.lambda_c, cfg.lambda_s, grads
+                history[epoch] = _loss_and_gradients(
+                    params, ws, yv, cfg.lambda_c, cfg.lambda_s, grads
                 )
             except FloatingPointError as exc:
                 raise TrainingDivergedError(
                     f"training diverged: non-finite loss at epoch {epoch}"
                 ) from exc
-            if not np.isfinite(current):
-                raise TrainingDivergedError(
-                    f"training diverged: non-finite loss at epoch {epoch}"
-                )
-            history[epoch] = current
-            step = epoch + 1
-            bias1 = 1.0 - cfg.adam_beta1**step
-            bias2 = 1.0 - cfg.adam_beta2**step
-            g = grads.flat
-            moment1 = cfg.adam_beta1 * moment1 + (1.0 - cfg.adam_beta1) * g
-            moment2 = cfg.adam_beta2 * moment2 + (1.0 - cfg.adam_beta2) * g * g
-            params.flat -= cfg.learning_rate * (moment1 / bias1) / (
-                np.sqrt(moment2 / bias2) + cfg.adam_eps
-            )
+            bias1 = 1.0 - b1 ** (epoch + 1)
+            bias2 = 1.0 - b2 ** (epoch + 1)
+            # In place, in this arithmetic order: m1 = b1 m1 + (1 - b1) g,
+            # m2 = b2 m2 + (1 - b2) g g, p -= lr (m1 / bias1) / (sqrt(m2 / bias2) + eps).
+            moment1 *= b1
+            moment1 += np.multiply(g, 1.0 - b1, out=scratch)
+            moment2 *= b2
+            np.multiply(g, 1.0 - b2, out=scratch)
+            moment2 += np.multiply(scratch, g, out=scratch)
+            np.sqrt(np.divide(moment2, bias2, out=scratch), out=scratch)
+            scratch += cfg.adam_eps
+            np.divide(moment1, bias1, out=update)
+            update *= cfg.learning_rate
+            params.flat -= np.divide(update, scratch, out=update)
 
     residuals = params.beta.sum(axis=0)
     return TrainReport(

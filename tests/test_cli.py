@@ -219,6 +219,20 @@ class TestBenchmark:
         ) == EXIT_USAGE
 
     @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--splits", "0"], "n_splits must be at least 1"),
+            (["--splits", "-2"], "n_splits must be at least 1"),
+            (["--methods", "deepcoda,lasso,deepcoda"], "duplicate method names: deepcoda"),
+        ],
+    )
+    def test_bad_splits_or_methods_exit_2(self, tmp_path, toy_dir, capsys, args, message):
+        out = tmp_path / "b.csv"
+        assert run(["benchmark", str(toy_dir / "relative.csv"), *args, "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "methods,extra,code",
         [
             # 8 samples leave too few per class for 5-fold stratified CV.

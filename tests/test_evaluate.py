@@ -190,6 +190,23 @@ class TestBenchmark:
         with pytest.raises(ValueError):
             make_deepcoda_method(**kwargs)
 
+    @pytest.mark.parametrize("n_splits", [0, -2])
+    def test_rejects_fewer_than_one_split(self, tiny_dataset, n_splits):
+        with pytest.raises(ValueError, match="n_splits must be at least 1"):
+            benchmark(tiny_dataset, [constant_method()], n_splits=n_splits)
+
+    def test_rejects_no_methods(self, tiny_dataset):
+        with pytest.raises(ValueError, match="at least one method"):
+            benchmark(tiny_dataset, [], n_splits=2)
+
+    def test_rejects_duplicate_method_names(self, tiny_dataset):
+        def never(xtr, ytr, xte, seed):
+            raise AssertionError("no split may run")
+
+        methods = [Method("a", never), Method("b", never), Method("a", never)]
+        with pytest.raises(ValueError, match="duplicate method names: a$"):
+            benchmark(tiny_dataset, methods, n_splits=2)
+
     def test_method_errors_are_annotated(self, tiny_dataset):
         def boom(xtr, ytr, xte, seed):
             raise ValueError("inner failure")

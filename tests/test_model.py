@@ -19,13 +19,14 @@ from deepcoda import (
     gradients,
     init_params,
     loss,
+    loss_and_gradients,
     params_from_text,
     params_to_text,
     predict_proba,
     load_params,
     save_params,
 )
-from deepcoda.model import PARAM_FIELDS
+from deepcoda.model import PARAM_FIELDS, _loss_and_gradients, _Workspace
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +98,46 @@ def finite_difference_gradients(p, X, y, lambda_c, lambda_s, h=1e-5):
             flat_grad[k] = (up - down) / (2.0 * h)
         out[name] = flat_grad[0] if not value.ndim else grad
     return out
+
+
+def reference_loss_and_gradients(p, X, y, lambda_c, lambda_s):
+    """The allocating training kernel that the workspace kernel replaced.
+
+    One ``matmul`` and one broadcast bias add per layer, one ``sum(axis=0)``
+    per bias gradient, and fresh arrays throughout.
+    """
+    logx = np.log(X)
+    z = logx @ p.beta + p.beta0
+    if p.head == "self_explain":
+        a = z @ p.mlp_w1 + p.mlp_b1
+        hidden = np.maximum(a, 0.0)
+        w = hidden @ p.mlp_w2 + p.mlp_b2
+        s = (w * z).sum(axis=1)
+    else:
+        s = p.linear_v0 + np.einsum("nb,b->n", z, p.linear_v)
+    yhat = expit(s)
+    resid = yhat - y
+    col_sums = p.beta.sum(axis=0)
+    total = float(
+        resid @ resid + lambda_c * (col_sums @ col_sums) + lambda_s * np.abs(p.beta).sum()
+    )
+    gs = 2.0 * resid * yhat * (1.0 - yhat)
+    grads = DeepCodaParams.zeros(p.dims, p.head)
+    if p.head == "self_explain":
+        gw = gs[:, None] * z
+        grads.mlp_b2 = gw.sum(axis=0)
+        grads.mlp_w2 = hidden.T @ gw
+        ga = (gw @ p.mlp_w2.T) * (a > 0)
+        grads.mlp_b1 = ga.sum(axis=0)
+        grads.mlp_w1 = z.T @ ga
+        gz = gs[:, None] * w + ga @ p.mlp_w1.T
+    else:
+        grads.linear_v = z.T @ gs
+        grads.linear_v0 = gs.sum()
+        gz = gs[:, None] * p.linear_v[None, :]
+    grads.beta = logx.T @ gz + 2.0 * lambda_c * col_sums[None, :] + lambda_s * np.sign(p.beta)
+    grads.beta0 = gz.sum(axis=0)
+    return total, grads
 
 
 def random_params(head="self_explain", d=4, n_b=3, n_h=16, seed=0, scale=0.3):
@@ -338,6 +379,48 @@ class TestGradients:
                         continue  # |.| kink
                     denom = max(abs(a[k]), abs(n_[k]), 1e-3)
                     assert abs(a[k] - n_[k]) / denom < 1e-5
+
+
+class TestTrainingKernel:
+    """The workspace kernel against the allocating reference kernel."""
+
+    @pytest.mark.parametrize("head", ["self_explain", "linear"])
+    @pytest.mark.parametrize(
+        "n, d, n_b, n_h",
+        [(1, 2, 1, 1), (7, 2, 3, 1), (40, 6, 1, 5), (200, 10, 5, 16), (33, 3, 4, 2)],
+    )
+    def test_matches_reference_kernel(self, head, n, d, n_b, n_h):
+        p = random_params(head=head, d=d, n_b=n_b, n_h=n_h, seed=n + d)
+        X, y = random_batch(n=n, d=d, seed=n)
+        y[0] = 1
+        expected_loss, expected = reference_loss_and_gradients(p, X, y, 1.0, 0.01)
+        total, grads = loss_and_gradients(p, X, y, 1.0, 0.01)
+        assert total == pytest.approx(expected_loss, rel=1e-12, abs=0)
+        for name in PARAM_FIELDS:
+            assert_allclose(grads[name], expected[name], rtol=1e-12, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("head", ["self_explain", "linear"])
+    def test_reused_workspace_matches_fresh_ones(self, head):
+        p = random_params(head=head, d=5, n_b=3, n_h=8, seed=31)
+        X, y = random_batch(n=60, d=5, seed=31)
+        rng = np.random.default_rng(31)
+        ws, grads = _Workspace(X, p.dims, head), DeepCodaParams.zeros(p.dims, head)
+        for _ in range(50):
+            # Steps large enough to flip ReLU units on and off between calls.
+            p.flat += rng.normal(0.0, 0.3, size=p.flat.size)
+            total = _loss_and_gradients(p, ws, y.astype(float), 1.0, 0.01, grads)
+            fresh_total, fresh = loss_and_gradients(p, X, y, 1.0, 0.01)
+            assert total == fresh_total
+            assert np.array_equal(grads.flat, fresh.flat)
+
+    def test_affine_blocks_are_weights_over_bias(self):
+        p = random_params(d=4, n_b=3, n_h=5, seed=3)
+        pairs = [("beta", "beta0"), ("mlp_w1", "mlp_b1"), ("mlp_w2", "mlp_b2"),
+                 ("linear_v", "linear_v0")]
+        for block, (weight, bias) in zip(p._affine, pairs):
+            assert np.shares_memory(block, p.flat)
+            assert np.array_equal(block[:-1], p[weight].reshape(block.shape[0] - 1, -1))
+            assert np.array_equal(block[-1], p[bias].reshape(-1))
 
 
 # ---------------------------------------------------------------------------

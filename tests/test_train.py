@@ -1,16 +1,24 @@
 """Tests for seeded initialization and the full-batch Adam trainer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import deepcoda
 from deepcoda import (
     TrainConfig,
     TrainingDivergedError,
+    gen_cmyc,
     gen_toy,
     init_params,
     train,
 )
 from deepcoda.model import PARAM_FIELDS, loss_and_gradients
+from test_model import reference_loss_and_gradients
 
 
 class TestInitParams:
@@ -96,14 +104,14 @@ class TestTrain:
             train(toy200.relative.values, toy200.labels[:-1], cfg)
 
 
-def reference_adam(X, y, cfg):
+def reference_adam(X, y, cfg, kernel=loss_and_gradients):
     """Adam written tensor by tensor, as the reference for train()'s flat steps."""
     params = init_params(X.shape[1], cfg.n_bottlenecks, seed=cfg.seed, head=cfg.head)
     moment1 = {name: np.zeros_like(np.asarray(getattr(params, name))) for name in PARAM_FIELDS}
     moment2 = {name: arr.copy() for name, arr in moment1.items()}
     history = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
-        history[epoch], grads = loss_and_gradients(params, X, y, cfg.lambda_c, cfg.lambda_s)
+        history[epoch], grads = kernel(params, X, y, cfg.lambda_c, cfg.lambda_s)
         bias1 = 1.0 - cfg.adam_beta1 ** (epoch + 1)
         bias2 = 1.0 - cfg.adam_beta2 ** (epoch + 1)
         for name in PARAM_FIELDS:
@@ -127,6 +135,48 @@ def test_train_matches_per_tensor_adam(toy200, head):
     assert np.array_equal(report.loss_history, history)
     for name in PARAM_FIELDS:
         assert np.array_equal(getattr(report.params, name), getattr(expected, name))
+
+
+@pytest.mark.parametrize("head", ["self_explain", "linear"])
+@pytest.mark.parametrize("kind", ["absolute", "relative"])
+def test_train_matches_reference_kernel(kind, head):
+    data = gen_cmyc(300, seed=2)
+    X, y = getattr(data, kind).values, data.labels
+    cfg = TrainConfig(epochs=300, seed=4, head=head)
+    history, expected = reference_adam(X, y, cfg, kernel=reference_loss_and_gradients)
+    report = train(X, y, cfg)
+    np.testing.assert_allclose(report.loss_history, history, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.params.flat, expected.flat, rtol=1e-12, atol=1e-14)
+
+
+_BLAS_THREADS_SCRIPT = """
+import sys
+from deepcoda import TrainConfig, gen_toy, train
+data = gen_toy(20_000, 0)
+report = train(data.relative.values, data.labels, TrainConfig(epochs=5))
+sys.stdout.buffer.write(report.loss_history.tobytes() + report.params.flat.tobytes())
+"""
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs at most one thread per usable CPU"
+)
+def test_train_does_not_depend_on_blas_thread_count():
+    # Above 10,000 elements an OpenBLAS dot product splits its sum across
+    # threads, so a loss summed through BLAS would change in the last bits.
+    src = str(Path(deepcoda.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env, capture_output=True, check=True
+        )
+        runs.append(run.stdout)
+    assert runs[0] == runs[1]
 
 
 class TestTrainConfig:

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import math
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -61,39 +62,50 @@ def read_dataset_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            rows = list(reader)
+            try:
+                return _parse_dataset(path, reader)
+            except UnicodeDecodeError:  # raised by the read, so it wins at once
+                raise
+            except ValueError:
+                for _ in reader:  # a malformed record later in the file still wins
+                    pass
+                raise
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-    if not rows:
+
+
+def _parse_dataset(path, reader):
+    """``read_dataset_csv``'s result from the rows of ``reader``; raises at the first fault."""
+    header = next(reader, None)
+    if header is None:
         raise ValueError(f"{path}: empty dataset file")
-    header = rows[0]
     if len(header) < 4:
         raise ValueError(f"{path}: need sample_id, at least two features, and label")
     if header[0] != "sample_id" or header[-1] != "label":
         raise ValueError(f"{path}: header must start with sample_id and end with label")
-    feature_names = header[1:-1]
-    sample_ids: list[str] = []
-    values: list[list[float]] = []
-    labels: list[int] = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    sample_ids, values, labels = [], array("d"), []
+    for line_no, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ValueError(f"{path}:{line_no}: expected {len(header)} fields")
-        sample_ids.append(row[0])
         try:
-            feats = [float(tok) for tok in row[1:-1]]
+            feats = list(map(float, row[1:-1]))
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: non-numeric feature value") from exc
-        if not all(math.isfinite(v) for v in feats):
-            raise ValueError(f"{path}:{line_no}: non-finite feature value")
-        if any(v < 0 for v in feats):
-            raise ValueError(f"{path}:{line_no}: negative abundance")
+        # A cheap test per row; the scans name a failing row's fault (or pass an overflowing sum).
+        if not (math.isfinite(sum(feats)) and min(feats) >= 0):
+            if not all(map(math.isfinite, feats)):
+                raise ValueError(f"{path}:{line_no}: non-finite feature value")
+            if any(v < 0 for v in feats):
+                raise ValueError(f"{path}:{line_no}: negative abundance")
         if row[-1] not in ("0", "1"):
             raise ValueError(f"{path}:{line_no}: label must be 0 or 1")
-        values.append(feats)
-        labels.append(int(row[-1]))
-    if not values:
+        sample_ids.append(row[0])
+        values.fromlist(feats)
+        labels.append(row[-1] == "1")
+    if not sample_ids:
         raise ValueError(f"{path}: no data rows")
-    return sample_ids, feature_names, np.array(values), np.array(labels, dtype=int)
+    values_2d = np.array(values).reshape(len(sample_ids), -1)
+    return sample_ids, header[1:-1], values_2d, np.array(labels, dtype=int)
 
 
 def load_dataset(path, delta_fraction: float = 0.5):

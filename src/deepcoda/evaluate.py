@@ -93,7 +93,9 @@ def make_deepcoda_method(
         head=head,
     )
     if name is None:
-        name = f"deepcoda[B={n_bottlenecks};ls={lambda_s:g};{head}]"
+        # ":g" keeps 6 digits; a penalty it would round is named in full, so names stay unique.
+        ls = f"{lambda_s:g}" if float(f"{lambda_s:g}") == lambda_s else repr(float(lambda_s))
+        name = f"deepcoda[B={n_bottlenecks};ls={ls};{head}]"
 
     def fit_score(x_train, y_train, x_test, seed):
         report = train(x_train, y_train, replace(cfg, seed=seed))

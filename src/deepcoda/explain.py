@@ -41,6 +41,8 @@ DECISION_POSITIVE = "unhealthy"
 DECISION_NEGATIVE = "healthy"
 
 _CCA_JITTER = 1e-8
+_ROW_BLOCK = 4096  # explanation rows per join, which bounds the transient strings
+_CSV_SPECIALS = frozenset(',"\r\n')
 
 
 def _decisions(products: np.ndarray) -> np.ndarray:
@@ -274,12 +276,18 @@ def render_report(
     else:
         header = ["sample_id", "prob", "decision"]
     numbers = np.hstack([batch.z, batch.w, batch.products, batch.prediction[:, None]])
-    # A generator, so each row is formatted only as the writer takes it.
-    exp_rows = (
-        [sample_id, *map(_fmt, row.tolist()), decision]
-        for sample_id, row, decision in zip(batch.sample_ids, numbers, batch.decisions.tolist())
-    )
-    explanations_csv = _csv_table(header, exp_rows)
+    # One "%" format per row ("%.17g" gives _fmt's digits); ids csv would quote use csv.writer.
+    row_format = "%s" + ",%.17g" * numbers.shape[1] + ",%s\n"
+    ids = [
+        s if _CSV_SPECIALS.isdisjoint(s) else _csv_table([s], [])[:-1]
+        for s in map(str, batch.sample_ids)
+    ]
+    blocks = [_csv_table(header, [])]
+    for lo in range(0, len(ids), _ROW_BLOCK):
+        hi = lo + _ROW_BLOCK
+        rows = zip(ids[lo:hi], numbers[lo:hi].tolist(), batch.decisions[lo:hi].tolist())
+        blocks.append("".join([row_format % (sid, *row, dec) for sid, row, dec in rows]))
+    explanations_csv = "".join(blocks)
 
     mem_rows = []
     for m in memberships:

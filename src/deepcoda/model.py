@@ -155,9 +155,18 @@ class DeepCodaParams:
                 raise ValueError(f"{name} contains non-finite values")
 
     def copy(self) -> "DeepCodaParams":
-        out = DeepCodaParams.zeros(self.dims, self.head)
-        out.flat[:] = self.flat
-        return out
+        return _params_from_flat(self.flat, self.dims, self.head)
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild the field views over one new buffer;
+        # restoring the instance dict would give each view its own copy.
+        return _params_from_flat, (self.flat, self.dims, self.head)
+
+
+def _params_from_flat(flat, dims: tuple[int, int, int], head: str) -> DeepCodaParams:
+    p = DeepCodaParams.zeros(dims, head)
+    p.flat[:] = flat
+    return p
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,17 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def write_noisy_copy(src, dst):
+    """Copy a dataset file with every third label flipped, so AUCs differ
+    between methods and splits and a wrong merge order or a drifted AUC
+    changes a benchmark CSV."""
+    rows = read_csv(src)
+    for row in rows[1::3]:
+        row[-1] = "10"[int(row[-1])]
+    dst.write_text("".join(",".join(row) + "\n" for row in rows))
+    return dst
+
+
 @pytest.fixture(scope="module")
 def toy_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("toy")
@@ -166,13 +177,14 @@ class TestBenchmark:
         assert len(rows) == 4
 
     def test_rerun_is_byte_identical(self, tmp_path, toy_dir):
+        data = write_noisy_copy(toy_dir / "relative.csv", tmp_path / "noisy.csv")
         files = []
         for name in ("b1.csv", "b2.csv"):
             out = tmp_path / name
             assert run(
                 [
                     "benchmark",
-                    str(toy_dir / "relative.csv"),
+                    str(data),
                     "--methods",
                     "deepcoda",
                     "--epochs",
@@ -187,6 +199,7 @@ class TestBenchmark:
             ) == EXIT_OK
             files.append(out.read_bytes())
         assert files[0] == files[1]
+        assert len({row[3] for row in read_csv(tmp_path / "b1.csv")[1:]}) > 1
 
     def test_grid_produces_full_cross_product(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -252,11 +265,7 @@ class TestBenchmark:
 
     def test_csv_does_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
         assert run(["simulate", "toy", "--n", "300", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
-        rows = read_csv(tmp_path / "relative.csv")
-        for row in rows[1::3]:  # flipped labels, so AUCs differ between methods and splits
-            row[-1] = "10"[int(row[-1])]
-        data = tmp_path / "noisy.csv"
-        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        data = write_noisy_copy(tmp_path / "relative.csv", tmp_path / "noisy.csv")
         files = []
         for cpus in (1, 2):
             monkeypatch.setattr(

@@ -1,11 +1,12 @@
 """The input contract: every public entry point rejects the same malformed
 inputs with ValueError, and the text parsers raise nothing but ValueError."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deepcoda import (
     CompositionMatrix,
@@ -249,6 +250,107 @@ def test_read_dataset_csv_raises_only_value_error(tmp_path_factory, data):
     except ValueError:
         return
     assert values.shape == (len(sample_ids), len(names)) and labels.shape == (len(sample_ids),)
+
+
+def reference_read_dataset_csv(path):
+    """The reader before streaming: the whole file as rows first, then checks."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: empty dataset file")
+    header = rows[0]
+    if len(header) < 4:
+        raise ValueError(f"{path}: need sample_id, at least two features, and label")
+    if header[0] != "sample_id" or header[-1] != "label":
+        raise ValueError(f"{path}: header must start with sample_id and end with label")
+    feature_names = header[1:-1]
+    sample_ids, values, labels = [], [], []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{line_no}: expected {len(header)} fields")
+        sample_ids.append(row[0])
+        try:
+            feats = [float(tok) for tok in row[1:-1]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: non-numeric feature value") from exc
+        if not all(math.isfinite(v) for v in feats):
+            raise ValueError(f"{path}:{line_no}: non-finite feature value")
+        if any(v < 0 for v in feats):
+            raise ValueError(f"{path}:{line_no}: negative abundance")
+        if row[-1] not in ("0", "1"):
+            raise ValueError(f"{path}:{line_no}: label must be 0 or 1")
+        values.append(feats)
+        labels.append(int(row[-1]))
+    if not values:
+        raise ValueError(f"{path}: no data rows")
+    return sample_ids, feature_names, np.array(values), np.array(labels, dtype=int)
+
+
+_FAULTY_CELLS = st.sampled_from(
+    ["-1", "-0.0", "nan", "-inf", "1e999", "1e308", "1.7976931348623157e308", "5e-324",
+     "", "x", '"', " 1", "1_0", "2", "01", "\r", "\xff"]
+)
+_OVERSIZED_FIELD = "9" * (csv.field_size_limit() + 1)
+
+
+@st.composite
+def faulty_dataset_bytes(draw):
+    """A dataset file with any number of faults of every kind, often several."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([b"", b"sample_id,f0,f1,label\n", b"sample_id,f0,f1,label"]))
+    n_features = draw(st.integers(2, 3))
+    header = ["sample_id", *(f"f{j}" for j in range(n_features)), "label"]
+    if draw(st.integers(0, 9)) == 0:
+        header[draw(st.sampled_from([0, -1]))] = "id"
+    rows = [header]
+    fault_one_in = draw(st.sampled_from([2, 5, 50]))
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(st.text(max_size=3)), *(repr(draw(st.floats(0.0, 1e308))) for _ in header[2:])]
+        row.append(draw(st.sampled_from("01")))
+        for j in range(len(row)):
+            if draw(st.integers(1, fault_one_in)) == 1:
+                row[j] = draw(_FAULTY_CELLS)
+        if draw(st.integers(1, fault_one_in * 3)) == 1:
+            del row[draw(st.integers(0, len(row) - 1))]
+        if draw(st.integers(1, fault_one_in * 10)) == 1:
+            row[-1] = _OVERSIZED_FIELD
+        rows.append(row)
+    text = "\n".join(",".join(row) for row in rows)
+    encoding = draw(st.sampled_from(["utf-8", "utf-8", "latin-1"]))
+    return text.encode(encoding, errors="replace")
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.one_of(faulty_dataset_bytes(), dataset_bytes()))
+@example(data=b"sample_id,a,b,label\ns0,1e308,1e308,1\n")  # finite values, overflowing sum
+@example(data=b"sample_id,a,b,label\ns0,-1,nan,1\ns1,1,1,2\n")  # two faults: the first wins
+@example(data=b"sample_id,a,label\ns0,1,2\ns1," + _OVERSIZED_FIELD.encode() + b",1,1\n")
+# A fault, then past the first 8 KiB read an undecodable byte: the decoding error wins.
+@example(data=b"sample_id,a,b,label\ns0,x,1,1\n" + b"s1,1,1,1\n" * 2000 + b"s2,1,1,\xff\n")
+# An undecodable byte past the first 8 KiB, then an oversized field: the decoding error wins.
+@example(
+    data=b"sample_id,a,b,label\n" + b"s1,1,1,1\n" * 2000 + b"s2,\xff,1,1\n" * 2000
+    + b"s3,1,1," + _OVERSIZED_FIELD.encode() + b"\n"
+)
+def test_read_dataset_csv_matches_the_whole_file_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("diff") / "data.csv"
+    path.write_bytes(data)
+    try:
+        expected = reference_read_dataset_csv(path)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as raised:
+            read_dataset_csv(path)
+        assert str(raised.value) == str(exc)
+        return
+    ids, names, values, labels = read_dataset_csv(path)
+    assert (ids, names) == expected[:2]
+    assert values.dtype == expected[2].dtype and values.shape == expected[2].shape
+    assert values.tobytes() == expected[2].tobytes()
+    assert labels.dtype == expected[3].dtype and np.array_equal(labels, expected[3])
 
 
 @settings(max_examples=300, deadline=None)

@@ -29,6 +29,7 @@ from deepcoda import (
     split,
     standardize_scores,
 )
+from deepcoda.evaluate import LAMBDA_S_GRID
 from deepcoda.metrics import _average_ranks
 
 
@@ -436,6 +437,19 @@ class TestGridSearch:
         )
         assert len(results) == 2 * 2 * 2 * 2
         assert len({r.method for r in results}) == 8
+
+    def test_penalties_that_print_alike_get_distinct_names(self, tiny_dataset):
+        # The default grid keeps its short names, so the --grid CSV is unchanged.
+        assert [make_deepcoda_method(1, ls, "linear").name for ls in LAMBDA_S_GRID] == [
+            f"deepcoda[B=1;ls={ls};linear]" for ls in ("0.001", "0.01", "0.1", "1")
+        ]
+        results = grid_search(
+            tiny_dataset, B_grid=[1], lambda_s_grid=[0.1, 0.1000001], heads=["linear"],
+            n_splits=1, epochs=2,
+        )
+        assert sorted(r.method for r in results) == [
+            "deepcoda[B=1;ls=0.1000001;linear]", "deepcoda[B=1;ls=0.1;linear]"
+        ]
 
 
 class TestResultsCsv:

@@ -25,7 +25,7 @@ from deepcoda import (
     weight_contrast_correlation,
 )
 from deepcoda.cli import EXIT_NUMERIC, run
-from deepcoda.explain import DECISION_NEGATIVE, DECISION_POSITIVE
+from deepcoda.explain import _ROW_BLOCK, DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch
 
 
 def small_params(head="self_explain", seed=0, d=4, n_b=3):
@@ -241,6 +241,20 @@ class TestWeightContrastCorrelation:
             weight_contrast_correlation(np.ones((3, 3)), np.ones((3, 3)))
 
 
+def reference_explanations_csv(batch):
+    """The explanations table as csv.writer writes it, one f-string per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    n_contrasts = batch.z.shape[1] if len(batch) else 0
+    columns = [f"{kind}_{b + 1}" for kind in ("z", "w", "prod") for b in range(n_contrasts)]
+    writer.writerow(["sample_id", *columns, "prob", "decision"])
+    for i, sample_id in enumerate(batch.sample_ids):
+        row = [*batch.z[i], *batch.w[i], *batch.products[i], batch.prediction[i]]
+        writer.writerow([sample_id, *(f"{x:.17g}" for x in np.array(row).tolist()),
+                         str(batch.decisions[i])])
+    return buf.getvalue()
+
+
 class TestRenderReport:
     def _explanations(self, n=3, seed=0):
         p = small_params(seed=seed)
@@ -318,6 +332,31 @@ class TestRenderReport:
         batch = explain_batch(p, np.random.default_rng(13).uniform(0.5, 20.0, size=(5, 4)), ids)
         rows = list(csv.reader(io.StringIO(render_report(batch, [], None).explanations_csv)))
         assert [row[0] for row in rows[1:]] == ids
+
+    @pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK + 1])
+    def test_explanations_table_matches_csv_writer_bytes(self, n):
+        ids = ["a,b", 'say "hi"', "two\nlines", "cr\r", "", " padded ", "\u03bc-7", "S7"]
+        special = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                   1.7976931348623157e308, 0.1, 1 / 3, -123456.789]
+        rng = np.random.default_rng(n)
+        values = np.where(
+            rng.random((n, 10)) < 0.3,
+            rng.choice(special, size=(n, 10)),
+            rng.normal(0.0, 10.0, size=(n, 10)),
+        )
+        batch = ExplanationBatch(
+            sample_ids=tuple(ids[i % len(ids)] for i in range(n)),
+            z=values[:, 0:3],
+            w=values[:, 3:6],
+            products=values[:, 6:9],
+            prediction=values[:, 9],
+            decisions=np.where(values[:, 9] > 0, DECISION_POSITIVE, DECISION_NEGATIVE),
+        )
+        got = render_report(batch, [], None).explanations_csv.splitlines(keepends=True)
+        want = reference_explanations_csv(batch).splitlines(keepends=True)
+        assert len(got) == len(want)
+        for got_line, want_line in zip(got, want):  # line by line, so a failure reports fast
+            assert got_line == want_line
 
     def test_summary_counts_decisions(self):
         _, explanations = self._explanations(n=5, seed=9)

@@ -6,7 +6,9 @@ finite differences on the loss; both oracles live in this file and share no
 code with the implementation.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -484,6 +486,20 @@ class TestSerialization:
         text = text.replace("dims = 1 1 1", "dims = 1000000 1000000 1")
         with pytest.raises(ValueError, match="beta: expected 1000000000000 values, got 1"):
             params_from_text(text)
+
+
+    @pytest.mark.parametrize(
+        "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_pickle_and_deepcopy_keep_views_on_one_buffer(self, clone):
+        p = random_params(seed=37)
+        q = clone(p)
+        assert params_to_text(q) == params_to_text(p)
+        assert not np.shares_memory(q.flat, p.flat)
+        q.flat[:] = 0.5  # a write through the buffer, as Adam makes it
+        assert np.all(q.beta == 0.5) and np.all(q.linear_v0 == 0.5)
+        assert all(np.all(block == 0.5) for block in q._affine)
+        assert params_to_text(p) != params_to_text(q)
 
 
 class TestParamsValidation:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvrow import csv_row
 from .baselines import (
     TRANSFORMS,
     apply_transform,
@@ -38,8 +39,10 @@ from .evaluate import (
     results_to_csv,
     standardize_scores,
 )
-# ``explain_sample`` is not called here; perfbench/tracer.py wraps it by name on this module.
+# ``explain_sample`` and ``render_report`` are not called here; perfbench/tracer.py wraps them.
 from .explain import (  # noqa: F401
+    _explanation_blocks,
+    _summary_tables,
     contrast_membership,
     explain_batch,
     explain_sample,
@@ -124,11 +127,9 @@ def load_dataset(path, delta_fraction: float = 0.5):
 
 def write_dataset_csv(path, matrix: CompositionMatrix, labels) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", *matrix.feature_names, "label"])
+        fh.write(csv_row(["sample_id", *matrix.feature_names, "label"]))
         for i, sid in enumerate(matrix.sample_ids):
-            row = [sid] + [f"{v:.17g}" for v in matrix.values[i]] + [str(int(labels[i]))]
-            writer.writerow(row)
+            fh.write(csv_row([sid, *(f"{v:.17g}" for v in matrix.values[i]), str(int(labels[i]))]))
 
 
 def parse_train_config(text: str) -> TrainConfig:
@@ -177,12 +178,11 @@ def cmd_train(args) -> int:
     save_params(report.params, args.out)
     report_path = f"{args.out}.report.csv"
     with open(report_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["record", "index", "value"])
+        fh.write(csv_row(["record", "index", "value"]))
         for epoch, value in enumerate(report.loss_history):
-            writer.writerow(["loss", str(epoch), f"{value:.17g}"])
+            fh.write(csv_row(["loss", str(epoch), f"{value:.17g}"]))
         for b, value in enumerate(report.final_constraint_residuals):
-            writer.writerow(["constraint_residual", str(b), f"{value:.17g}"])
+            fh.write(csv_row(["constraint_residual", str(b), f"{value:.17g}"]))
     print(f"final loss: {report.loss_history[-1]:.17g}")
     for b, value in enumerate(report.final_constraint_residuals):
         print(f"constraint residual {b}: {value:.17g}")
@@ -246,14 +246,16 @@ def cmd_explain(args) -> int:
     correlations = None
     if matrix.n_samples > n_bottlenecks:
         correlations = weight_contrast_correlation(batch.w, batch.z)
-    bundle = render_report(batch, memberships, correlations)
+    # render_report's tables, with the large one streamed block by block.
+    summary, memberships_csv, correlations_csv = _summary_tables(batch, memberships, correlations)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "explanations.csv").write_text(bundle.explanations_csv, encoding="utf-8")
-    (out_dir / "memberships.csv").write_text(bundle.memberships_csv, encoding="utf-8")
-    (out_dir / "correlations.csv").write_text(bundle.correlations_csv, encoding="utf-8")
-    (out_dir / "summary.txt").write_text(bundle.summary, encoding="utf-8")
-    print(bundle.summary, end="")
+    with open(out_dir / "explanations.csv", "w", encoding="utf-8") as fh:
+        fh.writelines(_explanation_blocks(batch))
+    (out_dir / "memberships.csv").write_text(memberships_csv, encoding="utf-8")
+    (out_dir / "correlations.csv").write_text(correlations_csv, encoding="utf-8")
+    (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
+    print(summary, end="")
     print(f"wrote report files to {out_dir}")
     return EXIT_OK
 
@@ -271,11 +273,10 @@ def cmd_baseline(args) -> int:
         )
     scaled = scaled_magnitudes(model.coef)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "coefficient", "scaled_magnitude"])
+        fh.write(csv_row(["feature", "coefficient", "scaled_magnitude"]))
         for name, coef, mag in zip(matrix.feature_names, model.coef, scaled):
-            writer.writerow([name, f"{coef:.17g}", f"{mag:.17g}"])
-        writer.writerow(["(intercept)", f"{model.intercept:.17g}", ""])
+            fh.write(csv_row([name, f"{coef:.17g}", f"{mag:.17g}"]))
+        fh.write(csv_row(["(intercept)", f"{model.intercept:.17g}", ""]))
     print(f"selected lambda: {lam:.17g}")
     print(f"intercept: {model.intercept:.17g}")
     print(f"wrote {args.out}")

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import baselines
+from ._csvrow import csv_row
+from ._forkmap import ordered_fork_map
 from .metrics import auc
 from .model import HEADS, predict_proba
 from .train import TrainConfig, train
@@ -132,76 +133,6 @@ def _split_auc(x, y, seed: int, method: Method) -> float:
     return auc(scores, y[test_idx])
 
 
-def _worker_count(n_tasks: int) -> int:
-    """One worker per usable CPU, but no more than there are tasks."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, n_tasks)
-
-
-# (x, y, base_seed, tasks) in a pool worker. Fork hands them over without
-# pickling, so methods built from closures and lambdas work.
-_worker_state = None
-
-
-def _init_worker(*state) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _worker_auc(index: int) -> tuple[int, float | None]:
-    """Task ``index``'s AUC, or None if it raised: exceptions are not pickled."""
-    x, y, base_seed, tasks = _worker_state
-    s, method = tasks[index]
-    try:
-        return index, _split_auc(x, y, base_seed + s, method)
-    except Exception:
-        return index, None
-
-
-def _pool_aucs(x, y, base_seed, tasks, workers) -> list[float | None]:
-    """AUCs from a forked pool; None where a task failed or never finished.
-
-    The pool stops at the first failed task in task order. Without fork, or
-    while other threads run (a forked child could inherit a lock one of
-    them holds, and hang), every entry is None, as are all entries when a
-    worker cannot be started (fork fails with EAGAIN or ENOMEM).
-    """
-    # Imported here, so importing deepcoda does not load multiprocessing.
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    aucs: list[float | None] = [None] * len(tasks)
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        return aucs
-    children = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(x, y, base_seed, tasks),
-    )
-    try:
-        for index, value in pool.map(_worker_auc, range(len(tasks)), chunksize=1):
-            if value is None:
-                break
-            aucs[index] = value
-    except BrokenProcessPool:
-        pass  # a worker died; the caller computes what is missing
-    except OSError:
-        # fork failed while the pool started its workers. Those already
-        # started would wait on the pool's queue for ever; stop them.
-        for child in set(multiprocessing.active_children()) - children:
-            child.terminate()
-            child.join()
-    finally:
-        # Cancel what has not started, so a failure or an interrupt does not
-        # wait for the rest of the run.
-        pool.shutdown(cancel_futures=True)
-    return aucs
-
-
 def benchmark(
     dataset: LabeledDataset,
     methods: Sequence[Method],
@@ -212,12 +143,13 @@ def benchmark(
 
     Split s uses seed ``base_seed + s`` for both the split and the method's
     internal randomness, so results are a pure function of the arguments.
-    The tasks are the (split, method) pairs. They run in forked worker
-    processes, one per usable CPU but never more than there are tasks, or
-    in this process when that is one, when fork is unavailable, or when
-    the caller runs other threads. Results are merged in (split, method)
-    order, so they do not depend on the number of workers. A method's side
-    effects in a worker do not reach the caller.
+    The tasks are the (split, method) pairs. They run through the shared
+    ``_forkmap.ordered_fork_map``: in forked worker processes, one per
+    usable CPU but never more than there are tasks, or in this process when
+    that is one, when fork is unavailable, or when the caller runs other
+    threads. Results are merged in (split, method) order, so they do not
+    depend on the number of workers. A method's side effects in a worker do
+    not reach the caller.
 
     If tasks fail, the lowest-index failing task is run again in this
     process, and its exception propagates as raised, its message prefixed
@@ -239,10 +171,13 @@ def benchmark(
     x = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y)
     tasks = [(s, method) for s in range(n_splits) for method in methods]
-    workers = _worker_count(len(tasks))
-    aucs = _pool_aucs(x, y, base_seed, tasks, workers) if workers > 1 else [None] * len(tasks)
+
+    def task_auc(index: int) -> float:
+        s, method = tasks[index]
+        return _split_auc(x, y, base_seed + s, method)
+
     results = []
-    for (s, method), value in zip(tasks, aucs):
+    for (s, method), value in zip(tasks, ordered_fork_map(task_auc, len(tasks))):
         if value is None:
             try:
                 value = _split_auc(x, y, base_seed + s, method)
@@ -299,9 +234,9 @@ def grid_search(
 
 def results_to_csv(results: Sequence[BenchmarkResult]) -> str:
     """Canonical CSV (sorted rows, 17 significant digits)."""
-    lines = ["dataset,method,split,auc,standardized_auc"]
+    lines = ["dataset,method,split,auc,standardized_auc\n"]
     ordered = sorted(results, key=lambda r: (r.dataset, r.method, r.split_index))
     for r in ordered:
         std = "" if r.standardized_auc is None else f"{r.standardized_auc:.17g}"
-        lines.append(f"{r.dataset},{r.method},{r.split_index},{r.auc:.17g},{std}")
-    return "\n".join(lines) + "\n"
+        lines.append(csv_row([r.dataset, r.method, str(r.split_index), f"{r.auc:.17g}", std]))
+    return "".join(lines)

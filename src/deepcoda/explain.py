@@ -10,14 +10,14 @@ contrast values through Pearson and canonical correlations.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._csvrow import csv_field, csv_row
+from ._forkmap import ordered_fork_map
 from .checks import check_array
 # ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
 from .model import DeepCodaParams, _finite_forward_batch, forward  # noqa: F401
@@ -41,8 +41,7 @@ DECISION_POSITIVE = "unhealthy"
 DECISION_NEGATIVE = "healthy"
 
 _CCA_JITTER = 1e-8
-_ROW_BLOCK = 4096  # explanation rows per join, which bounds the transient strings
-_CSV_SPECIALS = frozenset(',"\r\n')
+_ROW_BLOCK = 4096  # explanation rows per block: one join, one fork-map task
 
 
 def _decisions(products: np.ndarray) -> np.ndarray:
@@ -244,51 +243,40 @@ def _fmt(x: float) -> str:
 
 
 def _csv_table(header: list[str], rows: Iterable[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(map(csv_row, [header, *rows]))
 
 
-def render_report(
-    explanations: ExplanationBatch | Sequence[Explanation],
-    memberships: Sequence[ContrastMembership],
-    correlations=None,
-) -> ReportBundle:
-    """Serialize report tables deterministically (17 significant digits).
+def _explanation_blocks(batch: ExplanationBatch) -> Iterator[str]:
+    """The explanations table in order: its header, then one string per ``_ROW_BLOCK`` rows.
 
-    A sequence of ``Explanation`` is stacked into an ``ExplanationBatch``
-    first, so both forms give the same bytes.
+    With two or more blocks, ``ordered_fork_map`` formats them in forked
+    workers; a block it does not return is formatted here.
     """
-    batch = explanations
-    if not isinstance(batch, ExplanationBatch):
-        batch = ExplanationBatch.stack(explanations)
-    if len(batch):
-        n_contrasts = batch.z.shape[1]
-        header = (
-            ["sample_id"]
-            + [f"z_{b + 1}" for b in range(n_contrasts)]
-            + [f"w_{b + 1}" for b in range(n_contrasts)]
-            + [f"prod_{b + 1}" for b in range(n_contrasts)]
-            + ["prob", "decision"]
-        )
-    else:
-        header = ["sample_id", "prob", "decision"]
-    numbers = np.hstack([batch.z, batch.w, batch.products, batch.prediction[:, None]])
-    # One "%" format per row ("%.17g" gives _fmt's digits); ids csv would quote use csv.writer.
-    row_format = "%s" + ",%.17g" * numbers.shape[1] + ",%s\n"
-    ids = [
-        s if _CSV_SPECIALS.isdisjoint(s) else _csv_table([s], [])[:-1]
-        for s in map(str, batch.sample_ids)
-    ]
-    blocks = [_csv_table(header, [])]
-    for lo in range(0, len(ids), _ROW_BLOCK):
-        hi = lo + _ROW_BLOCK
-        rows = zip(ids[lo:hi], numbers[lo:hi].tolist(), batch.decisions[lo:hi].tolist())
-        blocks.append("".join([row_format % (sid, *row, dec) for sid, row, dec in rows]))
-    explanations_csv = "".join(blocks)
+    n_contrasts = batch.z.shape[1] if len(batch) else 0
+    yield csv_row(
+        ["sample_id"]
+        + [f"{kind}_{b + 1}" for kind in ("z", "w", "prod") for b in range(n_contrasts)]
+        + ["prob", "decision"]
+    )
+    # One "%" format per row: "%.17g" gives _fmt's digits.
+    row_format = "%s" + ",%.17g" * (3 * n_contrasts + 1) + ",%s\n"
 
+    def block(k: int) -> str:
+        rows = slice(k * _ROW_BLOCK, (k + 1) * _ROW_BLOCK)
+        numbers = np.hstack(
+            [batch.z[rows], batch.w[rows], batch.products[rows], batch.prediction[rows, None]]
+        )
+        ids = map(csv_field, map(str, batch.sample_ids[rows]))
+        lines = zip(ids, numbers.tolist(), batch.decisions[rows].tolist())
+        return "".join([row_format % (sid, *row, dec) for sid, row, dec in lines])
+
+    n_blocks = -(-len(batch) // _ROW_BLOCK)
+    for k, text in enumerate(ordered_fork_map(block, n_blocks)):
+        yield block(k) if text is None else text
+
+
+def _summary_tables(batch: ExplanationBatch, memberships, correlations) -> tuple[str, str, str]:
+    """``render_report``'s summary, memberships CSV and correlations CSV."""
     mem_rows = []
     for m in memberships:
         for rank, (name, power) in enumerate(m.entries, start=1):
@@ -322,4 +310,24 @@ def render_report(
         else:
             lines.append(f"contrast {m.bottleneck_index + 1}: no parts above threshold")
     summary = "\n".join(lines) + "\n"
+    return summary, memberships_csv, correlations_csv
+
+
+def render_report(
+    explanations: ExplanationBatch | Sequence[Explanation],
+    memberships: Sequence[ContrastMembership],
+    correlations=None,
+) -> ReportBundle:
+    """Serialize report tables deterministically (17 significant digits).
+
+    A sequence of ``Explanation`` is stacked into an ``ExplanationBatch``
+    first, so both forms give the same bytes. The explanations table is
+    joined from the row blocks that ``deepcoda explain`` streams to disk,
+    formatted through the shared ``_forkmap.ordered_fork_map``.
+    """
+    batch = explanations
+    if not isinstance(batch, ExplanationBatch):
+        batch = ExplanationBatch.stack(explanations)
+    summary, memberships_csv, correlations_csv = _summary_tables(batch, memberships, correlations)
+    explanations_csv = "".join(_explanation_blocks(batch))
     return ReportBundle(summary, explanations_csv, memberships_csv, correlations_csv)

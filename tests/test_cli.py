@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from deepcoda import cli, lasso_logistic_fit, load_params, predict_proba
+from deepcoda import CompositionMatrix, cli, lasso_logistic_fit, load_params, predict_proba
 from deepcoda.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -16,12 +16,26 @@ from deepcoda.cli import (
     parse_train_config,
     read_dataset_csv,
     run,
+    write_dataset_csv,
 )
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def write_quoted_copy(src, dst, names):
+    """Copy a dataset file with ``names`` as its feature names, written by a
+    csv.writer whose "\r\n" terminator makes it quote a field holding \r."""
+    rows = read_csv(src)
+    rows[0][1:-1] = names
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\r\n").writerows(rows)
+    return dst
+
+
+NAMES_NEEDING_QUOTES = ["cr\rx", "a,b", 'say "hi"', "two\nlines"]
 
 
 def write_noisy_copy(src, dst):
@@ -280,6 +294,17 @@ class TestBenchmark:
         assert files[0] == files[1]
         assert len({row[3] for row in read_csv(tmp_path / "b0.csv")[1:]}) > 6
 
+    def test_dataset_name_needing_quotes_is_one_field(self, tmp_path, toy_dir):
+        data = tmp_path / "a,b.csv"
+        data.write_bytes((toy_dir / "relative.csv").read_bytes())
+        out = tmp_path / "bench.csv"
+        argv = ["benchmark", str(data), "--splits", "1", "--epochs", "5", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        rows = read_csv(out)
+        assert len(rows) == 5
+        assert all(len(row) == 5 for row in rows)
+        assert {row[0] for row in rows[1:]} == {"a,b"}
+
     @pytest.mark.parametrize("flag", ["--epochs", "--bottlenecks"])
     def test_invalid_training_config_exits_2(self, tmp_path, toy_dir, flag):
         assert run(
@@ -320,6 +345,14 @@ class TestExplain:
             ["explain", str(model), str(toy_dir / "relative.csv"), "--out", str(tmp_path / "r")]
         ) == EXIT_USAGE
 
+    def test_memberships_quote_feature_names(self, tmp_path, toy_dir, trained_model):
+        data = write_quoted_copy(toy_dir / "relative.csv", tmp_path / "q.csv", NAMES_NEEDING_QUOTES)
+        out = tmp_path / "report"
+        assert run(["explain", str(trained_model), str(data), "--out", str(out)]) == EXIT_OK
+        rows = read_csv(out / "memberships.csv")
+        assert all(len(row) == 5 for row in rows)
+        assert {row[2] for row in rows[1:]} <= set(NAMES_NEEDING_QUOTES)
+
     def test_forged_model_dims_exit_2(self, tmp_path, toy_dir, trained_model):
         text = trained_model.read_text()
         dims = next(ln for ln in text.splitlines() if ln.startswith("dims ="))
@@ -341,6 +374,14 @@ class TestBaseline:
         assert len(rows) == 1 + 4 + 1  # header + features + intercept
         assert rows[-1][0] == "(intercept)"
         assert "selected lambda" in capsys.readouterr().out
+
+    def test_feature_names_needing_quotes_round_trip(self, tmp_path, toy_dir):
+        data = write_quoted_copy(toy_dir / "relative.csv", tmp_path / "q.csv", NAMES_NEEDING_QUOTES)
+        out = tmp_path / "coef.csv"
+        assert run(["baseline", str(data), "--out", str(out)]) == EXIT_OK
+        assert [row[0] for row in read_csv(out)] == [
+            "feature", *NAMES_NEEDING_QUOTES, "(intercept)"
+        ]
 
     def test_fit_at_iteration_cap_warns_on_stderr(self, tmp_path, toy_dir, capsys, monkeypatch):
         argv = ["baseline", str(toy_dir / "relative.csv"), "--seed", "0"]
@@ -395,6 +436,18 @@ class TestDatasetIo:
         data.write_text("sample_id,f1,f2,label\ns0,0.25,0.75,0\ns1,0.5,0.5,1\n")
         matrix, _ = load_dataset(data)
         assert matrix.kind == "relative"
+
+
+    def test_names_needing_quotes_round_trip(self, tmp_path):
+        ids = [*NAMES_NEEDING_QUOTES, "", "plain"]
+        values = np.arange(1.0, 19.0).reshape(6, 3)
+        matrix = CompositionMatrix(values, ids, ["f\r1", "f,2", 'f"3'], "absolute")
+        write_dataset_csv(tmp_path / "quoted.csv", matrix, [0, 1, 0, 1, 0, 1])
+        got_ids, names, got_values, labels = read_dataset_csv(tmp_path / "quoted.csv")
+        assert got_ids == ids
+        assert names == ["f\r1", "f,2", 'f"3']
+        assert np.array_equal(got_values, values)
+        assert np.array_equal(labels, [0, 1, 0, 1, 0, 1])
 
 
 class TestConfigParsing:

@@ -1,7 +1,9 @@
 """Tests for splitting, AUC, and the benchmark harness."""
 
 import concurrent.futures
+import csv
 import errno
+import io
 import multiprocessing
 import os
 import subprocess
@@ -241,16 +243,6 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def set_cpus(monkeypatch):
-    """Set how many CPUs the benchmark sees, and so how many workers it starts."""
-
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-    return set_cpus
-
-
 class TestParallelBenchmark:
     """Forked workers merge in (split, method) order: results never depend on the CPU count."""
 
@@ -463,6 +455,13 @@ class TestResultsCsv:
         assert lines[0] == "dataset,method,split,auc,standardized_auc"
         assert lines[1].startswith("d,a,0,")
         assert lines[2].startswith("d,b,1,")
+
+    def test_names_needing_quotes_round_trip(self):
+        names = ["a,b", "cr\rx", 'say "hi"', "two\nlines"]
+        rows = [BenchmarkResult(name, name, 0, 0.5, 0.0) for name in names]
+        parsed = list(csv.reader(io.StringIO(results_to_csv(rows))))
+        assert all(len(row) == 5 for row in parsed)
+        assert [row[:2] for row in parsed[1:]] == [[name, name] for name in sorted(names)]
 
     def test_round_trips_at_full_precision(self):
         value = 0.123456789012345678

@@ -1,8 +1,12 @@
 """Tests for the two-level interpretability reports."""
 
+import concurrent.futures
 import csv
 import dataclasses
+import errno
 import io
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from deepcoda import (
     explain_batch,
     explain_sample,
     gen_toy,
+    load_params,
     predict_proba,
     render_report,
     replace_zeros,
@@ -24,7 +29,7 @@ from deepcoda import (
     train,
     weight_contrast_correlation,
 )
-from deepcoda.cli import EXIT_NUMERIC, run
+from deepcoda.cli import EXIT_NUMERIC, EXIT_OK, load_dataset, run
 from deepcoda.explain import _ROW_BLOCK, DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch
 
 
@@ -241,18 +246,50 @@ class TestWeightContrastCorrelation:
             weight_contrast_correlation(np.ones((3, 3)), np.ones((3, 3)))
 
 
+def csv_writer_line(row):
+    """``row`` as csv.writer writes it, ended by "\n" but quoted as for "\r\n".
+
+    A "\r\n" terminator makes the writer quote a field holding a bare \r,
+    which a "\n" terminator leaves unquoted (a reader would split the row).
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(row)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def reference_explanations_csv(batch):
     """The explanations table as csv.writer writes it, one f-string per value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     n_contrasts = batch.z.shape[1] if len(batch) else 0
     columns = [f"{kind}_{b + 1}" for kind in ("z", "w", "prod") for b in range(n_contrasts)]
-    writer.writerow(["sample_id", *columns, "prob", "decision"])
+    lines = [csv_writer_line(["sample_id", *columns, "prob", "decision"])]
     for i, sample_id in enumerate(batch.sample_ids):
         row = [*batch.z[i], *batch.w[i], *batch.products[i], batch.prediction[i]]
-        writer.writerow([sample_id, *(f"{x:.17g}" for x in np.array(row).tolist()),
-                         str(batch.decisions[i])])
-    return buf.getvalue()
+        lines.append(csv_writer_line([sample_id, *(f"{x:.17g}" for x in np.array(row).tolist()),
+                                      str(batch.decisions[i])]))
+    return "".join(lines)
+
+
+QUOTED_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\r", "", " padded ", "\u03bc-7", "S7"]
+
+
+def synthetic_batch(n):
+    """An n-row batch of awkward floats, with sample ids that csv must quote."""
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1 / 3, -123456.789]
+    rng = np.random.default_rng(n)
+    values = np.where(
+        rng.random((n, 10)) < 0.3,
+        rng.choice(special, size=(n, 10)),
+        rng.normal(0.0, 10.0, size=(n, 10)),
+    )
+    return ExplanationBatch(
+        sample_ids=tuple(QUOTED_IDS[i % len(QUOTED_IDS)] for i in range(n)),
+        z=values[:, 0:3],
+        w=values[:, 3:6],
+        products=values[:, 6:9],
+        prediction=values[:, 9],
+        decisions=np.where(values[:, 9] > 0, DECISION_POSITIVE, DECISION_NEGATIVE),
+    )
 
 
 class TestRenderReport:
@@ -335,23 +372,7 @@ class TestRenderReport:
 
     @pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK + 1])
     def test_explanations_table_matches_csv_writer_bytes(self, n):
-        ids = ["a,b", 'say "hi"', "two\nlines", "cr\r", "", " padded ", "\u03bc-7", "S7"]
-        special = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
-                   1.7976931348623157e308, 0.1, 1 / 3, -123456.789]
-        rng = np.random.default_rng(n)
-        values = np.where(
-            rng.random((n, 10)) < 0.3,
-            rng.choice(special, size=(n, 10)),
-            rng.normal(0.0, 10.0, size=(n, 10)),
-        )
-        batch = ExplanationBatch(
-            sample_ids=tuple(ids[i % len(ids)] for i in range(n)),
-            z=values[:, 0:3],
-            w=values[:, 3:6],
-            products=values[:, 6:9],
-            prediction=values[:, 9],
-            decisions=np.where(values[:, 9] > 0, DECISION_POSITIVE, DECISION_NEGATIVE),
-        )
+        batch = synthetic_batch(n)
         got = render_report(batch, [], None).explanations_csv.splitlines(keepends=True)
         want = reference_explanations_csv(batch).splitlines(keepends=True)
         assert len(got) == len(want)
@@ -363,3 +384,138 @@ class TestRenderReport:
         bundle = render_report(explanations, [], None)
         n_pos = sum(1 for e in explanations if e.decision == DECISION_POSITIVE)
         assert f"{n_pos} {DECISION_POSITIVE}" in bundle.summary
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+THREE_BLOCKS = 2 * _ROW_BLOCK + 7
+REPORT_FILES = ("explanations.csv", "memberships.csv", "correlations.csv", "summary.txt")
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The worker count of every process pool started, in order."""
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+@pytest.fixture(scope="module")
+def three_block_inputs(tmp_path_factory):
+    """A model file and a three-block dataset whose ids and feature names need quoting."""
+    out = tmp_path_factory.mktemp("three_blocks")
+    save_params(small_params(seed=21), out / "model.txt")
+    rng = np.random.default_rng(21)
+    values = rng.integers(0, 40, size=(THREE_BLOCKS, 4)).astype(float)
+    values[:, 0] += 1.0  # at most three zeros per row, which ingest imputes
+    names = ["f,1", 'f"2', "f\r3", "f\n4"]
+    lines = [csv_writer_line(["sample_id", *names, "label"])]
+    for i, row in enumerate(values.tolist()):
+        sample_id = f"{QUOTED_IDS[i % len(QUOTED_IDS)]}{i}"
+        lines.append(csv_writer_line([sample_id, *(f"{v:.0f}" for v in row), str(i % 2)]))
+    (out / "data.csv").write_text("".join(lines), encoding="utf-8", newline="")
+    return out, names
+
+
+class TestStreamedReport:
+    """explanations.csv is streamed block by block, formatted on every usable CPU."""
+
+    def test_explain_files_do_not_depend_on_cpu_count(self, tmp_path, set_cpus, three_block_inputs):
+        inputs, names = three_block_inputs
+        files = {}
+        for cpus in (1, 2, 4):
+            set_cpus(cpus)
+            out = tmp_path / f"cpus{cpus}"
+            model, data = str(inputs / "model.txt"), str(inputs / "data.csv")
+            assert run(["explain", model, data, "--out", str(out)]) == EXIT_OK
+            files[cpus] = {name: (out / name).read_bytes() for name in REPORT_FILES}
+        assert files[2] == files[1] and files[4] == files[1]
+        # The streamed files are render_report's tables, byte for byte.
+        p = load_params(inputs / "model.txt")
+        matrix, _ = load_dataset(inputs / "data.csv")
+        batch = explain_batch(p, matrix.values, matrix.sample_ids)
+        memberships = [contrast_membership(p, b, matrix.feature_names) for b in range(3)]
+        correlations = weight_contrast_correlation(batch.w, batch.z)
+        reports = []
+        for cpus in (1, 2, 4):
+            set_cpus(cpus)
+            reports.append(render_report(batch, memberships, correlations))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        bundle = reports[0]
+        assert files[1] == {
+            "explanations.csv": bundle.explanations_csv.encode(),
+            "memberships.csv": bundle.memberships_csv.encode(),
+            "correlations.csv": bundle.correlations_csv.encode(),
+            "summary.txt": bundle.summary.encode(),
+        }
+        rows = list(csv.reader(io.StringIO(bundle.explanations_csv)))
+        assert [row[0] for row in rows[1:]] == list(matrix.sample_ids)
+        assert len(matrix.sample_ids) == THREE_BLOCKS
+        assert "cr\r3" in matrix.sample_ids
+        features = {row[2] for row in csv.reader(io.StringIO(bundle.memberships_csv))}
+        assert features - {"feature"} <= set(names)
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "n,workers", [(_ROW_BLOCK, []), (_ROW_BLOCK + 1, [2]), (THREE_BLOCKS, [3])],
+        ids=["one_block", "two_blocks", "three_blocks"],
+    )
+    def test_pool_starts_only_for_two_or_more_blocks(self, set_cpus, started_pools, n, workers):
+        batch = synthetic_batch(n)
+        set_cpus(8)
+        assert render_report(batch, [], None).explanations_csv == reference_explanations_csv(batch)
+        assert started_pools == workers
+
+    @needs_fork
+    @pytest.mark.parametrize("fails_at", [1, 2], ids=["first_worker", "second_worker"])
+    def test_failed_fork_renders_in_process(self, monkeypatch, set_cpus, fails_at):
+        batch = synthetic_batch(THREE_BLOCKS)
+        starts = []
+        start = multiprocessing.get_context("fork").Process.start
+
+        def start_until_pid_limit(process):
+            starts.append(process)
+            if len(starts) >= fails_at:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            start(process)
+
+        monkeypatch.setattr(
+            multiprocessing.get_context("fork").Process, "start", start_until_pid_limit
+        )
+        set_cpus(2)
+        try:
+            got = render_report(batch, [], None).explanations_csv
+            assert len(starts) == fails_at
+            assert multiprocessing.active_children() == []
+        finally:
+            for child in multiprocessing.active_children():  # a leftover would hang exit
+                child.terminate()
+        assert got == reference_explanations_csv(batch)
+
+    @pytest.mark.parametrize("cause", ["no_fork", "other_thread"])
+    def test_renders_in_process_without_a_safe_fork(
+        self, monkeypatch, set_cpus, started_pools, cause
+    ):
+        batch = synthetic_batch(THREE_BLOCKS)
+        set_cpus(2)
+        if cause == "no_fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        if cause == "other_thread":
+            waiter.start()
+        try:
+            got = render_report(batch, [], None).explanations_csv
+        finally:
+            release.set()
+            if cause == "other_thread":
+                waiter.join()
+        assert started_pools == []
+        assert got == reference_explanations_csv(batch)

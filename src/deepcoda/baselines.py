@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .checks import check_array, check_labels, check_penalties
+from ._expit import expit
+from .checks import check_array, check_labels, check_penalties, check_seed
 from .coda import CompositionMatrix, clr
 from .metrics import auc
 
@@ -193,6 +193,7 @@ def cv_select_lambda(
 
     Ties are broken toward the larger penalty (the sparser model).
     """
+    check_seed(seed)
     xv = check_array(X, "X", 2)
     yv = check_labels(y, xv.shape[0], both_classes=True)
     grid = np.sort(np.asarray(

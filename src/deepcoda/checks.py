@@ -7,6 +7,7 @@
   both values present (fits and AUC need two classes).
 - Penalty weights (``check_penalties``): each finite and ``>= 0``.
 - The zero-replacement fraction (``check_delta_fraction``): in (0, 1).
+- Seeds (``check_seed``): a nonnegative integer, as numpy's generators need.
 
 Every rejection is a ValueError naming the argument.
 """
@@ -58,3 +59,9 @@ def check_delta_fraction(delta_fraction: float) -> None:
     # A chained comparison is False for NaN, so this also rejects NaN.
     if not 0.0 < delta_fraction < 1.0:
         raise ValueError("delta_fraction must lie in (0, 1)")
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not a nonnegative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -10,6 +10,7 @@ import numpy as np
 from . import baselines
 from ._csvrow import csv_row
 from ._forkmap import ordered_fork_map
+from .checks import check_seed
 from .metrics import auc
 from .model import HEADS, predict_proba
 from .train import TrainConfig, train
@@ -156,12 +157,13 @@ def benchmark(
     with the method name and the split index. Tasks left unfinished by a
     dead worker are also computed here.
 
-    Raises ValueError before any work if ``n_splits`` is below 1, if there
-    are no methods, or if two methods share a name (their CSV rows could
-    not be told apart).
+    Raises ValueError before any work if ``n_splits`` is below 1, if
+    ``base_seed`` is negative, if there are no methods, or if two methods
+    share a name (their CSV rows could not be told apart).
     """
     if n_splits < 1:
         raise ValueError("n_splits must be at least 1")
+    check_seed(base_seed)
     if not methods:
         raise ValueError("at least one method is required")
     names = [method.name for method in methods]

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from ._expit import expit
 from .checks import check_array, check_labels, check_penalties
 
 __all__ = [
@@ -280,6 +280,8 @@ class _Workspace:
         np.log(X.T, out=self.logx1[:d])
         self.z1 = np.ones((b + 1, n))
         self.s, self.yhat, self.resid, self.gs = np.empty((4, n))
+        # expit's complex128 buffer; its imaginary part stays zero.
+        self.expit_scratch = np.zeros(n, dtype=complex)
         self.gz = np.empty((b, n))
         if head == "self_explain":
             self.h1 = np.ones((h + 1, n))
@@ -314,7 +316,7 @@ def _loss_and_gradients(
         np.einsum("bn,bn->n", ws.w, z, out=ws.s)
     else:
         np.matmul(vv0[:, 0], ws.z1, out=ws.s)
-    yhat = expit(ws.s, out=ws.yhat)
+    yhat = expit(ws.s, out=ws.yhat, scratch=ws.expit_scratch)
 
     resid = np.subtract(yhat, y, out=ws.resid)
     col_sums = p.beta.sum(axis=0)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_seed
 from .coda import CompositionMatrix, closure
 
 __all__ = ["SyntheticDataset", "gen_toy", "gen_cmyc"]
@@ -38,6 +39,7 @@ def _generate(n_samples: int, seed: int, n_features: int, effect: float) -> Synt
         raise ValueError("need at least 4 samples")
     if n_samples % 2 != 0:
         raise ValueError("n_samples must split evenly between the two classes")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     values = np.empty((n_samples, n_features))
     values[:, 0] = CONSTANT_ABUNDANCE

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_array, check_labels, check_penalties
+from .checks import check_array, check_labels, check_penalties, check_seed
 # ``loss_and_gradients`` is not called here; perfbench/tracer.py wraps it by name on this module.
 from .model import (  # noqa: F401
     HEADS,
@@ -65,6 +65,7 @@ class TrainConfig:
             raise ValueError("adam moment decays must lie in [0, 1)")
         if not 0 < self.adam_eps < math.inf:
             raise ValueError("adam_eps must be positive and finite")
+        check_seed(self.seed)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (exit codes and artifacts)."""
 
 import csv
+import importlib
 import os
 
 import numpy as np
@@ -396,6 +397,29 @@ class TestBaseline:
         capped = capsys.readouterr()
         assert capped.err.startswith("warning: the LASSO fit stopped at its 5-iteration cap")
         assert "warning" not in capped.out
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["simulate", "train", "benchmark", "baseline"])
+    def test_exits_2_naming_the_seed_before_any_work(
+        self, tmp_path, toy_dir, capsys, monkeypatch, command
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the seed was checked")
+
+        # Neither benchmark's task pool nor any training may start.
+        monkeypatch.setattr(importlib.import_module("deepcoda.evaluate"), "ordered_fork_map", no_work)
+        monkeypatch.setattr(importlib.import_module("deepcoda.train"), "init_params", no_work)
+        data, out = str(toy_dir / "relative.csv"), str(tmp_path / "out")
+        argv = {
+            "simulate": ["simulate", "toy", "--n", "20", "--seed", "-1", "--out", out],
+            "train": ["train", data, "--seed", "-1", "--out", out],
+            "benchmark": ["benchmark", data, "--splits", "2", "--seed", "-3", "--out", out],
+            "baseline": ["baseline", data, "--seed", "-1", "--out", out],
+        }[command]
+        assert run(argv) == EXIT_USAGE
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestDatasetIo:

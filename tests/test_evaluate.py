@@ -141,10 +141,10 @@ class TestAuc:
             u = rankdata(scores, method="average")[pos].sum() - n_pos * (n_pos + 1) / 2.0
             assert auc(scores, labels) == float(u / (n_pos * n_neg))
 
-    def test_cli_import_leaves_out_scipy_stats(self):
+    def test_cli_import_leaves_out_scipy(self):
         src = str(Path(deepcoda.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, deepcoda.cli; sys.exit('scipy.stats' in sys.modules)"
+        code = "import sys, deepcoda.cli; sys.exit(any(m.startswith('scipy') for m in sys.modules))"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_cli_import_leaves_out_multiprocessing(self):
@@ -201,6 +201,12 @@ class TestBenchmark:
     def test_rejects_no_methods(self, tiny_dataset):
         with pytest.raises(ValueError, match="at least one method"):
             benchmark(tiny_dataset, [], n_splits=2)
+
+    def test_rejects_negative_seed(self, tiny_dataset):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            benchmark(tiny_dataset, [constant_method()], n_splits=2, base_seed=-1)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            grid_search(tiny_dataset, base_seed=-1)
 
     def test_rejects_duplicate_method_names(self, tiny_dataset):
         def never(xtr, ytr, xte, seed):

@@ -9,6 +9,7 @@ code with the implementation.
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from deepcoda import (
     load_params,
     save_params,
 )
+from deepcoda._expit import expit as numpy_expit
 from deepcoda.model import PARAM_FIELDS, _loss_and_gradients, _Workspace
 
 
@@ -423,6 +425,60 @@ class TestTrainingKernel:
             assert np.shares_memory(block, p.flat)
             assert np.array_equal(block[:-1], p[weight].reshape(block.shape[0] - 1, -1))
             assert np.array_equal(block[-1], p[bias].reshape(-1))
+
+
+# ---------------------------------------------------------------------------
+# The logistic function against scipy's
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestExpit:
+    """``deepcoda._expit.expit`` equals ``scipy.special.expit`` bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        rng = np.random.default_rng(20)
+        tiny = np.nextafter(0.0, 1.0)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+                    2.2250738585072014e-308, -2.2250738585072009e-308,
+                    709.7827128933840, -709.7827128933840, 709.0, -709.0, -710.0]
+        return np.concatenate([
+            rng.normal(0.0, 5.0, 1_000_000),
+            rng.uniform(-800.0, 800.0, 400_000),
+            rng.uniform(-711.0, -708.0, 100_000),
+            specials,
+        ])
+
+    def test_bitwise_equal_to_scipy(self, values):
+        assert np.array_equal(_bits(numpy_expit(values)), _bits(expit(values)))
+
+    def test_out_is_filled_and_returned(self, values):
+        out = np.empty_like(values)
+        assert numpy_expit(values, out=out) is out
+        assert np.array_equal(_bits(out), _bits(expit(values)))
+
+    def test_scratch_is_reusable(self, values):
+        head = values[-20_000:].reshape(100, 200)
+        scratch = np.zeros(head.shape, dtype=complex)
+        for _ in range(2):
+            assert np.array_equal(_bits(numpy_expit(head, scratch=scratch)), _bits(expit(head)))
+            assert not scratch.imag.any()
+
+    @pytest.mark.parametrize("x", [0.5, -709.5, np.nan, -np.inf])
+    def test_zero_dimensional_input_gives_a_scalar(self, x):
+        got = numpy_expit(np.array(x))
+        assert isinstance(got, np.float64)
+        assert _bits(got) == _bits(expit(np.array(x)))
+
+    def test_no_warning_or_raise_under_any_errstate(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                numpy_expit(values)
+                numpy_expit(np.array(-1000.0))
 
 
 # ---------------------------------------------------------------------------

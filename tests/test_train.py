@@ -202,6 +202,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_rejects_bad_seed_at_construction(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=seed)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["learning_rate", "lambda_c", "lambda_s", "adam_eps"])
     def test_rejects_non_finite_floats(self, field, value):

@@ -15,25 +15,25 @@ def _init_worker(task) -> None:
 
 
 def _run_task(index: int):
-    """Task ``index``'s result, or None if it raised: exceptions are not pickled."""
+    """``(True, task(index))``, or ``(False, None)`` if it raised: exceptions are not pickled."""
     try:
-        return _task(index)
+        return True, _task(index)
     except Exception:
-        return None
+        return False, None
 
 
 def ordered_fork_map(task, n_tasks: int):
-    """Yield ``task(i)`` for i in range(n_tasks), in order, from forked workers.
+    """Yield ``task(i)`` for i in range(n_tasks), in order.
 
-    One worker per usable CPU, never more than there are tasks. Yields None
-    for a task that failed, and for every task after the first failure in
-    task order (the pool stops there); the caller computes those in-process.
-    Every entry is None when there is one worker, without fork, while other
-    threads run (a forked child could inherit a lock one of them holds, and
-    hang), or when a worker cannot be started (fork fails with EAGAIN or
-    ENOMEM). A dead worker's task and those after it are None as well.
-    Workers run ahead of the caller; closing the generator early cancels the
-    tasks not yet started.
+    Forked workers compute the values, one per usable CPU but never more
+    than there are tasks. This process computes the first task the pool did
+    not return and every task after it: all of them with one worker,
+    without fork, while other threads run (a forked child could inherit a
+    lock one of them holds, and hang), or when fork fails (EAGAIN, ENOMEM);
+    otherwise those from a dead worker's task or a task that raised. So the
+    lowest failing task raises here, as it would serially. Workers run
+    ahead of the caller; closing the generator early cancels the tasks not
+    yet started.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, n_tasks)
@@ -54,13 +54,13 @@ def ordered_fork_map(task, n_tasks: int):
                 initargs=(task,),
             )
             try:
-                for value in pool.map(_run_task, range(n_tasks), chunksize=1):
-                    if value is None:
+                for ok, value in pool.map(_run_task, range(n_tasks), chunksize=1):
+                    if not ok:
                         break
                     yield value
                     done += 1
             except BrokenProcessPool:
-                pass  # a worker died; the caller computes what is missing
+                pass  # a worker died; this process computes what is missing
             except OSError:
                 # fork failed while the pool started its workers. Those already
                 # started would wait on the pool's queue for ever; stop them.
@@ -71,5 +71,5 @@ def ordered_fork_map(task, n_tasks: int):
                 # Cancel what has not started, so a failure or an interrupt does
                 # not wait for the rest of the run.
                 pool.shutdown(cancel_futures=True)
-    for _ in range(done, n_tasks):
-        yield None
+    for index in range(done, n_tasks):
+        yield task(index)

@@ -62,7 +62,7 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig
 
 def read_dataset_csv(path):
     """Parse a dataset file; returns (sample_ids, feature_names, values, labels)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             try:
@@ -344,7 +344,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TrainingDivergedError, FloatingPointError) as exc:
@@ -353,6 +353,8 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # Names from a UTF-8 file may not fit a narrower locale's stdout; escape them.
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(run())
 
 

@@ -127,13 +127,6 @@ def make_lasso_method(
     return Method(name, fit_score)
 
 
-def _split_auc(x, y, seed: int, method: Method) -> float:
-    """Test AUC of one method on the split drawn with ``seed``."""
-    train_idx, test_idx = split(x.shape[0], 0.1, seed)
-    scores = method.fit_score(x[train_idx], y[train_idx], x[test_idx], seed)
-    return auc(scores, y[test_idx])
-
-
 def benchmark(
     dataset: LabeledDataset,
     methods: Sequence[Method],
@@ -144,18 +137,12 @@ def benchmark(
 
     Split s uses seed ``base_seed + s`` for both the split and the method's
     internal randomness, so results are a pure function of the arguments.
-    The tasks are the (split, method) pairs. They run through the shared
-    ``_forkmap.ordered_fork_map``: in forked worker processes, one per
-    usable CPU but never more than there are tasks, or in this process when
-    that is one, when fork is unavailable, or when the caller runs other
-    threads. Results are merged in (split, method) order, so they do not
-    depend on the number of workers. A method's side effects in a worker do
-    not reach the caller.
-
-    If tasks fail, the lowest-index failing task is run again in this
-    process, and its exception propagates as raised, its message prefixed
-    with the method name and the split index. Tasks left unfinished by a
-    dead worker are also computed here.
+    The tasks are the (split, method) pairs, run through the shared
+    ``_forkmap.ordered_fork_map`` and merged in (split, method) order, so
+    results do not depend on the number of workers. A method's side effects
+    in a worker do not reach the caller. The lowest failing task's exception
+    propagates as raised, its message prefixed with the method name and the
+    split index.
 
     Raises ValueError before any work if ``n_splits`` is below 1, if
     ``base_seed`` is negative, if there are no methods, or if two methods
@@ -176,21 +163,22 @@ def benchmark(
 
     def task_auc(index: int) -> float:
         s, method = tasks[index]
-        return _split_auc(x, y, base_seed + s, method)
+        try:
+            train_idx, test_idx = split(x.shape[0], 0.1, base_seed + s)
+            scores = method.fit_score(x[train_idx], y[train_idx], x[test_idx], base_seed + s)
+            return auc(scores, y[test_idx])
+        except Exception as exc:
+            # The same exception, so callers can still tell a usage error
+            # from a numeric failure; its message gains the method and split.
+            where = f"method {method.name!r} failed on split {s} of {dataset.name!r}"
+            exc.args = (f"{where}: {exc}",)
+            raise
 
-    results = []
-    for (s, method), value in zip(tasks, ordered_fork_map(task_auc, len(tasks))):
-        if value is None:
-            try:
-                value = _split_auc(x, y, base_seed + s, method)
-            except Exception as exc:
-                # The same exception, so callers can still tell a usage error
-                # from a numeric failure; its message gains the method and split.
-                where = f"method {method.name!r} failed on split {s} of {dataset.name!r}"
-                exc.args = (f"{where}: {exc}",)
-                raise
-        results.append(BenchmarkResult(method.name, dataset.name, s, value))
-    return results
+    values = ordered_fork_map(task_auc, len(tasks))
+    return [
+        BenchmarkResult(method.name, dataset.name, s, value)
+        for (s, method), value in zip(tasks, values)
+    ]
 
 
 def standardize_scores(results: Sequence[BenchmarkResult]) -> list[BenchmarkResult]:

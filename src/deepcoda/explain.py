@@ -20,7 +20,7 @@ from ._csvrow import csv_field, csv_row
 from ._forkmap import ordered_fork_map
 from .checks import check_array
 # ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
-from .model import DeepCodaParams, _finite_forward_batch, forward  # noqa: F401
+from .model import DeepCodaParams, _forward_batch, forward  # noqa: F401
 
 __all__ = [
     "DECISION_NEGATIVE",
@@ -140,7 +140,7 @@ def explain_batch(p: DeepCodaParams, X, sample_ids: Sequence[str]) -> Explanatio
     ids = tuple(str(s) for s in sample_ids)
     if len(ids) != xv.shape[0]:
         raise ValueError(f"expected {xv.shape[0]} sample ids, got {len(ids)}")
-    z, _, _, w, _, yhat = _finite_forward_batch(p, xv)
+    z, w, _, yhat = _forward_batch(p, xv)
     products = w * z
     return ExplanationBatch(ids, z, w, products, yhat, _decisions(products))
 
@@ -249,8 +249,7 @@ def _csv_table(header: list[str], rows: Iterable[list[str]]) -> str:
 def _explanation_blocks(batch: ExplanationBatch) -> Iterator[str]:
     """The explanations table in order: its header, then one string per ``_ROW_BLOCK`` rows.
 
-    With two or more blocks, ``ordered_fork_map`` formats them in forked
-    workers; a block it does not return is formatted here.
+    With two or more blocks, ``ordered_fork_map`` formats them in forked workers.
     """
     n_contrasts = batch.z.shape[1] if len(batch) else 0
     yield csv_row(
@@ -270,9 +269,7 @@ def _explanation_blocks(batch: ExplanationBatch) -> Iterator[str]:
         lines = zip(ids, numbers.tolist(), batch.decisions[rows].tolist())
         return "".join([row_format % (sid, *row, dec) for sid, row, dec in lines])
 
-    n_blocks = -(-len(batch) // _ROW_BLOCK)
-    for k, text in enumerate(ordered_fork_map(block, n_blocks)):
-        yield block(k) if text is None else text
+    yield from ordered_fork_map(block, -(-len(batch) // _ROW_BLOCK))
 
 
 def _summary_tables(batch: ExplanationBatch, memberships, correlations) -> tuple[str, str, str]:

@@ -188,31 +188,22 @@ def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nd,db->nb", a, b)
 
 
-def _forward_batch(p: DeepCodaParams, logx: np.ndarray):
-    """Row-invariant batched pass on log inputs. Returns (Z, A, H, W, S, yhat)."""
-    z = _rowwise_matmul(logx, p.beta) + p.beta0
-    if p.head == "self_explain":
-        a = _rowwise_matmul(z, p.mlp_w1) + p.mlp_b1
-        hidden = np.maximum(a, 0.0)
-        w = _rowwise_matmul(hidden, p.mlp_w2) + p.mlp_b2
-        s = (w * z).sum(axis=1)
-    else:
-        a = hidden = None
-        w = np.broadcast_to(p.linear_v, z.shape)
-        s = p.linear_v0 + np.einsum("nb,b->n", z, p.linear_v)
-    return z, a, hidden, w, s, expit(s)
-
-
-def _finite_forward_batch(p: DeepCodaParams, X: np.ndarray):
-    """Row-invariant ``_forward_batch`` of a positive batch.
+def _forward_batch(p: DeepCodaParams, X: np.ndarray):
+    """Row-invariant pass of a positive batch. Returns (Z, W, S, yhat).
 
     Raises FloatingPointError if any contrast or logit is not finite.
     """
-    out = _forward_batch(p, np.log(X))
-    z, s = out[0], out[4]
+    z = _rowwise_matmul(np.log(X), p.beta) + p.beta0
+    if p.head == "self_explain":
+        hidden = np.maximum(_rowwise_matmul(z, p.mlp_w1) + p.mlp_b1, 0.0)
+        w = _rowwise_matmul(hidden, p.mlp_w2) + p.mlp_b2
+        s = (w * z).sum(axis=1)
+    else:
+        w = np.broadcast_to(p.linear_v, z.shape)
+        s = p.linear_v0 + np.einsum("nb,b->n", z, p.linear_v)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(s))):
         raise FloatingPointError("non-finite value in forward pass")
-    return out
+    return z, w, s, expit(s)
 
 
 def forward(p: DeepCodaParams, x) -> ForwardTrace:
@@ -223,17 +214,14 @@ def forward(p: DeepCodaParams, x) -> ForwardTrace:
     weights and contrasts.
     """
     xv = check_array(x, "x", 1, length=p.dims[0], bound=">0")
-    z, _, _, w, s, yhat = _finite_forward_batch(p, xv[None, :])
+    z, w, s, yhat = _forward_batch(p, xv[None, :])
     return ForwardTrace(z=z[0], w=np.array(w[0]), s=float(s[0]), yhat=float(yhat[0]))
 
 
 def predict_proba(p: DeepCodaParams, X) -> np.ndarray:
     """Row-wise forward pass; returns one probability per sample."""
     xv = check_array(X, "X", 2, length=p.dims[0], bound=">0")
-    *_, s, yhat = _forward_batch(p, np.log(xv))
-    if not np.all(np.isfinite(s)):
-        raise FloatingPointError("non-finite value in forward pass")
-    return yhat
+    return _forward_batch(p, xv)[3]
 
 
 def loss_and_gradients(

@@ -3,11 +3,15 @@
 import csv
 import importlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import deepcoda
 from deepcoda import CompositionMatrix, cli, lasso_logistic_fit, load_params, predict_proba
 from deepcoda.cli import (
     EXIT_NUMERIC,
@@ -420,6 +424,62 @@ class TestNegativeSeed:
         assert run(argv) == EXIT_USAGE
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+class TestImpossibleAllocation:
+    # 10**15 float64 values exceed a 47-bit address space, so the allocation
+    # fails under any overcommit setting.
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    def test_exits_2_with_an_error_line(self, tmp_path, toy_dir, capsys, command):
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"epochs = {10**15}\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "train": ["train", str(toy_dir / "relative.csv"), "--config", str(config), "--out", out],
+            "simulate": ["simulate", "toy", "--n", str(10**15), "--out", out],
+        }[command]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
+class TestAsciiLocale:
+    def test_non_ascii_names_give_the_utf8_files(self, tmp_path, toy_dir):
+        rows = read_csv(toy_dir / "absolute.csv")
+        rows[0][1:-1] = ["μ-a", "β-b", "γ-c", "δ-d"]
+        for i, row in enumerate(rows[1:]):
+            row[0] = f"échantillon-{i}"
+        data = tmp_path / "data.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        config = tmp_path / "train.cfg"
+        config.write_text("n_bottlenecks = 2\nepochs = 30\n")
+        src = str(Path(deepcoda.__file__).resolve().parents[1])
+        env = {
+            **os.environ,
+            "LC_ALL": "C",
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        outputs = {}
+        for locale in ("ascii", "utf8"):
+            out = tmp_path / locale
+            out.mkdir()
+            for argv in (
+                ["train", str(data), "--config", str(config), "--out", str(out / "m")],
+                ["explain", str(out / "m"), str(data), "--out", str(out)],
+            ):
+                if locale == "utf8":
+                    assert run(argv) == EXIT_OK
+                    continue
+                done = subprocess.run(
+                    [sys.executable, "-m", "deepcoda", *argv], env=env, capture_output=True
+                )
+                assert done.returncode == EXIT_OK, done.stderr
+            names = ("m", "explanations.csv", "memberships.csv", "correlations.csv", "summary.txt")
+            outputs[locale] = {name: (out / name).read_bytes() for name in names}
+        assert outputs["ascii"] == outputs["utf8"]
+        # explain's summary names a feature; stdout escapes what the locale cannot encode.
+        assert "\\u" in done.stdout.decode("ascii")
 
 
 class TestDatasetIo:

@@ -1,6 +1,5 @@
 """Tests for splitting, AUC, and the benchmark harness."""
 
-import concurrent.futures
 import csv
 import errno
 import io
@@ -302,16 +301,8 @@ class TestParallelBenchmark:
         ids=["tasks", "cpus", "other_thread"],
     )
     def test_workers_clamped_to_tasks_and_cpus(
-        self, tiny_dataset, monkeypatch, set_cpus, cpus, thread, workers
+        self, tiny_dataset, set_cpus, started_pools, cpus, thread, workers
     ):
-        started = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         set_cpus(cpus)
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
@@ -323,23 +314,8 @@ class TestParallelBenchmark:
             release.set()
             if thread:
                 waiter.join()
-        assert started == workers
+        assert started_pools == workers
         assert [r.auc for r in results] == [0.5, 0.5]
-
-    @needs_fork
-    def test_dead_worker_tasks_run_in_process(self, tiny_dataset, set_cpus):
-        parent = os.getpid()
-
-        def fit_score(xtr, ytr, xte, seed):
-            if os.getpid() != parent:
-                os._exit(1)
-            return xte[:, 0] * seed
-
-        methods = [Method("dies", fit_score)]
-        set_cpus(1)
-        serial = benchmark(tiny_dataset, methods, n_splits=3, base_seed=1)
-        set_cpus(2)
-        assert benchmark(tiny_dataset, methods, n_splits=3, base_seed=1) == serial
 
     @needs_fork
     @pytest.mark.parametrize("fails_at", [1, 2], ids=["first_worker", "second_worker"])

@@ -1,6 +1,5 @@
 """Tests for the two-level interpretability reports."""
 
-import concurrent.futures
 import csv
 import dataclasses
 import errno
@@ -391,20 +390,6 @@ needs_fork = pytest.mark.skipif(
 )
 THREE_BLOCKS = 2 * _ROW_BLOCK + 7
 REPORT_FILES = ("explanations.csv", "memberships.csv", "correlations.csv", "summary.txt")
-
-
-@pytest.fixture
-def started_pools(monkeypatch):
-    """The worker count of every process pool started, in order."""
-    started = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return started
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csvrow import csv_row
+from ._formats import NUMBER, csv_row, key_values
 from .baselines import (
     TRANSFORMS,
     apply_transform,
@@ -31,6 +31,7 @@ from .baselines import (
 from .checks import check_delta_fraction
 from .coda import _RELATIVE_SUM_TOL, CompositionMatrix, replace_zeros
 from .evaluate import (
+    DEFAULT_N_SPLITS,
     LabeledDataset,
     benchmark,
     grid_search,
@@ -120,34 +121,22 @@ def load_dataset(path, delta_fraction: float = 0.5):
     sample_ids, feature_names, values, labels = read_dataset_csv(path)
     kind = "relative" if np.all(np.abs(values.sum(axis=1) - 1.0) <= _RELATIVE_SUM_TOL) else "absolute"
     matrix = CompositionMatrix(values, sample_ids, feature_names, kind)
-    if (values == 0).any():
-        matrix = replace_zeros(matrix, delta_fraction)
-    return matrix, labels
+    return replace_zeros(matrix, delta_fraction), labels
 
 
 def write_dataset_csv(path, matrix: CompositionMatrix, labels) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(csv_row(["sample_id", *matrix.feature_names, "label"]))
         for i, sid in enumerate(matrix.sample_ids):
-            fh.write(csv_row([sid, *(f"{v:.17g}" for v in matrix.values[i]), str(int(labels[i]))]))
+            fh.write(csv_row([sid, *matrix.values[i].tolist(), int(labels[i])]))
 
 
 def parse_train_config(text: str) -> TrainConfig:
     """Parse flat ``key = value`` lines (# comments); unknown keys are rejected."""
     kwargs = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for line_no, key, value in key_values(text, "config line"):
         if key not in _CONFIG_TYPES:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
-        if key in kwargs:
-            raise ValueError(f"config line {line_no}: duplicate key {key!r}")
         try:
             kwargs[key] = _CONFIG_TYPES[key](value)
         except ValueError as exc:
@@ -180,21 +169,22 @@ def cmd_train(args) -> int:
     with open(report_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(csv_row(["record", "index", "value"]))
         for epoch, value in enumerate(report.loss_history):
-            fh.write(csv_row(["loss", str(epoch), f"{value:.17g}"]))
+            fh.write(csv_row(["loss", epoch, value]))
         for b, value in enumerate(report.final_constraint_residuals):
-            fh.write(csv_row(["constraint_residual", str(b), f"{value:.17g}"]))
-    print(f"final loss: {report.loss_history[-1]:.17g}")
+            fh.write(csv_row(["constraint_residual", b, value]))
+    print("final loss:", NUMBER % report.loss_history[-1])
     for b, value in enumerate(report.final_constraint_residuals):
-        print(f"constraint residual {b}: {value:.17g}")
+        print(f"constraint residual {b}:", NUMBER % value)
     print(f"wrote {args.out} and {report_path}")
     return EXIT_OK
 
 
 def _deepcoda_builder(head: str, name: str):
     def build(args):
-        return make_deepcoda_method(
-            args.bottlenecks, args.lambda_s, head, epochs=args.epochs, name=name
-        )
+        # A flag left out keeps make_deepcoda_method's default.
+        given = {"n_bottlenecks": args.bottlenecks, "lambda_s": args.lambda_s}
+        options = {key: value for key, value in given.items() if value is not None}
+        return make_deepcoda_method(head=head, epochs=args.epochs, name=name, **options)
 
     return build
 
@@ -208,6 +198,12 @@ _METHOD_BUILDERS = {
 
 
 def cmd_benchmark(args) -> int:
+    if args.grid:
+        flags = [("--methods", args.methods), ("--bottlenecks", args.bottlenecks),
+                 ("--lambda-s", args.lambda_s)]
+        given = [flag for flag, value in flags if value is not None]
+        if given:
+            raise ValueError(f"--grid sets the methods itself; drop {', '.join(given)}")
     matrix, labels = load_dataset(args.data, args.delta_fraction)
     dataset = LabeledDataset(Path(args.data).stem, matrix.values, labels)
     if args.grid:
@@ -216,7 +212,8 @@ def cmd_benchmark(args) -> int:
         )
     else:
         methods = []
-        for name in args.methods.split(","):
+        names = list(_METHOD_BUILDERS) if args.methods is None else args.methods.split(",")
+        for name in names:
             name = name.strip()
             if name not in _METHOD_BUILDERS:
                 raise ValueError(
@@ -275,10 +272,10 @@ def cmd_baseline(args) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write(csv_row(["feature", "coefficient", "scaled_magnitude"]))
         for name, coef, mag in zip(matrix.feature_names, model.coef, scaled):
-            fh.write(csv_row([name, f"{coef:.17g}", f"{mag:.17g}"]))
-        fh.write(csv_row(["(intercept)", f"{model.intercept:.17g}", ""]))
-    print(f"selected lambda: {lam:.17g}")
-    print(f"intercept: {model.intercept:.17g}")
+            fh.write(csv_row([name, coef, mag]))
+        fh.write(csv_row(["(intercept)", model.intercept, ""]))
+    print("selected lambda:", NUMBER % lam)
+    print("intercept:", NUMBER % model.intercept)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -307,17 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("benchmark", help="repeated-split AUC benchmark")
     p_bench.add_argument("data")
+    # --methods, --bottlenecks and --lambda-s have no default, so that
+    # --grid can reject them; left out, the method builders' defaults apply.
     p_bench.add_argument(
-        "--methods",
-        default="deepcoda,deepcoda-linear,lasso,lasso-clr",
-        help="comma-separated method names",
+        "--methods", help=f"comma-separated method names (default: {','.join(_METHOD_BUILDERS)})"
     )
     p_bench.add_argument("--grid", action="store_true", help="run the full hyper-parameter grid")
-    p_bench.add_argument("--splits", type=int, default=20)
+    p_bench.add_argument("--splits", type=int, default=DEFAULT_N_SPLITS)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--bottlenecks", type=int, default=5)
-    p_bench.add_argument("--lambda-s", type=float, default=0.01, dest="lambda_s")
-    p_bench.add_argument("--epochs", type=int, default=2000)
+    p_bench.add_argument("--bottlenecks", type=int)
+    p_bench.add_argument("--lambda-s", type=float, dest="lambda_s")
+    p_bench.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_bench.add_argument("--out", required=True)
     p_bench.add_argument("--delta-fraction", type=float, default=0.5)
     p_bench.set_defaults(func=cmd_benchmark)

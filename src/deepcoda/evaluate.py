@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import baselines
-from ._csvrow import csv_row
+from ._formats import csv_row
 from ._forkmap import ordered_fork_map
 from .checks import check_seed
 from .metrics import auc
@@ -170,15 +170,29 @@ def benchmark(
         except Exception as exc:
             # The same exception, so callers can still tell a usage error
             # from a numeric failure; its message gains the method and split.
-            where = f"method {method.name!r} failed on split {s} of {dataset.name!r}"
-            exc.args = (f"{where}: {exc}",)
-            raise
+            message = f"method {method.name!r} failed on split {s} of {dataset.name!r}: {exc}"
+            exc.args = (message,)
+            if message in str(exc):
+                raise
+            # Its text ignores ``args`` (numpy's MemoryError builds it from
+            # the shape and dtype): raise its nearest built-in class instead.
+            raise _builtin_error(exc, message) from exc
 
     values = ordered_fork_map(task_auc, len(tasks))
     return [
         BenchmarkResult(method.name, dataset.name, s, value)
         for (s, method), value in zip(tasks, values)
     ]
+
+
+def _builtin_error(exc: Exception, message: str) -> Exception:
+    """The first built-in class in ``exc``'s MRO that takes ``message`` alone (Exception does)."""
+    for cls in type(exc).__mro__:
+        if cls.__module__ == "builtins":
+            try:
+                return cls(message)
+            except TypeError:  # UnicodeDecodeError and its kin take more arguments
+                pass
 
 
 def standardize_scores(results: Sequence[BenchmarkResult]) -> list[BenchmarkResult]:
@@ -223,10 +237,10 @@ def grid_search(
 
 
 def results_to_csv(results: Sequence[BenchmarkResult]) -> str:
-    """Canonical CSV (sorted rows, 17 significant digits)."""
+    """Canonical CSV (sorted rows, numbers as ``_formats.NUMBER``)."""
     lines = ["dataset,method,split,auc,standardized_auc\n"]
     ordered = sorted(results, key=lambda r: (r.dataset, r.method, r.split_index))
     for r in ordered:
-        std = "" if r.standardized_auc is None else f"{r.standardized_auc:.17g}"
-        lines.append(csv_row([r.dataset, r.method, str(r.split_index), f"{r.auc:.17g}", std]))
+        std = "" if r.standardized_auc is None else r.standardized_auc
+        lines.append(csv_row([r.dataset, r.method, r.split_index, r.auc, std]))
     return "".join(lines)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._csvrow import csv_field, csv_row
+from ._formats import NUMBER, csv_field, csv_row
 from ._forkmap import ordered_fork_map
 from .checks import check_array
 # ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
@@ -238,11 +238,7 @@ class ReportBundle:
     correlations_csv: str
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _csv_table(header: list[str], rows: Iterable[list[str]]) -> str:
+def _csv_table(header: list[str], rows: Iterable[list]) -> str:
     return "".join(map(csv_row, [header, *rows]))
 
 
@@ -257,8 +253,8 @@ def _explanation_blocks(batch: ExplanationBatch) -> Iterator[str]:
         + [f"{kind}_{b + 1}" for kind in ("z", "w", "prod") for b in range(n_contrasts)]
         + ["prob", "decision"]
     )
-    # One "%" format per row: "%.17g" gives _fmt's digits.
-    row_format = "%s" + ",%.17g" * (3 * n_contrasts + 1) + ",%s\n"
+    # One "%" format per row, so each number is written as csv_row writes it.
+    row_format = "%s" + f",{NUMBER}" * (3 * n_contrasts + 1) + ",%s\n"
 
     def block(k: int) -> str:
         rows = slice(k * _ROW_BLOCK, (k + 1) * _ROW_BLOCK)
@@ -278,7 +274,7 @@ def _summary_tables(batch: ExplanationBatch, memberships, correlations) -> tuple
     for m in memberships:
         for rank, (name, power) in enumerate(m.entries, start=1):
             side = "numerator" if power > 0 else "denominator"
-            mem_rows.append([str(m.bottleneck_index + 1), str(rank), name, _fmt(power), side])
+            mem_rows.append([m.bottleneck_index + 1, rank, name, power, side])
     memberships_csv = _csv_table(["bottleneck", "rank", "feature", "power", "side"], mem_rows)
 
     corr_rows = []
@@ -287,9 +283,9 @@ def _summary_tables(batch: ExplanationBatch, memberships, correlations) -> tuple
         pearson = np.asarray(pearson, dtype=float)
         for i in range(pearson.shape[0]):
             for j in range(pearson.shape[1]):
-                corr_rows.append(["pearson", str(i + 1), str(j + 1), _fmt(pearson[i, j])])
+                corr_rows.append(["pearson", i + 1, j + 1, pearson[i, j]])
         for k, value in enumerate(np.asarray(canonical, dtype=float), start=1):
-            corr_rows.append(["canonical", str(k), "", _fmt(value)])
+            corr_rows.append(["canonical", k, "", value])
     correlations_csv = _csv_table(["kind", "row", "col", "value"], corr_rows)
 
     n_pos = int(np.count_nonzero(batch.decisions == DECISION_POSITIVE))
@@ -315,7 +311,7 @@ def render_report(
     memberships: Sequence[ContrastMembership],
     correlations=None,
 ) -> ReportBundle:
-    """Serialize report tables deterministically (17 significant digits).
+    """Serialize report tables deterministically (numbers as ``_formats.NUMBER``).
 
     A sequence of ``Explanation`` is stacked into an ``ExplanationBatch``
     first, so both forms give the same bytes. The explanations table is

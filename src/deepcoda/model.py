@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._expit import expit
+from ._formats import NUMBER, key_values
 from .checks import check_array, check_labels, check_penalties
 
 __all__ = [
@@ -356,8 +357,8 @@ def gradients(
 def params_to_text(p: DeepCodaParams) -> str:
     """Serialize to the flat text format: one ``key = values`` line per tensor.
 
-    Values are written row-major with 17 significant digits, which
-    round-trips IEEE doubles exactly.
+    Values are written row-major as ``_formats.NUMBER``, which round-trips
+    IEEE doubles exactly. No line holds ``#``, which starts a comment.
     """
     d, b, h = p.dims
     lines = [
@@ -366,24 +367,13 @@ def params_to_text(p: DeepCodaParams) -> str:
         f"head = {p.head}",
     ]
     for name in PARAM_FIELDS:
-        lines.append(f"{name} = " + " ".join(f"{x:.17g}" for x in p[name].reshape(-1)))
+        lines.append(f"{name} = " + " ".join([NUMBER % x for x in p[name].reshape(-1)]))
     return "\n".join(lines) + "\n"
 
 
 def params_from_text(text: str) -> DeepCodaParams:
-    """Parse the flat text format produced by ``params_to_text``."""
-    entries: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {line_no}: expected 'key = values'")
-        key, _, rest = line.partition("=")
-        key = key.strip()
-        if key in entries:
-            raise ValueError(f"line {line_no}: duplicate key {key!r}")
-        entries[key] = rest.strip()
+    """Parse the flat text format produced by ``params_to_text`` (``#`` starts a comment)."""
+    entries = {key: value for _, key, value in key_values(text, "line")}
     if entries.get("format") != _FORMAT_TAG:
         raise ValueError(f"not a {_FORMAT_TAG} file")
     try:

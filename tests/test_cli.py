@@ -310,6 +310,26 @@ class TestBenchmark:
         assert all(len(row) == 5 for row in rows)
         assert {row[0] for row in rows[1:]} == {"a,b"}
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--methods", "lasso"], ["--methods"]),
+            (["--bottlenecks", "3"], ["--bottlenecks"]),
+            (["--lambda-s", "0.1"], ["--lambda-s"]),
+            (["--methods", "lasso", "--lambda-s", "0.1"], ["--methods", "--lambda-s"]),
+        ],
+        ids=["methods", "bottlenecks", "lambda_s", "two"],
+    )
+    def test_grid_rejects_method_flags(self, tmp_path, toy_dir, capsys, flags, named):
+        out = tmp_path / "grid.csv"
+        argv = ["benchmark", str(toy_dir / "relative.csv"), "--grid", *flags,
+                "--splits", "1", "--epochs", "5", "--out", str(out)]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(flag in err for flag in named)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--epochs", "--bottlenecks"])
     def test_invalid_training_config_exits_2(self, tmp_path, toy_dir, flag):
         assert run(
@@ -440,6 +460,14 @@ class TestImpossibleAllocation:
         }[command]
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+    def test_benchmark_names_the_method_and_split(self, tmp_path, toy_dir, capsys):
+        argv = ["benchmark", str(toy_dir / "relative.csv"), "--methods", "deepcoda",
+                "--splits", "1", "--epochs", str(10**15), "--out", str(tmp_path / "b.csv")]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: method 'deepcoda' failed on split 0 of 'relative': Unable to allocate"
+        )
 
 
 class TestAsciiLocale:

@@ -222,6 +222,24 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=r"'bad'.*split 0.*inner failure"):
             benchmark(tiny_dataset, [Method("bad", boom)], n_splits=2, base_seed=0)
 
+    @pytest.mark.parametrize(
+        "fail,cls",
+        [
+            # 10**15 float64 values exceed a 47-bit address space, so this never allocates.
+            (lambda: np.empty(10**15), MemoryError),
+            (lambda: open(os.path.join(os.sep, "no", "such", "file")), FileNotFoundError),
+            (lambda: b"\xff".decode("utf-8"), UnicodeError),
+        ],
+        ids=["numpy_memory", "file_not_found", "unicode_decode"],
+    )
+    def test_errors_whose_text_ignores_args_are_annotated(self, tiny_dataset, fail, cls):
+        def big(xtr, ytr, xte, seed):
+            fail()
+
+        with pytest.raises(cls) as info:
+            benchmark(tiny_dataset, [Method("big", big)], n_splits=1)
+        assert str(info.value).startswith("method 'big' failed on split 0 of 'toy100': ")
+
 
 class SplitZeroError(Exception):
     pass

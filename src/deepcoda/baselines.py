@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._expit import expit
-from .checks import check_array, check_labels, check_penalties, check_seed
+from .checks import (
+    check_array, check_choice, check_count, check_labels, check_penalties, check_seed,
+)
 from .coda import CompositionMatrix, clr
 from .metrics import auc
 
@@ -66,6 +68,10 @@ class LassoModel:
     n_iter: int = 0
     converged: bool = True
 
+    def __post_init__(self) -> None:
+        check_choice(self.transform, "transform", TRANSFORMS)
+        check_count(self.n_iter, "n_iter", 0)
+
     def decision(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.coef + self.intercept
 
@@ -98,6 +104,8 @@ def lasso_logistic_fit(
     all-zero starting point.
     """
     check_penalties(lam)
+    check_choice(transform, "transform", TRANSFORMS)
+    check_count(max_iter, "max_iter")
     xv = check_array(X, "X", 2)
     yv = check_labels(y, xv.shape[0], both_classes=True)
     n, d = xv.shape
@@ -164,8 +172,7 @@ def lasso_logistic_fit(
 
 
 def _stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> list[np.ndarray]:
-    if n_folds < 2:
-        raise ValueError("need at least 2 folds")
+    check_count(n_folds, "n_folds", 2)
     if y.shape[0] < n_folds:
         raise ValueError("need at least as many samples as folds")
     rng = np.random.default_rng(seed)
@@ -221,8 +228,7 @@ def cv_select_lambda(
 
 def apply_transform(X, transform: str) -> np.ndarray:
     """Prepare features for a baseline fit: identity or row-wise CLR."""
-    if transform not in TRANSFORMS:
-        raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
+    check_choice(transform, "transform", TRANSFORMS)
     values = X.values if isinstance(X, CompositionMatrix) else np.asarray(X, dtype=float)
     if transform == "clr":
         return clr(values)

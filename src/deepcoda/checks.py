@@ -7,9 +7,14 @@
   both values present (fits and AUC need two classes).
 - Penalty weights (``check_penalties``): each finite and ``>= 0``.
 - The zero-replacement fraction (``check_delta_fraction``): in (0, 1).
+- Counts, sizes and indices (``check_count``): an integer of at least a
+  minimum (1 unless the caller says otherwise).
 - Seeds (``check_seed``): a nonnegative integer, as numpy's generators need.
+- Named options (``check_choice``): one of a fixed tuple of values.
 
-Every rejection is a ValueError naming the argument.
+An integer is a Python ``int`` or a numpy integer; a bool is not one, so
+``True`` is no count and no seed. Every rejection is a ValueError naming
+the argument.
 """
 
 from __future__ import annotations
@@ -61,7 +66,26 @@ def check_delta_fraction(delta_fraction: float) -> None:
         raise ValueError("delta_fraction must lie in (0, 1)")
 
 
-def check_seed(seed) -> None:
+def _is_integer(value) -> bool:
+    # bool subclasses int, but True is not a count.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(value, name: str, minimum: int = 1) -> None:
+    """Reject ``value`` unless it is an integer of at least ``minimum``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+
+
+def check_seed(seed, name: str = "seed") -> None:
     """Reject a seed that is not a nonnegative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {seed!r}")
+
+
+def check_choice(value, name: str, choices: tuple) -> None:
+    """Reject ``value`` unless it is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")

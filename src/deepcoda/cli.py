@@ -29,7 +29,7 @@ from .baselines import (
     scaled_magnitudes,
 )
 from .checks import check_delta_fraction
-from .coda import _RELATIVE_SUM_TOL, CompositionMatrix, replace_zeros
+from .coda import _RELATIVE_SUM_TOL, DEFAULT_DELTA_FRACTION, CompositionMatrix, replace_zeros
 from .evaluate import (
     DEFAULT_N_SPLITS,
     LabeledDataset,
@@ -112,7 +112,7 @@ def _parse_dataset(path, reader):
     return sample_ids, header[1:-1], values_2d, np.array(labels, dtype=int)
 
 
-def load_dataset(path, delta_fraction: float = 0.5):
+def load_dataset(path, delta_fraction: float = DEFAULT_DELTA_FRACTION):
     """Read a dataset file into a strictly positive CompositionMatrix + labels.
 
     ``delta_fraction`` is checked even when the file has no zeros to replace.
@@ -286,6 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learn and inspect log-contrast models for compositional data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The option of every command that reads a dataset file.
+    data_options = argparse.ArgumentParser(add_help=False)
+    data_options.add_argument("--delta-fraction", type=float, default=DEFAULT_DELTA_FRACTION)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")
     p_sim.add_argument("kind", choices=("toy", "cmyc"))
@@ -294,15 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_train = sub.add_parser("train", help="train a model on a dataset CSV")
+    p_train = sub.add_parser("train", parents=[data_options], help="train a model on a dataset CSV")
     p_train.add_argument("data")
     p_train.add_argument("--config", help="flat key = value config file")
     p_train.add_argument("--seed", type=int, default=None, help="override config seed")
     p_train.add_argument("--out", required=True, help="model output path")
-    p_train.add_argument("--delta-fraction", type=float, default=0.5)
     p_train.set_defaults(func=cmd_train)
 
-    p_bench = sub.add_parser("benchmark", help="repeated-split AUC benchmark")
+    p_bench = sub.add_parser(
+        "benchmark", parents=[data_options], help="repeated-split AUC benchmark"
+    )
     p_bench.add_argument("data")
     # --methods, --bottlenecks and --lambda-s have no default, so that
     # --grid can reject them; left out, the method builders' defaults apply.
@@ -316,22 +320,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--lambda-s", type=float, dest="lambda_s")
     p_bench.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_bench.add_argument("--out", required=True)
-    p_bench.add_argument("--delta-fraction", type=float, default=0.5)
     p_bench.set_defaults(func=cmd_benchmark)
 
-    p_exp = sub.add_parser("explain", help="write interpretability reports")
+    p_exp = sub.add_parser("explain", parents=[data_options], help="write interpretability reports")
     p_exp.add_argument("model")
     p_exp.add_argument("data")
     p_exp.add_argument("--out", required=True, help="output directory")
-    p_exp.add_argument("--delta-fraction", type=float, default=0.5)
     p_exp.set_defaults(func=cmd_explain)
 
-    p_base = sub.add_parser("baseline", help="cross-validated LASSO fit")
+    p_base = sub.add_parser("baseline", parents=[data_options], help="cross-validated LASSO fit")
     p_base.add_argument("data")
     p_base.add_argument("--transform", choices=TRANSFORMS, default="none")
     p_base.add_argument("--seed", type=int, default=0)
     p_base.add_argument("--out", required=True)
-    p_base.add_argument("--delta-fraction", type=float, default=0.5)
     p_base.set_defaults(func=cmd_baseline)
 
     return parser

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_array, check_delta_fraction
+from .checks import check_array, check_choice, check_delta_fraction
 
 __all__ = [
+    "DEFAULT_DELTA_FRACTION",
     "KINDS",
     "CompositionMatrix",
     "closure",
@@ -27,6 +28,9 @@ __all__ = [
 ]
 
 KINDS = ("absolute", "relative")
+
+# An imputed zero's size relative to its row's smallest nonzero entry.
+DEFAULT_DELTA_FRACTION = 0.5
 
 _RELATIVE_SUM_TOL = 1e-9
 
@@ -68,8 +72,7 @@ class CompositionMatrix:
             raise ValueError(
                 f"expected {d} feature names, got {len(self.feature_names)}"
             )
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        check_choice(self.kind, "kind", KINDS)
         if self.kind == "relative":
             sums = values.sum(axis=1)
             if np.any(np.abs(sums - 1.0) > _RELATIVE_SUM_TOL):
@@ -106,7 +109,7 @@ def closure(v):
 
 
 def replace_zeros(
-    m: CompositionMatrix, delta_fraction: float = 0.5
+    m: CompositionMatrix, delta_fraction: float = DEFAULT_DELTA_FRACTION
 ) -> CompositionMatrix:
     """Impute zeros multiplicatively, preserving row sums and nonzero ratios.
 
@@ -192,9 +195,12 @@ def subcomposition(m: CompositionMatrix, keep) -> CompositionMatrix:
     Relative rows are re-closed so they sum to 1 again; absolute rows are
     returned as-is.
     """
-    idx = np.asarray(keep, dtype=int)
+    idx = np.asarray(keep)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("keep must be a nonempty 1-D index collection")
+    # Casting would truncate floats and read a boolean mask as indices 0 and 1.
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"keep must hold integer indices, got dtype {idx.dtype}")
     if np.unique(idx).size != idx.size:
         raise ValueError("keep contains duplicate indices")
     if idx.min() < 0 or idx.max() >= m.n_features:

@@ -10,7 +10,7 @@ import numpy as np
 from . import baselines
 from ._formats import csv_row
 from ._forkmap import ordered_fork_map
-from .checks import check_seed
+from .checks import check_choice, check_count, check_seed
 from .metrics import auc
 from .model import HEADS, predict_proba
 from .train import TrainConfig, train
@@ -38,8 +38,8 @@ DEFAULT_N_SPLITS = 20
 
 def split(n: int, test_fraction: float = 0.1, seed: int = 0):
     """Disjoint, covering (train, test) index arrays with |test| = round(f * n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_count(n, "n")
+    check_seed(seed)
     n_test = int(round(n * test_fraction))
     if n_test < 1 or n_test >= n:
         raise ValueError(f"n={n} is too small for a nonempty train/test split")
@@ -112,7 +112,12 @@ def make_lasso_method(
     n_folds: int = 5,
     name: str | None = None,
 ) -> Method:
-    """Cross-validated L1 logistic regression on optionally CLR-transformed data."""
+    """Cross-validated L1 logistic regression on optionally CLR-transformed data.
+
+    ``transform`` and ``n_folds`` are validated here, so a bad one fails before any split.
+    """
+    check_choice(transform, "transform", baselines.TRANSFORMS)
+    check_count(n_folds, "n_folds", 2)
     if name is None:
         name = "lasso" if transform == "none" else f"lasso-{transform}"
 
@@ -148,9 +153,8 @@ def benchmark(
     ``base_seed`` is negative, if there are no methods, or if two methods
     share a name (their CSV rows could not be told apart).
     """
-    if n_splits < 1:
-        raise ValueError("n_splits must be at least 1")
-    check_seed(base_seed)
+    check_count(n_splits, "n_splits")
+    check_seed(base_seed, "base_seed")
     if not methods:
         raise ValueError("at least one method is required")
     names = [method.name for method in methods]

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._formats import NUMBER, csv_field, csv_row
 from ._forkmap import ordered_fork_map
-from .checks import check_array
+from .checks import check_array, check_count
 # ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
 from .model import DeepCodaParams, _forward_batch, forward  # noqa: F401
 
@@ -74,6 +74,9 @@ class ContrastMembership:
     entries: tuple[tuple[str, float], ...]
     numerator: tuple[str, ...]
     denominator: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        check_count(self.bottleneck_index, "bottleneck_index", 0)
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,8 @@ def contrast_membership(
 ) -> ContrastMembership:
     """Signed power list for one bottleneck, sorted by |power| descending."""
     d, n_bottlenecks, _ = p.dims
-    if not 0 <= bottleneck_index < n_bottlenecks:
+    check_count(bottleneck_index, "bottleneck_index", 0)
+    if bottleneck_index >= n_bottlenecks:
         raise ValueError(f"bottleneck_index must lie in [0, {n_bottlenecks})")
     if feature_names is None:
         names = [f"feature_{j + 1}" for j in range(d)]
@@ -218,10 +222,10 @@ def weight_contrast_correlation(W, Z):
             RuntimeWarning,
             stacklevel=2,
         )
-    pearson = np.clip(ws.T @ zs / n, -1.0, 1.0)
+    r_wz = ws.T @ zs / n
+    pearson = np.clip(r_wz, -1.0, 1.0)
     r_ww = ws.T @ ws / n + _CCA_JITTER * np.eye(wv.shape[1])
     r_zz = zs.T @ zs / n + _CCA_JITTER * np.eye(zv.shape[1])
-    r_wz = ws.T @ zs / n
     whitened = _inverse_sqrt(r_ww) @ r_wz @ _inverse_sqrt(r_zz)
     singular = np.linalg.svd(whitened, compute_uv=False)
     canonical = np.clip(singular, 0.0, 1.0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._expit import expit
 from ._formats import NUMBER, key_values
-from .checks import check_array, check_labels, check_penalties
+from .checks import check_array, check_choice, check_count, check_labels, check_penalties
 
 __all__ = [
     "HEADS",
@@ -60,10 +60,9 @@ _FORMAT_TAG = "deepcoda-params-v1"
 
 def _layout_shapes(dims: tuple[int, int, int], head: str) -> list[tuple[int, ...]]:
     """Each ``PARAM_LAYOUT`` tensor's shape for ``dims``; checks dims and head."""
-    if head not in HEADS:
-        raise ValueError(f"head must be one of {HEADS}, got {head!r}")
-    if min(dims) < 1:
-        raise ValueError(f"dimensions must be positive, got {dims}")
+    check_choice(head, "head", HEADS)
+    for size, name in zip(dims, ("n_features", "n_bottlenecks", "hidden_units")):
+        check_count(size, name)
     sizes = dict(zip("DBH", dims))
     return [tuple(sizes[axis] for axis in axes) for _, axes, _ in PARAM_LAYOUT]
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_seed
+from .checks import check_count, check_seed
 from .coda import CompositionMatrix, closure
 
 __all__ = ["SyntheticDataset", "gen_toy", "gen_cmyc"]
@@ -35,8 +35,7 @@ class SyntheticDataset:
 
 
 def _generate(n_samples: int, seed: int, n_features: int, effect: float) -> SyntheticDataset:
-    if n_samples < 4:
-        raise ValueError("need at least 4 samples")
+    check_count(n_samples, "n_samples", 4)
     if n_samples % 2 != 0:
         raise ValueError("n_samples must split evenly between the two classes")
     check_seed(seed)

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_array, check_labels, check_penalties, check_seed
+from .checks import (
+    check_array, check_choice, check_count, check_labels, check_penalties, check_seed,
+)
 # ``loss_and_gradients`` is not called here; perfbench/tracer.py wraps it by name on this module.
 from .model import (  # noqa: F401
     HEADS,
@@ -51,16 +53,13 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.n_bottlenecks < 1:
-            raise ValueError("n_bottlenecks must be at least 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        check_count(self.n_bottlenecks, "n_bottlenecks")
+        check_count(self.epochs, "epochs")
         # Chained comparisons are False for NaN, so each also rejects NaN.
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
         check_penalties(self.lambda_c, self.lambda_s)
-        if self.head not in HEADS:
-            raise ValueError(f"head must be one of {HEADS}")
+        check_choice(self.head, "head", HEADS)
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
             raise ValueError("adam moment decays must lie in [0, 1)")
         if not 0 < self.adam_eps < math.inf:
@@ -91,6 +90,7 @@ def init_params(
     head: str = "self_explain",
 ) -> DeepCodaParams:
     """Small uniform weights from per-tensor Philox streams; zero biases."""
+    check_seed(seed)
     p = DeepCodaParams.zeros((n_features, n_bottlenecks, hidden_units), head)
     for name, _, stream in PARAM_LAYOUT:
         if stream is not None:

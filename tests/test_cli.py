@@ -535,6 +535,13 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match=r"bad.csv:2: field larger"):
             read_dataset_csv(bad)
 
+    @pytest.mark.parametrize("command", ["train", "benchmark", "explain", "baseline"])
+    def test_every_data_command_defaults_to_the_library_delta_fraction(self, command):
+        files = ["model.txt", "data.csv"] if command == "explain" else ["data.csv"]
+        args = cli.build_parser().parse_args([command, *files, "--out", "out"])
+        assert args.delta_fraction == deepcoda.DEFAULT_DELTA_FRACTION
+        assert args.data == "data.csv"
+
     def test_zero_replacement_on_ingest(self, tmp_path):
         data = tmp_path / "zeros.csv"
         data.write_text("sample_id,f1,f2,f3,label\ns0,0.0,2.0,2.0,0\ns1,1.0,2.0,3.0,1\n")

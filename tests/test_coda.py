@@ -275,6 +275,13 @@ class TestSubcomposition:
         with pytest.raises(ValueError):
             subcomposition(m, [0, 3])
 
+    # Cast to int, the mask kept (b, a) and the floats kept (a, b).
+    @pytest.mark.parametrize("keep", [[True, False], [0.7, 1.2]], ids=["bool_mask", "floats"])
+    def test_rejects_non_integer_keep(self, keep):
+        m = CompositionMatrix([[1.0, 2.0, 3.0]], ["s"], list("abc"), "absolute")
+        with pytest.raises(ValueError, match="keep must hold integer indices"):
+            subcomposition(m, keep)
+
 
 class TestCompositionMatrix:
     def test_rejects_negative_entries(self):

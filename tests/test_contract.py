@@ -2,27 +2,46 @@
 inputs with ValueError, and the text parsers raise nothing but ValueError."""
 
 import csv
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import deepcoda
 from deepcoda import (
+    KINDS,
+    TRANSFORMS,
     CompositionMatrix,
+    ContrastMembership,
+    DeepCodaParams,
+    LabeledDataset,
+    LassoModel,
+    Method,
     TrainConfig,
+    apply_transform,
     auc,
+    benchmark,
     closure,
     clr,
+    contrast_membership,
     cv_select_lambda,
     forward,
+    gen_cmyc,
+    gen_toy,
+    grid_search,
     init_params,
     lasso_logistic_fit,
     log_contrast,
     loss_and_gradients,
+    make_deepcoda_method,
+    make_lasso_method,
     params_from_text,
     params_to_text,
     predict_proba,
+    split,
     train,
 )
 from deepcoda.cli import (
@@ -33,7 +52,7 @@ from deepcoda.cli import (
     read_dataset_csv,
     run,
 )
-from deepcoda.model import HEADS, PARAM_LAYOUT
+from deepcoda.model import HEADS, PARAM_FIELDS, PARAM_LAYOUT
 
 X_OK = np.random.default_rng(0).uniform(0.5, 2.0, size=(8, 3))
 Y_OK = np.array([0, 1] * 4)
@@ -126,6 +145,142 @@ def test_malformed_inputs_raise_value_error(entry, case):
     args = CASES[case][1](X_OK, Y_OK)
     with pytest.raises(ValueError):
         call(*args)
+
+
+# ---------------------------------------------------------------------------
+# Integer and named-option arguments
+
+_TOY = gen_toy(100, seed=3)
+DATASET = LabeledDataset("toy100", _TOY.relative.values, _TOY.labels)
+CONSTANT = Method("const", lambda x_train, y_train, x_test, seed: np.zeros(len(x_test)))
+
+
+def _grid(**kwargs):
+    """One cheap grid cell; ``kwargs`` replace its arguments."""
+    return grid_search(
+        DATASET,
+        **{"B_grid": (1,), "lambda_s_grid": (0.1,), "heads": ("linear",), "n_splits": 1,
+           "epochs": 2, **kwargs},
+    )
+
+
+# Every public argument that takes a count, a size, an index, a seed or a named
+# option. (entry point, argument) -> (call passing v as that argument, rule,
+# a valid value), where the rule is the least valid integer or the choices.
+# The argument is the name the error message starts with, so grid_search's
+# B_grid and heads elements appear as n_bottlenecks and head.
+ARGUMENT_RULES = {
+    ("CompositionMatrix", "kind"): (
+        lambda v: CompositionMatrix(X_OK, list("abcdefgh"), "abc", v), KINDS, "absolute"
+    ),
+    ("gen_toy", "n_samples"): (lambda v: gen_toy(v, 0), 4, 4),
+    ("gen_toy", "seed"): (lambda v: gen_toy(4, v), 0, 0),
+    ("gen_cmyc", "n_samples"): (lambda v: gen_cmyc(v, 0), 4, 4),
+    ("gen_cmyc", "seed"): (lambda v: gen_cmyc(4, v), 0, 0),
+    ("DeepCodaParams", "head"): (
+        lambda v: DeepCodaParams(*(PARAMS[name] for name in PARAM_FIELDS[:6]), head=v),
+        HEADS,
+        "linear",
+    ),
+    ("TrainConfig", "n_bottlenecks"): (lambda v: TrainConfig(n_bottlenecks=v), 1, 1),
+    ("TrainConfig", "epochs"): (lambda v: TrainConfig(epochs=v), 1, 1),
+    ("TrainConfig", "seed"): (lambda v: TrainConfig(seed=v), 0, 0),
+    ("TrainConfig", "head"): (lambda v: TrainConfig(head=v), HEADS, "linear"),
+    ("init_params", "n_features"): (lambda v: init_params(v, 2), 1, 1),
+    ("init_params", "n_bottlenecks"): (lambda v: init_params(3, v), 1, 1),
+    ("init_params", "hidden_units"): (lambda v: init_params(3, 2, hidden_units=v), 1, 1),
+    ("init_params", "seed"): (lambda v: init_params(3, 2, seed=v), 0, 0),
+    ("init_params", "head"): (lambda v: init_params(3, 2, head=v), HEADS, "linear"),
+    ("split", "n"): (lambda v: split(v), 1, 10),
+    ("split", "seed"): (lambda v: split(10, seed=v), 0, 0),
+    ("benchmark", "n_splits"): (lambda v: benchmark(DATASET, [CONSTANT], n_splits=v), 1, 1),
+    ("benchmark", "base_seed"): (
+        lambda v: benchmark(DATASET, [CONSTANT], n_splits=1, base_seed=v), 0, 0
+    ),
+    ("grid_search", "n_bottlenecks"): (lambda v: _grid(B_grid=(v,)), 1, 1),
+    ("grid_search", "head"): (lambda v: _grid(heads=(v,)), HEADS, "linear"),
+    ("grid_search", "n_splits"): (lambda v: _grid(n_splits=v), 1, 1),
+    ("grid_search", "base_seed"): (lambda v: _grid(base_seed=v), 0, 0),
+    ("grid_search", "epochs"): (lambda v: _grid(epochs=v), 1, 1),
+    ("make_deepcoda_method", "n_bottlenecks"): (
+        lambda v: make_deepcoda_method(n_bottlenecks=v), 1, 1
+    ),
+    ("make_deepcoda_method", "head"): (lambda v: make_deepcoda_method(head=v), HEADS, "linear"),
+    ("make_deepcoda_method", "epochs"): (lambda v: make_deepcoda_method(epochs=v), 1, 1),
+    ("make_lasso_method", "transform"): (lambda v: make_lasso_method(v), TRANSFORMS, "clr"),
+    ("make_lasso_method", "n_folds"): (lambda v: make_lasso_method(n_folds=v), 2, 2),
+    ("LassoModel", "transform"): (
+        lambda v: LassoModel(np.zeros(3), 0.0, 0.1, transform=v), TRANSFORMS, "clr"
+    ),
+    ("LassoModel", "n_iter"): (lambda v: LassoModel(np.zeros(3), 0.0, 0.1, n_iter=v), 0, 0),
+    ("apply_transform", "transform"): (lambda v: apply_transform(X_OK, v), TRANSFORMS, "clr"),
+    ("cv_select_lambda", "n_folds"): (
+        lambda v: cv_select_lambda(X_OK, Y_OK, n_folds=v, lambda_grid=[0.1]), 2, 2
+    ),
+    ("cv_select_lambda", "seed"): (
+        lambda v: cv_select_lambda(X_OK, Y_OK, n_folds=2, lambda_grid=[0.1], seed=v), 0, 0
+    ),
+    ("lasso_logistic_fit", "transform"): (
+        lambda v: lasso_logistic_fit(X_OK, Y_OK, 0.1, transform=v), TRANSFORMS, "clr"
+    ),
+    ("lasso_logistic_fit", "max_iter"): (
+        lambda v: lasso_logistic_fit(X_OK, Y_OK, 0.1, max_iter=v), 1, 1
+    ),
+    ("ContrastMembership", "bottleneck_index"): (
+        lambda v: ContrastMembership(v, (), (), ()), 0, 0
+    ),
+    ("contrast_membership", "bottleneck_index"): (
+        lambda v: contrast_membership(PARAMS, v), 0, 0
+    ),
+}
+
+
+def _rejected_values(rule):
+    """A float, a bool, and the value just below the minimum or a name not among the choices."""
+    return [2.5, True, "other" if isinstance(rule, tuple) else rule - 1]
+
+
+@pytest.mark.parametrize(
+    "entry,argument,value",
+    [
+        (entry, argument, value)
+        for (entry, argument), (_, rule, _) in ARGUMENT_RULES.items()
+        for value in _rejected_values(rule)
+    ],
+)
+def test_argument_rule_rejects(entry, argument, value):
+    call = ARGUMENT_RULES[entry, argument][0]
+    # Anchored: an error raised inside a benchmark split starts with the method instead.
+    with pytest.raises(ValueError, match=rf"^{argument} must"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry,argument", sorted(ARGUMENT_RULES))
+def test_argument_rule_accepts_a_valid_value(entry, argument):
+    call, _, valid = ARGUMENT_RULES[entry, argument]
+    call(np.int64(valid) if isinstance(valid, int) else valid)
+
+
+_RULED_ARGUMENT = re.compile(
+    r"n_\w+|epochs|max_iter|hidden_units|bottleneck_index|seed|base_seed|head|transform|kind"
+)
+
+
+def test_every_ruled_argument_is_in_the_table():
+    """A new public count, seed or option argument cannot skip the rules above."""
+    missing = []
+    for name in dir(deepcoda):
+        obj = getattr(deepcoda, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        missing += [
+            f"{name}({argument})"
+            for argument in inspect.signature(obj).parameters
+            if _RULED_ARGUMENT.fullmatch(argument) and (name, argument) not in ARGUMENT_RULES
+        ]
+    assert not missing
 
 
 # ---------------------------------------------------------------------------

@@ -533,7 +533,7 @@ class TestSerialization:
         text = text.replace("dims = 1 1 1", "dims = 0 1 1").replace(
             next(ln for ln in text.splitlines() if ln.startswith("beta =")), "beta ="
         )
-        with pytest.raises(ValueError, match="dimensions must be positive"):
+        with pytest.raises(ValueError, match="n_features must be at least 1, got 0"):
             params_from_text(text)
 
     def test_rejects_forged_dims_before_allocating(self):

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._expit import expit
-from .checks import (
-    check_array, check_choice, check_count, check_labels, check_penalties, check_seed,
-)
+from .checks import check_array, check_choice, check_count, check_labels, check_real, check_seed
 from .coda import CompositionMatrix, clr
 from .metrics import auc
 
@@ -69,6 +67,7 @@ class LassoModel:
     converged: bool = True
 
     def __post_init__(self) -> None:
+        check_real(self.lam, "lam")
         check_choice(self.transform, "transform", TRANSFORMS)
         check_count(self.n_iter, "n_iter", 0)
 
@@ -81,6 +80,7 @@ class LassoModel:
 
 def lasso_objective(X, y, coef, intercept, lam) -> float:
     """(1/N) * sum of logistic losses + lam * ||coef||_1 (intercept unpenalized)."""
+    check_real(lam, "lam")
     xv = np.asarray(X, dtype=float)
     yv = np.asarray(y, dtype=float)
     margins = xv @ np.asarray(coef, dtype=float) + intercept
@@ -103,9 +103,10 @@ def lasso_logistic_fit(
     Descent is monotone, so the returned objective never exceeds the
     all-zero starting point.
     """
-    check_penalties(lam)
+    check_real(lam, "lam")
     check_choice(transform, "transform", TRANSFORMS)
     check_count(max_iter, "max_iter")
+    check_real(rel_tol, "rel_tol")
     xv = check_array(X, "X", 2)
     yv = check_labels(y, xv.shape[0], both_classes=True)
     n, d = xv.shape
@@ -189,6 +190,16 @@ def _stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> list[np.ndarray
     return [np.sort(np.asarray(f, dtype=int)) for f in folds]
 
 
+def _lambda_grid(lambda_grid) -> np.ndarray:
+    """The sorted penalty grid (None: ``DEFAULT_LAMBDA_GRID``): nonempty, each element >= 0."""
+    grid = DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid
+    if np.ndim(grid) != 1 or len(grid) == 0:
+        raise ValueError("lambda_grid must be a nonempty sequence of penalty weights")
+    for lam in grid:
+        check_real(lam, "lambda_grid")
+    return np.sort(np.asarray(grid, dtype=float))
+
+
 def cv_select_lambda(
     X,
     y,
@@ -203,12 +214,7 @@ def cv_select_lambda(
     check_seed(seed)
     xv = check_array(X, "X", 2)
     yv = check_labels(y, xv.shape[0], both_classes=True)
-    grid = np.sort(np.asarray(
-        DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid, dtype=float
-    ))
-    if grid.size == 0:
-        raise ValueError("lambda_grid must be nonempty")
-    check_penalties(*grid)
+    grid = _lambda_grid(lambda_grid)
     folds = _stratified_folds(yv, n_folds, seed)
     all_idx = np.arange(xv.shape[0])
     best_lam = None

@@ -1,23 +1,27 @@
-"""The input contract: each rule on caller-supplied arrays, written once.
+"""The input contract: each rule on caller-supplied arguments, written once.
 
 - Arrays (``check_array``): float64; ``ndim`` one of the caller's allowed
   values; optionally a fixed last-axis length; every entry finite; and
   optionally every entry ``> 0`` (log inputs) or ``>= 0`` (abundances).
 - Labels (``check_labels``): one per sample, each 0 or 1, and optionally
   both values present (fits and AUC need two classes).
-- Penalty weights (``check_penalties``): each finite and ``>= 0``.
-- The zero-replacement fraction (``check_delta_fraction``): in (0, 1).
+- Penalties, rates, fractions and tolerances (``check_real``): a finite
+  real number in ``[low, high)``, or ``(low, high)``.
+- Names (``check_names``): one per row or column, each read as a string.
 - Counts, sizes and indices (``check_count``): an integer of at least a
   minimum (1 unless the caller says otherwise).
 - Seeds (``check_seed``): a nonnegative integer, as numpy's generators need.
 - Named options (``check_choice``): one of a fixed tuple of values.
 
-An integer is a Python ``int`` or a numpy integer; a bool is not one, so
-``True`` is no count and no seed. Every rejection is a ValueError naming
-the argument.
+An integer is a Python ``int`` or a numpy integer, and a real number is
+an integer, a Python ``float`` or a numpy floating scalar; a bool is
+neither, so ``True`` is no count, no seed and no penalty. Every rejection
+is a ValueError naming the argument.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -52,20 +56,6 @@ def check_labels(y, n_samples: int, both_classes: bool = False) -> np.ndarray:
     return labels
 
 
-def check_penalties(*weights: float) -> None:
-    """Reject a penalty weight that is negative, NaN or infinite."""
-    # Chained comparisons are False for NaN, so this also rejects NaN.
-    if not all(0 <= w < np.inf for w in weights):
-        raise ValueError("penalty weights must be nonnegative and finite")
-
-
-def check_delta_fraction(delta_fraction: float) -> None:
-    """Reject a zero-replacement fraction outside the open interval (0, 1)."""
-    # A chained comparison is False for NaN, so this also rejects NaN.
-    if not 0.0 < delta_fraction < 1.0:
-        raise ValueError("delta_fraction must lie in (0, 1)")
-
-
 def _is_integer(value) -> bool:
     # bool subclasses int, but True is not a count.
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -77,6 +67,24 @@ def check_count(value, name: str, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+
+
+def check_real(value, name: str, low=0.0, high=math.inf, low_open=False) -> None:
+    """Reject ``value`` unless it is real and in [low, high), or (low, high) when ``low_open``."""
+    if not (_is_integer(value) or isinstance(value, (float, np.floating))):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    # Comparisons with NaN are False, and the upper end is open: NaN and infinities fail.
+    if not ((low < value if low_open else low <= value) and value < high):
+        interval = f"{'(' if low_open else '['}{low:g}, {high:g})"
+        raise ValueError(f"{name} must be a finite number in {interval}, got {value}")
+
+
+def check_names(names, count: int, what: str) -> tuple[str, ...]:
+    """``names`` as a tuple of ``count`` strings; ``what`` says what they name in the error."""
+    strings = tuple(map(str, names))
+    if len(strings) != count:
+        raise ValueError(f"expected {count} {what}, got {len(strings)}")
+    return strings
 
 
 def check_seed(seed, name: str = "seed") -> None:

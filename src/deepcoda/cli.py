@@ -28,7 +28,7 @@ from .baselines import (
     lasso_logistic_fit,
     scaled_magnitudes,
 )
-from .checks import check_delta_fraction
+from .checks import check_real
 from .coda import _RELATIVE_SUM_TOL, DEFAULT_DELTA_FRACTION, CompositionMatrix, replace_zeros
 from .evaluate import (
     DEFAULT_N_SPLITS,
@@ -117,7 +117,7 @@ def load_dataset(path, delta_fraction: float = DEFAULT_DELTA_FRACTION):
 
     ``delta_fraction`` is checked even when the file has no zeros to replace.
     """
-    check_delta_fraction(delta_fraction)
+    check_real(delta_fraction, "delta_fraction", high=1.0, low_open=True)
     sample_ids, feature_names, values, labels = read_dataset_csv(path)
     kind = "relative" if np.all(np.abs(values.sum(axis=1) - 1.0) <= _RELATIVE_SUM_TOL) else "absolute"
     matrix = CompositionMatrix(values, sample_ids, feature_names, kind)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_array, check_choice, check_delta_fraction
+from .checks import check_array, check_choice, check_names, check_real
 
 __all__ = [
     "DEFAULT_DELTA_FRACTION",
@@ -60,18 +60,12 @@ class CompositionMatrix:
 
     def __post_init__(self) -> None:
         values = check_array(np.array(self.values, dtype=float), "abundances", 2, bound=">=0")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "sample_ids", tuple(str(s) for s in self.sample_ids))
-        object.__setattr__(
-            self, "feature_names", tuple(str(f) for f in self.feature_names)
-        )
         n, d = values.shape
-        if len(self.sample_ids) != n:
-            raise ValueError(f"expected {n} sample ids, got {len(self.sample_ids)}")
-        if len(self.feature_names) != d:
-            raise ValueError(
-                f"expected {d} feature names, got {len(self.feature_names)}"
-            )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "sample_ids", check_names(self.sample_ids, n, "sample ids"))
+        object.__setattr__(
+            self, "feature_names", check_names(self.feature_names, d, "feature names")
+        )
         check_choice(self.kind, "kind", KINDS)
         if self.kind == "relative":
             sums = values.sum(axis=1)
@@ -94,7 +88,7 @@ def closure(v):
     ----------
     v : array_like
         A vector, or a matrix whose rows are treated as vectors. Entries
-        must be finite and nonnegative with a positive sum per row.
+        must be finite and nonnegative with a positive, finite sum per row.
 
     Returns
     -------
@@ -102,9 +96,12 @@ def closure(v):
         Same shape as the input; every row sums to 1.
     """
     arr = check_array(v, "v", (1, 2), bound=">=0")
-    sums = arr.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        sums = arr.sum(axis=-1, keepdims=True)
     if np.any(sums <= 0):
         raise ValueError("each row needs at least one positive entry")
+    if not np.isfinite(sums).all():
+        raise ValueError("each row's sum must be finite")
     return arr / sums
 
 
@@ -133,7 +130,7 @@ def replace_zeros(
         Strictly positive matrix of the same kind. If ``m`` contains no
         zeros it is returned unchanged.
     """
-    check_delta_fraction(delta_fraction)
+    check_real(delta_fraction, "delta_fraction", high=1.0, low_open=True)
     values = m.values
     zero_mask = values == 0
     if not zero_mask.any():

@@ -10,7 +10,7 @@ import numpy as np
 from . import baselines
 from ._formats import csv_row
 from ._forkmap import ordered_fork_map
-from .checks import check_choice, check_count, check_seed
+from .checks import check_choice, check_count, check_real, check_seed
 from .metrics import auc
 from .model import HEADS, predict_proba
 from .train import TrainConfig, train
@@ -39,6 +39,7 @@ DEFAULT_N_SPLITS = 20
 def split(n: int, test_fraction: float = 0.1, seed: int = 0):
     """Disjoint, covering (train, test) index arrays with |test| = round(f * n)."""
     check_count(n, "n")
+    check_real(test_fraction, "test_fraction", high=1.0, low_open=True)
     check_seed(seed)
     n_test = int(round(n * test_fraction))
     if n_test < 1 or n_test >= n:
@@ -114,9 +115,11 @@ def make_lasso_method(
 ) -> Method:
     """Cross-validated L1 logistic regression on optionally CLR-transformed data.
 
-    ``transform`` and ``n_folds`` are validated here, so a bad one fails before any split.
+    ``transform``, ``lambda_grid`` and ``n_folds`` are validated here, so a
+    bad one fails before any split.
     """
     check_choice(transform, "transform", baselines.TRANSFORMS)
+    grid = baselines._lambda_grid(lambda_grid)
     check_count(n_folds, "n_folds", 2)
     if name is None:
         name = "lasso" if transform == "none" else f"lasso-{transform}"
@@ -124,7 +127,7 @@ def make_lasso_method(
     def fit_score(x_train, y_train, x_test, seed):
         xt = baselines.apply_transform(x_train, transform)
         lam = baselines.cv_select_lambda(
-            xt, y_train, n_folds=n_folds, lambda_grid=lambda_grid, seed=seed
+            xt, y_train, n_folds=n_folds, lambda_grid=grid, seed=seed
         )
         model = baselines.lasso_logistic_fit(xt, y_train, lam, transform=transform)
         return model.decision(baselines.apply_transform(x_test, transform))

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._formats import NUMBER, csv_field, csv_row
 from ._forkmap import ordered_fork_map
-from .checks import check_array, check_count
+from .checks import check_array, check_count, check_names, check_real
 # ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
 from .model import DeepCodaParams, _forward_batch, forward  # noqa: F401
 
@@ -140,9 +140,7 @@ def explain_batch(p: DeepCodaParams, X, sample_ids: Sequence[str]) -> Explanatio
             "the linear head has no per-sample weights"
         )
     xv = check_array(X, "X", 2, length=p.dims[0], bound=">0")
-    ids = tuple(str(s) for s in sample_ids)
-    if len(ids) != xv.shape[0]:
-        raise ValueError(f"expected {xv.shape[0]} sample ids, got {len(ids)}")
+    ids = check_names(sample_ids, xv.shape[0], "sample ids")
     z, w, _, yhat = _forward_batch(p, xv)
     products = w * z
     return ExplanationBatch(ids, z, w, products, yhat, _decisions(products))
@@ -165,12 +163,11 @@ def contrast_membership(
     check_count(bottleneck_index, "bottleneck_index", 0)
     if bottleneck_index >= n_bottlenecks:
         raise ValueError(f"bottleneck_index must lie in [0, {n_bottlenecks})")
+    check_real(magnitude_threshold, "magnitude_threshold")
     if feature_names is None:
         names = [f"feature_{j + 1}" for j in range(d)]
     else:
-        names = [str(nm) for nm in feature_names]
-        if len(names) != d:
-            raise ValueError(f"expected {d} feature names, got {len(names)}")
+        names = check_names(feature_names, d, "feature names")
     powers = p.beta[:, bottleneck_index]
     kept = np.flatnonzero(np.abs(powers) > magnitude_threshold)
     order = kept[np.argsort(-np.abs(powers[kept]), kind="stable")]
@@ -207,10 +204,10 @@ def weight_contrast_correlation(W, Z):
     whitened cross-correlation block, computed on standardized columns
     with a 1e-8 ridge on the diagonals, clipped to [0, 1], descending.
     """
-    wv = np.asarray(W, dtype=float)
-    zv = np.asarray(Z, dtype=float)
-    if wv.ndim != 2 or zv.ndim != 2 or wv.shape[0] != zv.shape[0]:
-        raise ValueError("W and Z must be 2-D with matching row counts")
+    wv = check_array(W, "W", 2)
+    zv = check_array(Z, "Z", 2)
+    if wv.shape[0] != zv.shape[0]:
+        raise ValueError("W and Z must have matching row counts")
     n = wv.shape[0]
     if n <= max(wv.shape[1], zv.shape[1]):
         raise ValueError("need more samples than columns for correlation analysis")

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._expit import expit
 from ._formats import NUMBER, key_values
-from .checks import check_array, check_choice, check_count, check_labels, check_penalties
+from .checks import check_array, check_choice, check_count, check_labels, check_real
 
 __all__ = [
     "HEADS",
@@ -61,6 +61,8 @@ _FORMAT_TAG = "deepcoda-params-v1"
 def _layout_shapes(dims: tuple[int, int, int], head: str) -> list[tuple[int, ...]]:
     """Each ``PARAM_LAYOUT`` tensor's shape for ``dims``; checks dims and head."""
     check_choice(head, "head", HEADS)
+    if len(dims) != 3:
+        raise ValueError(f"dims must be (n_features, n_bottlenecks, hidden_units), got {dims!r}")
     for size, name in zip(dims, ("n_features", "n_bottlenecks", "hidden_units")):
         check_count(size, name)
     sizes = dict(zip("DBH", dims))
@@ -243,7 +245,8 @@ def loss_and_gradients(
     batches. ``predict_proba``, ``forward`` and explanations keep the
     row-invariant einsum of ``_forward_batch``.
     """
-    check_penalties(lambda_c, lambda_s)
+    check_real(lambda_c, "lambda_c")
+    check_real(lambda_s, "lambda_s")
     xv = check_array(X, "X", 2, length=p.dims[0], bound=">0")
     yv = check_labels(y, xv.shape[0])
     grads = DeepCodaParams.zeros(p.dims, p.head)

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import (
-    check_array, check_choice, check_count, check_labels, check_penalties, check_seed,
-)
+from .checks import check_array, check_choice, check_count, check_labels, check_real, check_seed
 # ``loss_and_gradients`` is not called here; perfbench/tracer.py wraps it by name on this module.
 from .model import (  # noqa: F401
     HEADS,
@@ -55,15 +52,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         check_count(self.n_bottlenecks, "n_bottlenecks")
         check_count(self.epochs, "epochs")
-        # Chained comparisons are False for NaN, so each also rejects NaN.
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        check_penalties(self.lambda_c, self.lambda_s)
+        check_real(self.learning_rate, "learning_rate", low_open=True)
+        check_real(self.lambda_c, "lambda_c")
+        check_real(self.lambda_s, "lambda_s")
         check_choice(self.head, "head", HEADS)
-        if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
-            raise ValueError("adam moment decays must lie in [0, 1)")
-        if not 0 < self.adam_eps < math.inf:
-            raise ValueError("adam_eps must be positive and finite")
+        check_real(self.adam_beta1, "adam_beta1", high=1.0)
+        check_real(self.adam_beta2, "adam_beta2", high=1.0)
+        check_real(self.adam_eps, "adam_eps", low_open=True)
         check_seed(self.seed)
 
 

@@ -137,7 +137,7 @@ class TestCvSelectLambda:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
     def test_rejects_bad_grid_value_before_fitting(self, bad):
         X, y = overlap_1d()
-        with pytest.raises(ValueError, match="penalty weights"):
+        with pytest.raises(ValueError, match="^lambda_grid must"):
             cv_select_lambda(X, y, lambda_grid=[0.01, bad])
 
 

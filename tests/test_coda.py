@@ -1,6 +1,7 @@
 """Tests for the compositional primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,12 @@ class TestClosure:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             closure([1.0, -1.0, 2.0])
+
+    def test_rejects_overflowing_row_sum_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum must be finite"):
+                closure([[1.0, 1.0], [1e308, 1e308]])
 
 
 class TestReplaceZeros:

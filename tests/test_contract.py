@@ -5,6 +5,8 @@ import csv
 import inspect
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,16 +33,20 @@ from deepcoda import (
     forward,
     gen_cmyc,
     gen_toy,
+    gradients,
     grid_search,
     init_params,
     lasso_logistic_fit,
+    lasso_objective,
     log_contrast,
+    loss,
     loss_and_gradients,
     make_deepcoda_method,
     make_lasso_method,
     params_from_text,
     params_to_text,
     predict_proba,
+    replace_zeros,
     split,
     train,
 )
@@ -48,6 +54,7 @@ from deepcoda.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    load_dataset,
     parse_train_config,
     read_dataset_csv,
     run,
@@ -266,20 +273,150 @@ _RULED_ARGUMENT = re.compile(
 )
 
 
-def test_every_ruled_argument_is_in_the_table():
-    """A new public count, seed or option argument cannot skip the rules above."""
-    missing = []
+def _public_arguments():
+    """(callable, argument) for every parameter of every public callable of the package."""
     for name in dir(deepcoda):
         obj = getattr(deepcoda, name)
         if name.startswith("_") or not callable(obj):
             continue
         if isinstance(obj, type) and issubclass(obj, BaseException):
             continue
-        missing += [
-            f"{name}({argument})"
-            for argument in inspect.signature(obj).parameters
-            if _RULED_ARGUMENT.fullmatch(argument) and (name, argument) not in ARGUMENT_RULES
-        ]
+        for argument in inspect.signature(obj).parameters:
+            yield name, argument
+
+
+def test_every_ruled_argument_is_in_the_table():
+    """A new public count, seed or option argument cannot skip the rules above."""
+    missing = [
+        f"{name}({argument})"
+        for name, argument in _public_arguments()
+        if _RULED_ARGUMENT.fullmatch(argument) and (name, argument) not in ARGUMENT_RULES
+    ]
+    assert not missing
+
+
+# ---------------------------------------------------------------------------
+# Real-valued arguments
+
+_NONNEGATIVE = (0.0, math.inf, False)
+_POSITIVE = (0.0, math.inf, True)
+_DECAY = (0.0, 1.0, False)
+_FRACTION = (0.0, 1.0, True)
+_ZEROS = CompositionMatrix([[1.0, 0.0], [1.0, 2.0]], ["s0", "s1"], ["a", "b"], "absolute")
+
+
+def _load_dataset(delta_fraction):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text("sample_id,a,b,label\ns0,1,0,0\ns1,1,2,1\n", encoding="utf-8")
+        return load_dataset(path, delta_fraction)
+
+
+# Every public argument that takes a penalty, a rate, a fraction or a
+# tolerance. (entry point, argument) -> (call passing v as that argument,
+# (low, high, low_open), a valid value): the argument takes [low, high), or
+# (low, high) when low_open is set. As above, the argument is the name the
+# error message starts with, so grid_search's lambda_s_grid elements appear
+# as lambda_s; a lambda_grid element is reported as lambda_grid.
+REAL_RULES = {
+    ("TrainConfig", "lambda_c"): (lambda v: TrainConfig(lambda_c=v), _NONNEGATIVE, 0.5),
+    ("TrainConfig", "lambda_s"): (lambda v: TrainConfig(lambda_s=v), _NONNEGATIVE, 0.5),
+    ("TrainConfig", "learning_rate"): (lambda v: TrainConfig(learning_rate=v), _POSITIVE, 0.5),
+    ("TrainConfig", "adam_beta1"): (lambda v: TrainConfig(adam_beta1=v), _DECAY, 0.5),
+    ("TrainConfig", "adam_beta2"): (lambda v: TrainConfig(adam_beta2=v), _DECAY, 0.5),
+    ("TrainConfig", "adam_eps"): (lambda v: TrainConfig(adam_eps=v), _POSITIVE, 0.5),
+    ("loss_and_gradients", "lambda_c"): (
+        lambda v: loss_and_gradients(PARAMS, X_OK, Y_OK, lambda_c=v), _NONNEGATIVE, 0.5
+    ),
+    ("loss_and_gradients", "lambda_s"): (
+        lambda v: loss_and_gradients(PARAMS, X_OK, Y_OK, lambda_s=v), _NONNEGATIVE, 0.5
+    ),
+    ("loss", "lambda_c"): (lambda v: loss(PARAMS, X_OK, Y_OK, lambda_c=v), _NONNEGATIVE, 0.5),
+    ("loss", "lambda_s"): (lambda v: loss(PARAMS, X_OK, Y_OK, lambda_s=v), _NONNEGATIVE, 0.5),
+    ("gradients", "lambda_c"): (
+        lambda v: gradients(PARAMS, X_OK, Y_OK, lambda_c=v), _NONNEGATIVE, 0.5
+    ),
+    ("gradients", "lambda_s"): (
+        lambda v: gradients(PARAMS, X_OK, Y_OK, lambda_s=v), _NONNEGATIVE, 0.5
+    ),
+    ("split", "test_fraction"): (lambda v: split(10, v), _FRACTION, 0.5),
+    ("make_deepcoda_method", "lambda_c"): (
+        lambda v: make_deepcoda_method(lambda_c=v), _NONNEGATIVE, 0.5
+    ),
+    ("make_deepcoda_method", "lambda_s"): (
+        lambda v: make_deepcoda_method(lambda_s=v), _NONNEGATIVE, 0.5
+    ),
+    ("make_deepcoda_method", "learning_rate"): (
+        lambda v: make_deepcoda_method(learning_rate=v), _POSITIVE, 0.5
+    ),
+    ("make_lasso_method", "lambda_grid"): (
+        lambda v: make_lasso_method(lambda_grid=[v]), _NONNEGATIVE, 0.5
+    ),
+    ("grid_search", "lambda_s"): (lambda v: _grid(lambda_s_grid=(v,)), _NONNEGATIVE, 0.5),
+    ("grid_search", "lambda_c"): (lambda v: _grid(lambda_c=v), _NONNEGATIVE, 0.5),
+    ("grid_search", "learning_rate"): (lambda v: _grid(learning_rate=v), _POSITIVE, 0.5),
+    ("LassoModel", "lam"): (lambda v: LassoModel(np.zeros(3), 0.0, v), _NONNEGATIVE, 0.5),
+    ("lasso_objective", "lam"): (
+        lambda v: lasso_objective(X_OK, Y_OK, np.zeros(3), 0.0, v), _NONNEGATIVE, 0.5
+    ),
+    ("lasso_logistic_fit", "lam"): (
+        lambda v: lasso_logistic_fit(X_OK, Y_OK, v), _NONNEGATIVE, 0.5
+    ),
+    ("lasso_logistic_fit", "rel_tol"): (
+        lambda v: lasso_logistic_fit(X_OK, Y_OK, 0.1, rel_tol=v), _NONNEGATIVE, 0.5
+    ),
+    ("cv_select_lambda", "lambda_grid"): (
+        lambda v: cv_select_lambda(X_OK, Y_OK, n_folds=2, lambda_grid=[v]), _NONNEGATIVE, 0.5
+    ),
+    ("replace_zeros", "delta_fraction"): (lambda v: replace_zeros(_ZEROS, v), _FRACTION, 0.5),
+    ("load_dataset", "delta_fraction"): (_load_dataset, _FRACTION, 0.5),
+    ("contrast_membership", "magnitude_threshold"): (
+        lambda v: contrast_membership(PARAMS, 0, magnitude_threshold=v), _NONNEGATIVE, 0.5
+    ),
+}
+
+
+def _rejected_reals(interval):
+    """A string, a bool, NaN, infinity, and the nearest values outside the interval."""
+    low, high, low_open = interval
+    outside = [low if low_open else np.nextafter(low, -math.inf)]
+    return ["0.5", True, math.nan, math.inf] + outside + ([high] if high < math.inf else [])
+
+
+@pytest.mark.parametrize(
+    "entry,argument,value",
+    [
+        (entry, argument, value)
+        for (entry, argument), (_, interval, _) in REAL_RULES.items()
+        for value in _rejected_reals(interval)
+    ],
+)
+def test_real_rule_rejects(entry, argument, value):
+    call = REAL_RULES[entry, argument][0]
+    with pytest.raises(ValueError, match=rf"^{argument} must"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry,argument", sorted(REAL_RULES))
+def test_real_rule_accepts_a_valid_value(entry, argument):
+    call, _, valid = REAL_RULES[entry, argument]
+    call(np.float64(valid))
+
+
+_REAL_ARGUMENT = re.compile(
+    r"lambda_\w+|lam|learning_rate|adam_\w+|\w+_fraction|magnitude_threshold|rel_tol"
+)
+
+
+def test_every_real_argument_is_in_the_table():
+    """A new public penalty, rate, fraction or tolerance cannot skip the real-number rule."""
+    missing = [
+        f"{name}({argument})"
+        for name, argument in _public_arguments()
+        if _REAL_ARGUMENT.fullmatch(argument)
+        # A grid's elements are reported under the element's name.
+        and not {(name, argument), (name, argument.removesuffix("_grid"))} & REAL_RULES.keys()
+    ]
     assert not missing
 
 

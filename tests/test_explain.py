@@ -244,6 +244,13 @@ class TestWeightContrastCorrelation:
         with pytest.raises(ValueError, match="samples"):
             weight_contrast_correlation(np.ones((3, 3)), np.ones((3, 3)))
 
+    def test_rejects_non_finite_weights(self):
+        rng = np.random.default_rng(8)
+        w = rng.normal(size=(20, 2))
+        w[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^W must be finite"):
+            weight_contrast_correlation(w, rng.normal(size=(20, 2)))
+
 
 def csv_writer_line(row):
     """``row`` as csv.writer writes it, ended by "\n" but quoted as for "\r\n".

@@ -585,6 +585,11 @@ class TestParamsValidation:
                 mlp_b2=np.zeros(2),
             )
 
+    @pytest.mark.parametrize("dims", [(3, 2), (3, 2, 4, 5)])
+    def test_rejects_dims_of_other_length(self, dims):
+        with pytest.raises(ValueError, match="^dims must be"):
+            DeepCodaParams.zeros(dims)
+
     def test_init_params_dims(self):
         p = init_params(7, 3, seed=0)
         assert p.dims == (7, 3, 16)

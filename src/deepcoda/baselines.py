@@ -13,6 +13,7 @@ chosen so the step size does not collapse on raw abundance scales.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,16 @@ _REL_TOL = 1e-10
 
 
 def soft_threshold(u, threshold):
-    """Closed-form prox of the absolute value: sign(u) * max(|u| - threshold, 0)."""
+    """Closed-form prox of the absolute value: sign(u) * max(|u| - threshold, 0).
+
+    ``threshold`` is a finite nonnegative real, or an array of them.
+    """
+    if isinstance(threshold, np.ndarray):
+        check_array(threshold, "threshold", threshold.ndim, bound=">=0")
+    elif np.ndim(threshold) == 0:
+        check_real(threshold, "threshold")
+    else:
+        threshold = check_array(threshold, "threshold", np.ndim(threshold), bound=">=0")
     arr = np.asarray(u, dtype=float)
     return np.sign(arr) * np.maximum(np.abs(arr) - threshold, 0.0)
 
@@ -67,6 +77,8 @@ class LassoModel:
     converged: bool = True
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coef", check_array(self.coef, "coef", 1))
+        check_real(self.intercept, "intercept", low=-math.inf, low_open=True)
         check_real(self.lam, "lam")
         check_choice(self.transform, "transform", TRANSFORMS)
         check_count(self.n_iter, "n_iter", 0)
@@ -80,12 +92,14 @@ class LassoModel:
 
 def lasso_objective(X, y, coef, intercept, lam) -> float:
     """(1/N) * sum of logistic losses + lam * ||coef||_1 (intercept unpenalized)."""
+    xv = check_array(X, "X", 2)
+    yv = check_labels(y, xv.shape[0])
+    cv = check_array(coef, "coef", 1, length=xv.shape[1])
+    check_real(intercept, "intercept", low=-math.inf, low_open=True)
     check_real(lam, "lam")
-    xv = np.asarray(X, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    margins = xv @ np.asarray(coef, dtype=float) + intercept
+    margins = xv @ cv + intercept
     signs = 2.0 * yv - 1.0
-    return float(np.logaddexp(0.0, -signs * margins).mean() + lam * np.abs(coef).sum())
+    return float(np.logaddexp(0.0, -signs * margins).mean() + lam * np.abs(cv).sum())
 
 
 def lasso_logistic_fit(

@@ -11,15 +11,20 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import math
+import os
 import sys
+import warnings
 from array import array
 from pathlib import Path
 
 import numpy as np
 
+from ._forkmap import ordered_fork_map
 from ._formats import NUMBER, csv_row, key_values
 from .baselines import (
     TRANSFORMS,
@@ -29,7 +34,13 @@ from .baselines import (
     scaled_magnitudes,
 )
 from .checks import check_real
-from .coda import _RELATIVE_SUM_TOL, DEFAULT_DELTA_FRACTION, CompositionMatrix, replace_zeros
+from .coda import (
+    DEFAULT_DELTA_FRACTION,
+    CompositionMatrix,
+    _replace_zeros_values,
+    _sums_to_one,
+    replace_zeros,
+)
 from .evaluate import (
     DEFAULT_N_SPLITS,
     LabeledDataset,
@@ -42,7 +53,11 @@ from .evaluate import (
 )
 # ``explain_sample`` and ``render_report`` are not called here; perfbench/tracer.py wraps them.
 from .explain import (  # noqa: F401
+    _ROW_BLOCK,
     _explanation_blocks,
+    _explanation_rows,
+    _explanations_header,
+    _positives,
     _summary_tables,
     contrast_membership,
     explain_batch,
@@ -81,16 +96,31 @@ def read_dataset_csv(path):
 def _parse_dataset(path, reader):
     """``read_dataset_csv``'s result from the rows of ``reader``; raises at the first fault."""
     header = next(reader, None)
+    _check_header(path, header)
+    sample_ids, values, labels = _parse_rows(path, reader, len(header))
+    if not sample_ids:
+        raise ValueError(f"{path}: no data rows")
+    return sample_ids, header[1:-1], values, labels
+
+
+def _check_header(path, header) -> None:
     if header is None:
         raise ValueError(f"{path}: empty dataset file")
     if len(header) < 4:
         raise ValueError(f"{path}: need sample_id, at least two features, and label")
     if header[0] != "sample_id" or header[-1] != "label":
         raise ValueError(f"{path}: header must start with sample_id and end with label")
+
+
+def _parse_rows(path, reader, n_fields: int):
+    """(sample ids, N x (n_fields - 2) values, labels) of the data rows of ``reader``.
+
+    Error messages number the rows as lines of a file whose header is line 1.
+    """
     sample_ids, values, labels = [], array("d"), []
     for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{line_no}: expected {len(header)} fields")
+        if len(row) != n_fields:
+            raise ValueError(f"{path}:{line_no}: expected {n_fields} fields")
         try:
             feats = list(map(float, row[1:-1]))
         except ValueError as exc:
@@ -106,10 +136,8 @@ def _parse_dataset(path, reader):
         sample_ids.append(row[0])
         values.fromlist(feats)
         labels.append(row[-1] == "1")
-    if not sample_ids:
-        raise ValueError(f"{path}: no data rows")
-    values_2d = np.array(values).reshape(len(sample_ids), -1)
-    return sample_ids, header[1:-1], values_2d, np.array(labels, dtype=int)
+    values_2d = np.array(values).reshape(len(sample_ids), n_fields - 2)
+    return sample_ids, values_2d, np.array(labels, dtype=int)
 
 
 def load_dataset(path, delta_fraction: float = DEFAULT_DELTA_FRACTION):
@@ -119,7 +147,7 @@ def load_dataset(path, delta_fraction: float = DEFAULT_DELTA_FRACTION):
     """
     check_real(delta_fraction, "delta_fraction", high=1.0, low_open=True)
     sample_ids, feature_names, values, labels = read_dataset_csv(path)
-    kind = "relative" if np.all(np.abs(values.sum(axis=1) - 1.0) <= _RELATIVE_SUM_TOL) else "absolute"
+    kind = "relative" if _sums_to_one(values) else "absolute"
     matrix = CompositionMatrix(values, sample_ids, feature_names, kind)
     return replace_zeros(matrix, delta_fraction), labels
 
@@ -231,30 +259,144 @@ def cmd_explain(args) -> int:
     params = load_params(args.model)
     if params.head != "self_explain":
         raise ValueError("model uses the linear head; explanations need self_explain")
-    matrix, _labels = load_dataset(args.data, args.delta_fraction)
-    d, n_bottlenecks, _ = params.dims
-    if matrix.n_features != d:
-        raise ValueError(f"model expects {d} features, data has {matrix.n_features}")
-    batch = explain_batch(params, matrix.values, matrix.sample_ids)
-    memberships = [
-        contrast_membership(params, b, matrix.feature_names)
-        for b in range(n_bottlenecks)
-    ]
-    correlations = None
-    if matrix.n_samples > n_bottlenecks:
-        correlations = weight_contrast_correlation(batch.w, batch.z)
-    # render_report's tables, with the large one streamed block by block.
-    summary, memberships_csv, correlations_csv = _summary_tables(batch, memberships, correlations)
+    check_real(args.delta_fraction, "delta_fraction", high=1.0, low_open=True)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "explanations.csv", "w", encoding="utf-8") as fh:
-        fh.writelines(_explanation_blocks(batch))
+    explained = _explain_in_blocks(params, args.data, args.delta_fraction, out_dir)
+    if explained is None:
+        explained = _explain_whole_file(params, args.data, args.delta_fraction, out_dir)
+    feature_names, z, w, n_positive = explained
+    n_bottlenecks = params.dims[1]
+    memberships = [contrast_membership(params, b, feature_names) for b in range(n_bottlenecks)]
+    correlations = None
+    if z.shape[0] > n_bottlenecks:
+        correlations = weight_contrast_correlation(w, z)
+    # render_report's tables; explanations.csv is already written.
+    summary, memberships_csv, correlations_csv = _summary_tables(
+        z.shape[0], n_positive, memberships, correlations
+    )
     (out_dir / "memberships.csv").write_text(memberships_csv, encoding="utf-8")
     (out_dir / "correlations.csv").write_text(correlations_csv, encoding="utf-8")
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
     print(summary, end="")
     print(f"wrote report files to {out_dir}")
     return EXIT_OK
+
+
+def _explain_whole_file(params, path, delta_fraction, out_dir: Path):
+    """Read the whole dataset, explain it and write explanations.csv.
+
+    Returns (feature names, Z, W, positive decisions). This is the reference
+    that ``_explain_in_blocks`` matches byte for byte, and its errors are the
+    ones ``explain`` reports.
+    """
+    matrix, _labels = load_dataset(path, delta_fraction)
+    d = params.dims[0]
+    if matrix.n_features != d:
+        raise ValueError(f"model expects {d} features, data has {matrix.n_features}")
+    batch = explain_batch(params, matrix.values, matrix.sample_ids)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "explanations.csv", "w", encoding="utf-8") as fh:
+        fh.writelines(_explanation_blocks(batch))
+    return matrix.feature_names, batch.z, batch.w, _positives(batch)
+
+
+# What a block's rows may raise; the whole-file path then reports it.
+_BLOCK_FAULTS = (ValueError, ArithmeticError, MemoryError, csv.Error)
+
+
+def _explain_in_blocks(params, path, delta_fraction, out_dir: Path):
+    """``_explain_whole_file``, with every row stage run per block of ``_ROW_BLOCK`` lines.
+
+    Each ``ordered_fork_map`` task decodes, parses, imputes, explains and
+    formats one block, so this process never holds the dataset. Returns
+    None, and leaves the file system as it found it, where the blocks cannot
+    stand for the whole file: a file holding a ``"`` (a quoted field may span
+    lines), a first line that is not one valid header for the model, any
+    fault or warning in any block, or any OSError. The whole-file path then
+    gives the result, or raises the error, of reading the file at once.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    header_end = data.find(b"\n") + 1
+    if b'"' in data or not 0 < header_end < len(data):
+        return None
+    try:
+        records = list(csv.reader(io.StringIO(str(data[:header_end], "utf-8"), newline="")))
+        header = records[0] if len(records) == 1 else None
+        _check_header(path, header)
+    except (ValueError, csv.Error):
+        return None
+    if len(header) - 2 != params.dims[0]:
+        return None
+    newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    bounds = [header_end, *(newlines[_ROW_BLOCK::_ROW_BLOCK] + 1).tolist()]
+    if bounds[-1] != len(data):
+        bounds.append(len(data))
+
+    def block(k: int):
+        # The whole-file path's steps on one block. Its error messages count
+        # lines from the block's start, so a fault is only flagged (None).
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                text = str(data[bounds[k] : bounds[k + 1]], "utf-8")
+                reader = csv.reader(io.StringIO(text, newline=""))
+                sample_ids, values, _labels = _parse_rows(path, reader, len(header))
+                imputed = _replace_zeros_values(values, delta_fraction)
+                batch = explain_batch(params, imputed, sample_ids)
+                rows = _explanation_rows(batch)
+                relative = (_sums_to_one(values), _sums_to_one(imputed))
+            except _BLOCK_FAULTS:
+                return None
+        if caught:
+            return None
+        return rows, batch.z, batch.w, _positives(batch), relative
+
+    created = []  # the directories mkdir makes, deepest first
+    missing = out_dir
+    while not os.path.lexists(missing):
+        created.append(missing)
+        missing = missing.parent
+    part = out_dir / f".explanations.csv.{os.getpid()}.part"
+    results = ordered_fork_map(block, len(bounds) - 1)
+    zs, ws, n_positive, sums_to_one, written = [], [], 0, [], False
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # O_EXCL: never truncate a file this process did not create.
+        with open(os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w",
+                  encoding="utf-8") as fh:
+            fh.write(_explanations_header(params.dims[1]))
+            for result in results:
+                if result is None:
+                    break
+                rows, z, w, positives, sums = result
+                fh.write(rows)
+                zs.append(z)
+                ws.append(w)
+                n_positive += positives
+                sums_to_one.append(sums)
+        # As in load_dataset, the file is relative when every row sums to one,
+        # and then every imputed row must too.
+        relative = all(raw for raw, _ in sums_to_one)
+        consistent = not relative or all(imputed for _, imputed in sums_to_one)
+        if len(zs) == len(bounds) - 1 and consistent:
+            os.replace(part, out_dir / "explanations.csv")
+            written = True
+    except OSError:
+        pass
+    finally:
+        results.close()
+        if not written:
+            with contextlib.suppress(OSError):
+                part.unlink(missing_ok=True)
+                for directory in created:
+                    directory.rmdir()
+    if not written:
+        return None
+    return header[1:-1], np.concatenate(zs), np.concatenate(ws), n_positive
 
 
 def cmd_baseline(args) -> int:

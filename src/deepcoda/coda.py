@@ -35,6 +35,11 @@ DEFAULT_DELTA_FRACTION = 0.5
 _RELATIVE_SUM_TOL = 1e-9
 
 
+def _sums_to_one(values: np.ndarray) -> bool:
+    """Whether every row of ``values`` sums to 1 within ``_RELATIVE_SUM_TOL``."""
+    return bool(np.all(np.abs(values.sum(axis=1) - 1.0) <= _RELATIVE_SUM_TOL))
+
+
 @dataclass(frozen=True)
 class CompositionMatrix:
     """An N x D abundance matrix with sample ids and feature names.
@@ -67,10 +72,8 @@ class CompositionMatrix:
             self, "feature_names", check_names(self.feature_names, d, "feature names")
         )
         check_choice(self.kind, "kind", KINDS)
-        if self.kind == "relative":
-            sums = values.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > _RELATIVE_SUM_TOL):
-                raise ValueError("relative rows must sum to 1")
+        if self.kind == "relative" and not _sums_to_one(values):
+            raise ValueError("relative rows must sum to 1")
 
     @property
     def n_samples(self) -> int:
@@ -131,10 +134,17 @@ def replace_zeros(
         zeros it is returned unchanged.
     """
     check_real(delta_fraction, "delta_fraction", high=1.0, low_open=True)
-    values = m.values
+    values = _replace_zeros_values(m.values, delta_fraction)
+    if values is m.values:
+        return m
+    return CompositionMatrix(values, m.sample_ids, m.feature_names, m.kind)
+
+
+def _replace_zeros_values(values: np.ndarray, delta_fraction: float) -> np.ndarray:
+    """``replace_zeros`` on a bare N x D array; returns ``values`` itself if it holds no zeros."""
     zero_mask = values == 0
     if not zero_mask.any():
-        return m
+        return values
     rows = np.flatnonzero(zero_mask.any(axis=1))
     sub, zeros = values[rows], zero_mask[rows]
     empty = zeros.all(axis=1)
@@ -152,7 +162,7 @@ def replace_zeros(
         )
     out = values.copy()
     out[rows] = np.where(zeros, delta[:, None], sub * scale[:, None])
-    return CompositionMatrix(out, m.sample_ids, m.feature_names, m.kind)
+    return out
 
 
 def clr(x):

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._formats import NUMBER, csv_field, csv_row
+from ._formats import csv_field, csv_row, number_rows
 from ._forkmap import ordered_fork_map
 from .checks import check_array, check_count, check_names, check_real
 # ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
@@ -47,6 +47,11 @@ _ROW_BLOCK = 4096  # explanation rows per block: one join, one fork-map task
 def _decisions(products: np.ndarray) -> np.ndarray:
     """Positive class iff the summed product scores exceed zero (logit > 0), per row."""
     return np.where(products.sum(axis=-1) > 0.0, DECISION_POSITIVE, DECISION_NEGATIVE)
+
+
+def _positives(batch: "ExplanationBatch") -> int:
+    """How many rows of ``batch`` have the decision ``DECISION_POSITIVE``."""
+    return int(np.count_nonzero(batch.decisions == DECISION_POSITIVE))
 
 
 def decision_rule(products) -> str:
@@ -243,34 +248,45 @@ def _csv_table(header: list[str], rows: Iterable[list]) -> str:
     return "".join(map(csv_row, [header, *rows]))
 
 
+def _explanations_header(n_contrasts: int) -> str:
+    return csv_row(
+        ["sample_id"]
+        + [f"{kind}_{b + 1}" for kind in ("z", "w", "prod") for b in range(n_contrasts)]
+        + ["prob", "decision"]
+    )
+
+
+def _explanation_rows(batch: ExplanationBatch, rows: slice = slice(None)) -> str:
+    """The explanations table's lines for ``batch[rows]``; each number is written as ``NUMBER``."""
+    numbers = np.hstack(
+        [batch.z[rows], batch.w[rows], batch.products[rows], batch.prediction[rows, None]]
+    )
+    ids = map(csv_field, map(str, batch.sample_ids[rows]))
+    lines = zip(ids, number_rows(numbers), batch.decisions[rows].tolist())
+    return "".join([f"{sid},{text},{decision}\n" for sid, text, decision in lines])
+
+
 def _explanation_blocks(batch: ExplanationBatch) -> Iterator[str]:
     """The explanations table in order: its header, then one string per ``_ROW_BLOCK`` rows.
 
     With two or more blocks, ``ordered_fork_map`` formats them in forked workers.
     """
-    n_contrasts = batch.z.shape[1] if len(batch) else 0
-    yield csv_row(
-        ["sample_id"]
-        + [f"{kind}_{b + 1}" for kind in ("z", "w", "prod") for b in range(n_contrasts)]
-        + ["prob", "decision"]
-    )
-    # One "%" format per row, so each number is written as csv_row writes it.
-    row_format = "%s" + f",{NUMBER}" * (3 * n_contrasts + 1) + ",%s\n"
+    yield _explanations_header(batch.z.shape[1] if len(batch) else 0)
 
     def block(k: int) -> str:
-        rows = slice(k * _ROW_BLOCK, (k + 1) * _ROW_BLOCK)
-        numbers = np.hstack(
-            [batch.z[rows], batch.w[rows], batch.products[rows], batch.prediction[rows, None]]
-        )
-        ids = map(csv_field, map(str, batch.sample_ids[rows]))
-        lines = zip(ids, numbers.tolist(), batch.decisions[rows].tolist())
-        return "".join([row_format % (sid, *row, dec) for sid, row, dec in lines])
+        return _explanation_rows(batch, slice(k * _ROW_BLOCK, (k + 1) * _ROW_BLOCK))
 
     yield from ordered_fork_map(block, -(-len(batch) // _ROW_BLOCK))
 
 
-def _summary_tables(batch: ExplanationBatch, memberships, correlations) -> tuple[str, str, str]:
-    """``render_report``'s summary, memberships CSV and correlations CSV."""
+def _summary_tables(
+    n_samples: int, n_positive: int, memberships, correlations
+) -> tuple[str, str, str]:
+    """``render_report``'s summary, memberships CSV and correlations CSV.
+
+    ``n_positive`` of the ``n_samples`` explained rows have the decision
+    ``DECISION_POSITIVE``.
+    """
     mem_rows = []
     for m in memberships:
         for rank, (name, power) in enumerate(m.entries, start=1):
@@ -289,10 +305,10 @@ def _summary_tables(batch: ExplanationBatch, memberships, correlations) -> tuple
             corr_rows.append(["canonical", k, "", value])
     correlations_csv = _csv_table(["kind", "row", "col", "value"], corr_rows)
 
-    n_pos = int(np.count_nonzero(batch.decisions == DECISION_POSITIVE))
     lines = [
-        f"samples: {len(batch)}",
-        f"decisions: {n_pos} {DECISION_POSITIVE}, {len(batch) - n_pos} {DECISION_NEGATIVE}",
+        f"samples: {n_samples}",
+        f"decisions: {n_positive} {DECISION_POSITIVE}, "
+        f"{n_samples - n_positive} {DECISION_NEGATIVE}",
     ]
     for m in memberships:
         if m.entries:
@@ -322,6 +338,8 @@ def render_report(
     batch = explanations
     if not isinstance(batch, ExplanationBatch):
         batch = ExplanationBatch.stack(explanations)
-    summary, memberships_csv, correlations_csv = _summary_tables(batch, memberships, correlations)
+    summary, memberships_csv, correlations_csv = _summary_tables(
+        len(batch), _positives(batch), memberships, correlations
+    )
     explanations_csv = "".join(_explanation_blocks(batch))
     return ReportBundle(summary, explanations_csv, memberships_csv, correlations_csv)

@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 from scipy.special import logit
 
 from deepcoda import (
+    LassoModel,
     apply_transform,
     clr,
     cv_select_lambda,
@@ -40,6 +41,63 @@ class TestSoftThreshold:
         assert soft_threshold(-2.0, 0.5) == -1.5
         assert soft_threshold(0.3, 0.5) == 0.0
         assert soft_threshold(0.0, 0.5) == 0.0
+
+    def test_takes_one_threshold_per_entry(self):
+        got = soft_threshold([2.0, -2.0, 0.1], np.array([0.5, 1.5, 0.0]))
+        assert np.array_equal(got, [1.5, -0.5, 0.1])
+
+    @pytest.mark.parametrize(
+        "threshold,message",
+        [
+            (-1.0, "a finite number in"),
+            (np.nan, "a finite number in"),
+            (np.array([-1.0, 0.5]), "nonnegative"),
+            (np.array([np.nan, 0.5]), "finite"),
+        ],
+        ids=["negative", "nan", "negative-entry", "nan-entry"],
+    )
+    def test_rejects_a_negative_or_nan_threshold(self, threshold, message):
+        # A negative threshold would push values away from zero: [1, -1] -> [2, -2].
+        with pytest.raises(ValueError, match=f"^threshold must be {message}"):
+            soft_threshold(np.array([1.0, -1.0]), threshold)
+
+
+class TestLassoObjective:
+    X = np.array([[1.0, 2.0], [0.5, -1.0], [2.0, 0.0]])
+    Y = np.array([0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "argument,call",
+        [
+            ("X", lambda X, y: lasso_objective(X + [np.nan, 0.0], y, np.zeros(2), 0.0, 0.1)),
+            ("labels", lambda X, y: lasso_objective(X, np.array([0, 2, 1]), np.zeros(2), 0.0, 0.1)),
+            ("labels", lambda X, y: lasso_objective(X, y[:2], np.zeros(2), 0.0, 0.1)),
+            ("coef", lambda X, y: lasso_objective(X, y, np.array([np.inf, 0.0]), 0.0, 0.1)),
+            ("coef", lambda X, y: lasso_objective(X, y, np.zeros(3), 0.0, 0.1)),
+            ("intercept", lambda X, y: lasso_objective(X, y, np.zeros(2), np.nan, 0.1)),
+        ],
+        ids=["nan-in-X", "label-2", "short-labels", "inf-coef", "long-coef", "nan-intercept"],
+    )
+    def test_rejects_malformed_arguments(self, argument, call):
+        with pytest.raises(ValueError, match=f"^{argument} must"):
+            call(self.X, self.Y)
+
+
+class TestLassoModel:
+    @pytest.mark.parametrize(
+        "coef,intercept,message",
+        [
+            (np.array([np.nan, 1.0]), 0.0, "coef must be finite"),
+            (np.zeros((2, 1)), 0.0, "coef must have 1 dimensions"),
+            (np.zeros(2), np.inf, "intercept must be a finite number"),
+            (np.zeros(2), "0", "intercept must be a real number"),
+        ],
+        ids=["nan-coef", "2-d-coef", "inf-intercept", "string-intercept"],
+    )
+    def test_rejects_a_bad_coef_or_intercept(self, coef, intercept, message):
+        # A NaN coefficient once gave NaN decisions without an error.
+        with pytest.raises(ValueError, match=f"^{message}"):
+            LassoModel(coef, intercept, 0.1)
 
 
 class TestLassoFit:

@@ -47,6 +47,7 @@ from deepcoda import (
     params_to_text,
     predict_proba,
     replace_zeros,
+    soft_threshold,
     split,
     train,
 )
@@ -302,6 +303,7 @@ _NONNEGATIVE = (0.0, math.inf, False)
 _POSITIVE = (0.0, math.inf, True)
 _DECAY = (0.0, 1.0, False)
 _FRACTION = (0.0, 1.0, True)
+_REAL = (-math.inf, math.inf, True)
 _ZEROS = CompositionMatrix([[1.0, 0.0], [1.0, 2.0]], ["s0", "s1"], ["a", "b"], "absolute")
 
 
@@ -373,6 +375,13 @@ REAL_RULES = {
     ("contrast_membership", "magnitude_threshold"): (
         lambda v: contrast_membership(PARAMS, 0, magnitude_threshold=v), _NONNEGATIVE, 0.5
     ),
+    ("soft_threshold", "threshold"): (
+        lambda v: soft_threshold(np.array([1.0, -1.0]), v), _NONNEGATIVE, 0.5
+    ),
+    ("LassoModel", "intercept"): (lambda v: LassoModel(np.zeros(3), v, 0.1), _REAL, 0.5),
+    ("lasso_objective", "intercept"): (
+        lambda v: lasso_objective(X_OK, Y_OK, np.zeros(3), v, 0.1), _REAL, 0.5
+    ),
 }
 
 
@@ -404,7 +413,7 @@ def test_real_rule_accepts_a_valid_value(entry, argument):
 
 
 _REAL_ARGUMENT = re.compile(
-    r"lambda_\w+|lam|learning_rate|adam_\w+|\w+_fraction|magnitude_threshold|rel_tol"
+    r"lambda_\w+|lam|learning_rate|adam_\w+|\w+_fraction|\w*threshold|rel_tol|intercept"
 )
 
 

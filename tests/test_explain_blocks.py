@@ -1,0 +1,280 @@
+"""``deepcoda explain`` reads, explains and formats its rows block by block.
+
+Each block runs in a fork-map task; the result must be the whole-file one:
+byte-identical report files on a good input, and on a rejected input the
+exit code, the error line and the file system a whole-file read gives.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deepcoda import (
+    DeepCodaParams,
+    contrast_membership,
+    explain_batch,
+    load_params,
+    render_report,
+    save_params,
+    weight_contrast_correlation,
+)
+from deepcoda import cli
+from deepcoda.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_dataset, run
+
+D = 4
+REPORT_FILES = ("explanations.csv", "memberships.csv", "correlations.csv", "summary.txt")
+
+
+def model_params(overflowing: bool) -> DeepCodaParams:
+    """A 4-feature, 2-bottleneck model. The overflowing one's first weight is
+    1e305 * relu(log(x1 / x2)), so a row with x1 / x2 = 1e20 has a non-finite logit."""
+    rng = np.random.default_rng(3)
+    w2 = rng.normal(0, 0.4, size=(2, 2))
+    if overflowing:
+        w2 = np.array([[1e305, 0.0], [0.0, 0.7]])
+    return DeepCodaParams(
+        beta=np.array([[1.0, 0.3], [-1.0, 0.2], [0.0, -0.4], [0.0, -0.1]]),
+        beta0=np.array([0.0, 0.1]),
+        mlp_w1=np.eye(2),
+        mlp_b1=np.array([0.0, 0.5]),
+        mlp_w2=w2,
+        mlp_b2=np.array([0.0, 0.2]),
+    )
+
+
+# A fault on one row: (fields) -> fields, or (line bytes) -> line bytes.
+FIELD_FAULTS = {
+    "non_numeric": lambda f: [*f[:2], "x", *f[3:]],
+    "negative": lambda f: [*f[:2], "-1", *f[3:]],
+    "nan": lambda f: [*f[:3], "nan", *f[4:]],
+    "label": lambda f: [*f[:-1], "2"],
+    "field_count": lambda f: [*f[:2], *f[3:]],
+    "all_zero": lambda f: [f[0], *["0"] * (len(f) - 2), f[-1]],
+    "non_finite_contrast": lambda f: [f[0], "1e20", "1", *f[3:]],
+    # A row sum that overflows: numpy warns, and the row is still explained.
+    "huge": lambda f: [f[0], "1e308", "1e308", *f[3:]],
+}
+LINE_FAULTS = {
+    "decode": lambda line: b"\xff" + line,
+    "blank": lambda line: b"",
+    "bare_cr": lambda line: line[:3] + b"\r" + line[3:],
+}
+
+
+def dataset_bytes(values, faults=(), relative=False, crlf=False, final_newline=True,
+                  drop_feature=False, quoted=False):
+    """A dataset file: one row per row of ``values``, ``faults`` as (row, fault name) pairs."""
+    eol = b"\r\n" if crlf else b"\n"
+    n_features = values.shape[1] - drop_feature
+    header = ["sample_id", *(f"f{j + 1}" for j in range(n_features)), "label"]
+    lines = [",".join(header).encode()]
+    for i, row in enumerate(values):
+        row = row[:n_features]
+        numbers = (row / row.sum()).tolist() if relative else row.tolist()
+        # A quoted id may span lines, so a file holding a quote is one block.
+        sample_id = '"q,uo\nted"' if quoted and i == 0 else f"S{i}" if i % 3 else f"é{i}"
+        fields = [sample_id, *(repr(v) if relative else f"{v:.0f}" for v in numbers), str(i % 2)]
+        for row_index, fault in faults:
+            if row_index == i and fault in FIELD_FAULTS:
+                fields = FIELD_FAULTS[fault](fields)
+        line = ",".join(fields).encode()
+        for row_index, fault in faults:
+            if row_index == i and fault in LINE_FAULTS:
+                line = LINE_FAULTS[fault](line)
+        lines.append(line)
+    return eol.join(lines) + (eol if final_newline else b"")
+
+
+def reference(model: Path, data: Path, out: Path):
+    """(exit code, stdout, stderr, report files) from a whole-batch explanation."""
+    params = load_params(model)
+    n_bottlenecks = params.dims[1]
+    try:
+        matrix, _ = load_dataset(data)
+        if matrix.n_features != D:
+            raise ValueError(f"model expects {D} features, data has {matrix.n_features}")
+        batch = explain_batch(params, matrix.values, matrix.sample_ids)
+    except ValueError as exc:
+        return EXIT_USAGE, "", f"error: {exc}\n", None
+    except FloatingPointError as exc:
+        return EXIT_NUMERIC, "", f"error: {exc}\n", None
+    names = matrix.feature_names
+    memberships = [contrast_membership(params, b, names) for b in range(n_bottlenecks)]
+    correlations = None
+    if len(batch) > n_bottlenecks:
+        correlations = weight_contrast_correlation(batch.w, batch.z)
+    bundle = render_report(batch, memberships, correlations)
+    files = dict(zip(REPORT_FILES, (bundle.explanations_csv, bundle.memberships_csv,
+                                    bundle.correlations_csv, bundle.summary)))
+    stdout = f"{bundle.summary}wrote report files to {out}\n"
+    return EXIT_OK, stdout, "", {name: text.encode() for name, text in files.items()}
+
+
+def explain_cli(model: Path, data: Path, out: Path):
+    """(exit code, stdout, stderr, report files) from ``deepcoda explain``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(["explain", str(model), str(data), "--out", str(out)])
+    files = None
+    if code == EXIT_OK:
+        files = {name: (out / name).read_bytes() for name in REPORT_FILES}
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+def tree(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def assert_matches_reference(work: Path, data: bytes, overflowing: bool, block: int, cpus: int):
+    """Explain ``data`` in ``block``-line blocks on ``cpus`` CPUs; compare with the reference."""
+    model = work / "model.txt"
+    save_params(model_params(overflowing), model)
+    (work / "data.csv").write_bytes(data)
+    before = tree(work)
+    out = work / "out" / "report"
+    results, caught = [], []
+    usable = mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True)
+    for explain in (reference, explain_cli):
+        with warnings.catch_warnings(record=True) as seen, \
+                mock.patch.object(cli, "_ROW_BLOCK", block), usable:
+            warnings.simplefilter("always")
+            results.append(explain(model, work / "data.csv", out))
+        caught.append([(w.category, str(w.message)) for w in seen])
+        if results[-1][0] != EXIT_OK:
+            assert tree(work) == before  # nothing created, nothing left behind
+    assert results[1] == results[0]
+    assert caught[1] == caught[0]
+    return results[0], caught[0]
+
+
+def counts(n_rows: int, seed: int) -> np.ndarray:
+    """Abundance counts of ``n_rows`` rows with a few zeros; no row is all zero."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 60, size=(n_rows, D)).astype(float)
+    values[:, 0] += 1.0
+    return values
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_rows=st.integers(1, 14),
+    seed=st.integers(0, 2**16),
+    faults=st.lists(
+        st.tuples(st.integers(0, 13), st.sampled_from(sorted({**FIELD_FAULTS, **LINE_FAULTS}))),
+        max_size=3,
+    ),
+    layout=st.fixed_dictionaries({
+        "relative": st.booleans(),
+        "crlf": st.booleans(),
+        "final_newline": st.booleans(),
+        "drop_feature": st.sampled_from([False] * 5 + [True]),
+        "quoted": st.sampled_from([False] * 4 + [True]),
+    }),
+    overflowing=st.booleans(),
+    block=st.integers(1, 4),
+    cpus=st.sampled_from([1, 1, 2]),
+)
+def test_blocks_give_the_whole_batch_result(n_rows, seed, faults, layout, overflowing, block, cpus):
+    data = dataset_bytes(counts(n_rows, seed), faults, **layout)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_matches_reference(Path(tmp), data, overflowing, block, cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "faults,drop_feature,code,message",
+    [
+        ([(1, "non_finite_contrast"), (7, "non_numeric")], False, EXIT_USAGE, ":9: non-numeric"),
+        ([(2, "label"), (8, "decode")], False, EXIT_USAGE, "'utf-8' codec can't decode"),
+        ([(6, "all_zero")], False, EXIT_USAGE, "row 6 is entirely zero"),
+        ([(5, "negative")], True, EXIT_USAGE, ":7: negative abundance"),
+        ([(4, "non_finite_contrast")], False, EXIT_NUMERIC, "non-finite value in forward pass"),
+        ([], True, EXIT_USAGE, "model expects 4 features, data has 3"),
+    ],
+    ids=["parse-after-non-finite", "decode-after-parse", "all-zero-row",
+         "parse-with-feature-mismatch", "non-finite-contrast", "feature-mismatch"],
+)
+def test_a_fault_in_any_block_gives_the_whole_file_error(
+    tmp_path, faults, drop_feature, code, message, cpus
+):
+    data = dataset_bytes(counts(10, 1), faults, drop_feature=drop_feature)
+    (got_code, _, stderr, _), _ = assert_matches_reference(tmp_path, data, True, 3, cpus)
+    assert got_code == code
+    assert message in stderr
+
+
+@pytest.mark.parametrize("layout", [{}, {"crlf": True}, {"relative": True}, {"quoted": True}],
+                         ids=["counts", "crlf", "relative", "quoted"])
+def test_good_files_give_the_whole_batch_report(tmp_path, layout):
+    data = dataset_bytes(counts(23, 2), **layout)
+    for cpus in (1, 2):
+        work = tmp_path / f"cpus{cpus}"
+        work.mkdir()
+        assert assert_matches_reference(work, data, False, 5, cpus)[0][0] == EXIT_OK
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_block_that_warns_gives_the_whole_file_warnings(tmp_path, cpus):
+    data = dataset_bytes(counts(8, 3), [(5, "huge")])
+    (code, _, _, _), caught = assert_matches_reference(tmp_path, data, False, 3, cpus)
+    assert code == EXIT_OK
+    assert (RuntimeWarning, "overflow encountered in reduce") in caught
+
+
+def test_a_good_file_is_explained_without_the_whole_file_path(tmp_path, monkeypatch, set_cpus):
+    save_params(model_params(False), tmp_path / "model.txt")
+    (tmp_path / "data.csv").write_bytes(dataset_bytes(counts(30, 4)))
+
+    def whole_file(*args):
+        raise AssertionError("the blocks fell back to the whole-file path")
+
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(cli, "_explain_whole_file", whole_file)
+    set_cpus(2)
+    argv = ["explain", str(tmp_path / "model.txt"), str(tmp_path / "data.csv"),
+            "--out", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == EXIT_OK
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(REPORT_FILES)
+
+
+def test_a_rejected_file_leaves_an_earlier_report_as_it_was(tmp_path):
+    save_params(model_params(False), tmp_path / "model.txt")
+    out = tmp_path / "out"
+    (tmp_path / "good.csv").write_bytes(dataset_bytes(counts(12, 5)))
+    (tmp_path / "bad.csv").write_bytes(dataset_bytes(counts(12, 6), [(10, "label")]))
+    explain = ["explain", str(tmp_path / "model.txt")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run([*explain, str(tmp_path / "good.csv"), "--out", str(out)]) == EXIT_OK
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    with mock.patch.object(cli, "_ROW_BLOCK", 2), contextlib.redirect_stderr(io.StringIO()):
+        assert run([*explain, str(tmp_path / "bad.csv"), "--out", str(out)]) == EXIT_USAGE
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+# Sums to 1 within 1e-9, but not once its zero is imputed.
+DRIFTING_ROW = ["0.0", "0.11638940957447788", "0.10661105421141165", "0.7769995372141104"]
+
+
+@pytest.mark.parametrize("absolute_row", [None, 1], ids=["relative-file", "absolute-file"])
+def test_the_kind_is_decided_over_all_rows(tmp_path, absolute_row):
+    values = counts(9, 7)
+    lines = [b"sample_id,f1,f2,f3,f4,label"]
+    for i, row in enumerate(values):
+        numbers = row.tolist() if i == absolute_row else (row / row.sum()).tolist()
+        lines.append(",".join([f"S{i}", *map(repr, numbers), "0"]).encode())
+    lines.append(",".join(["drift", *DRIFTING_ROW, "1"]).encode())
+    data = b"\n".join(lines) + b"\n"
+    (code, _, stderr, _), _ = assert_matches_reference(tmp_path, data, False, 2, 2)
+    if absolute_row is None:
+        assert (code, stderr) == (EXIT_USAGE, "error: relative rows must sum to 1\n")
+    else:
+        assert code == EXIT_OK

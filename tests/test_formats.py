@@ -1,12 +1,14 @@
-"""The shared text formats: how a CSV field is written, and the ``key = value`` readers."""
+"""The shared text formats: numbers and CSV fields as written, and the ``key = value`` readers."""
 
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deepcoda import DeepCodaParams, params_from_text, params_to_text
-from deepcoda._formats import NUMBER, csv_row
+from deepcoda._forkmap import ordered_fork_map
+from deepcoda._formats import NUMBER, csv_row, number_rows
 from deepcoda.cli import parse_train_config
 
 
@@ -63,3 +65,87 @@ def test_reader_rejects_a_duplicate_key(read, canonical, text, where):
     n = len(text.splitlines()) + 1
     with pytest.raises(ValueError, match="^" + re.escape(f"{where} {n}: duplicate key {key!r}")):
         read(f"{text}{first}\n")
+
+
+def _percent_rows(values: np.ndarray) -> list[str]:
+    """``",".join(NUMBER % x for x in row)`` for each row, as one ``%`` per row."""
+    row_format = ",".join([NUMBER] * values.shape[1])
+    return [row_format % tuple(row) for row in values.tolist()]
+
+
+def _mismatches(values, width=100) -> list:
+    """(x, number_rows' text) for each value where number_rows differs from ``NUMBER % x``."""
+    flat = np.asarray(values, dtype=float).ravel()
+    flat = np.concatenate([flat, np.ones(-flat.size % width)])
+    wrong = []
+    for start in range(0, flat.size, 50_000):  # chunks that stay in the CPU cache
+        chunk = flat[start : start + 50_000].reshape(-1, width)
+        for row, got, want in zip(chunk.tolist(), number_rows(chunk), _percent_rows(chunk)):
+            if got != want:
+                wrong += [(x, g) for x, g in zip(row, got.split(",")) if NUMBER % x != g]
+    return wrong
+
+
+def _powers_of_ten_and_neighbours():
+    exact = np.array([float(f"1e{k}") for k in range(-325, 309)])
+    return np.concatenate([exact, np.nextafter(exact, 0), np.nextafter(exact, np.inf)])
+
+
+def _value_set(case: int) -> np.ndarray:
+    """Float64 values of one kind; cases 0-19 hold more than 10 million."""
+    rng = np.random.default_rng([20261018, case])
+    kind = case % 5
+    if kind == 0:  # random bit patterns: signs, subnormals, inf and nan included
+        return rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(float)
+    if kind == 1:  # every binade, uniformly
+        scale = rng.integers(-1074, 1024, 100_000)
+        return np.ldexp(rng.uniform(-2.0, 2.0, scale.size), scale)
+    if kind == 2:  # the binades the exact path covers, and those around its ends
+        scale = rng.integers(-45, 60, 1_300_000)
+        return np.ldexp(rng.uniform(-2.0, 2.0, scale.size), scale)
+    if kind == 3:  # few significant digits, whose trailing zeros %g drops
+        digits = rng.integers(1, 10**6, 250_000) * 10.0 ** rng.integers(-16, 18, 250_000)
+        return np.concatenate([digits, -digits])
+    # Integers and halves near 2**52, 2**53 and 1e17, ties at the 17th digit,
+    # and powers of ten with their neighbours.
+    offset = case * 100_000.0
+    return np.concatenate([
+        2.0**52 + np.arange(-offset - 50_000, -offset + 50_000, 0.5),
+        2.0**53 + np.arange(offset - 50_000, offset + 50_000, 1.0),
+        1e17 + np.arange(offset - 800_000, offset + 800_000, 16.0),
+        1e15 + offset + np.arange(0.0, 25_000.0, 0.25),
+        _powers_of_ten_and_neighbours(),
+    ])
+
+
+class TestNumberRows:
+    """number_rows is ``NUMBER %`` on whole arrays: byte-identical on every float64."""
+
+    def test_matches_percent_on_ten_million_values(self):
+        # Forked workers share the cases, one per usable CPU.
+        def check(case):
+            values = _value_set(case)
+            return values.size, _mismatches(values)
+
+        results = list(ordered_fork_map(check, 20))
+        assert sum(n for n, _ in results) >= 10_000_000
+        assert [wrong for _, wrong in results if wrong] == []
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         np.inf, -np.inf, np.nan, -np.nan, 1e-11, 9.999999999999999e-12, 2.0**52, 2.0**52 - 0.5,
+         9.9999999999999995e-5, 1e-4, 1e-5, 0.5, 1.0, 1e15 + 0.25, 123456789012345.67],
+    )
+    def test_matches_percent_on_edge_values(self, value):
+        assert number_rows(np.array([[value, -value]])) == [f"{NUMBER % value},{NUMBER % -value}"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=12), st.integers(1, 4))
+    def test_matches_percent_on_any_floats(self, values, n_rows):
+        grid = np.array(values * n_rows).reshape(n_rows, len(values))
+        assert number_rows(grid) == _percent_rows(grid)
+
+    def test_rows_without_columns_are_empty(self):
+        assert number_rows(np.empty((3, 0))) == ["", "", ""]
+        assert number_rows(np.empty((0, 4))) == []

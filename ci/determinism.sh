@@ -1,0 +1,162 @@
+#!/usr/bin/env bash
+# End-to-end checks of the deepcoda CLI: outputs that must not depend on the
+# CPU count, and commands that must run without scipy, under an ASCII locale
+# and cleanly in Python's dev mode.
+#
+#   bash ci/determinism.sh            # every check
+#   bash ci/determinism.sh explain    # the named checks only
+#
+# Run from the root of a checkout with deepcoda importable (pip install -e .).
+set -eo pipefail
+
+# The benchmark CSV does not depend on the CPU count.
+check_benchmark() {
+  work=$(mktemp -d)
+  python3 -m deepcoda simulate toy --n 200 --out "$work/data"
+  # Flip every third label, so AUCs differ between methods and splits
+  # and a wrong merge order or a drifted AUC changes the CSV.
+  awk -F, 'BEGIN { OFS = "," } NR > 1 && NR % 3 == 2 { $NF = 1 - $NF } 1' \
+    "$work/data/relative.csv" > "$work/noisy.csv"
+  bench="python3 -m deepcoda benchmark $work/noisy.csv --splits 4 --epochs 50"
+  taskset -c 0 $bench --out "$work/serial.csv"
+  $bench --out "$work/parallel.csv"
+  test "$(cut -d, -f4 "$work/serial.csv" | sort -u | wc -l)" -gt 6
+  cmp "$work/serial.csv" "$work/parallel.csv"
+}
+
+# Training output does not depend on the CPU count.
+check_train() {
+  work=$(mktemp -d)
+  # 20,000 rows: above 10,000 elements an OpenBLAS dot product
+  # splits its sum across threads.
+  python3 -m deepcoda simulate cmyc --n 20000 --out "$work/data"
+  printf 'epochs = 5\n' > "$work/train.cfg"
+  train="python3 -m deepcoda train $work/data/relative.csv --config $work/train.cfg"
+  taskset -c 0 $train --out "$work/serial.txt"
+  $train --out "$work/parallel.txt"
+  cmp "$work/serial.txt" "$work/parallel.txt"
+  cmp "$work/serial.txt.report.csv" "$work/parallel.txt.report.csv"
+}
+
+# Explain output does not depend on the CPU count, and is the whole batch's report.
+check_explain() {
+  work=$(mktemp -d)
+  # 10,000 rows: three blocks, which forked workers read, explain and
+  # format when more than one CPU is usable.
+  python3 -m deepcoda simulate cmyc --n 10000 --out "$work/data"
+  printf 'epochs = 20\n' > "$work/train.cfg"
+  python3 -m deepcoda train "$work/data/relative.csv" --config "$work/train.cfg" \
+    --out "$work/model.txt"
+  cp "$work/data/relative.csv" "$work/relative.csv"
+  # Absolute counts with a zero in every seventh row, so the workers impute.
+  awk -F, 'BEGIN { OFS = "," } NR > 1 && NR % 7 == 0 { $3 = 0 } 1' \
+    "$work/data/absolute.csv" > "$work/zeros.csv"
+  grep -q ',0,' "$work/zeros.csv"
+  # Ids that need quotes: a file holding a quote is read as one block.
+  sed -e '2,$s/^S\([0-9]*\)/"S,\1"/' "$work/data/relative.csv" > "$work/quoted.csv"
+  # CRLF line ends, which the block reader leaves to csv: a whole-file read.
+  sed -e 's/$/\r/' "$work/data/relative.csv" > "$work/crlf.csv"
+  # A value in the middle block that float() reads and the block reader
+  # leaves to csv: that block, and so the command, falls back to a
+  # whole-file read.
+  awk -F, 'BEGIN { OFS = "," } NR == 5000 { $3 = "1_0" } 1' \
+    "$work/data/absolute.csv" > "$work/underscore.csv"
+  grep -q ',1_0,' "$work/underscore.csv"
+  inputs="relative zeros quoted crlf underscore"
+  for input in $inputs; do
+    explain="python3 -m deepcoda explain $work/model.txt $work/$input.csv"
+    taskset -c 0 $explain --out "$work/$input/serial"
+    $explain --out "$work/$input/parallel"
+    for name in explanations.csv memberships.csv correlations.csv summary.txt; do
+      cmp "$work/$input/serial/$name" "$work/$input/parallel/$name"
+    done
+  done
+  # The files are render_report's tables of the whole batch, byte for byte.
+  python3 - "$work" $inputs <<'PY'
+import sys
+from pathlib import Path
+
+from deepcoda import (contrast_membership, explain_batch, load_params, render_report,
+                      weight_contrast_correlation)
+from deepcoda.cli import load_dataset
+
+work = Path(sys.argv[1])
+params = load_params(work / "model.txt")
+for name in sys.argv[2:]:
+    matrix, _ = load_dataset(work / f"{name}.csv")
+    batch = explain_batch(params, matrix.values, matrix.sample_ids)
+    memberships = [contrast_membership(params, b, matrix.feature_names)
+                   for b in range(params.dims[1])]
+    correlations = weight_contrast_correlation(batch.w, batch.z)
+    bundle = render_report(batch, memberships, correlations)
+    tables = {"explanations.csv": bundle.explanations_csv,
+              "memberships.csv": bundle.memberships_csv,
+              "correlations.csv": bundle.correlations_csv,
+              "summary.txt": bundle.summary}
+    for file, text in tables.items():
+        assert (work / name / "serial" / file).read_bytes() == text.encode(), (name, file)
+PY
+}
+
+# Every CLI command runs without scipy.
+check_no_scipy() {
+  work=$(mktemp -d)
+  # scipy is only a test dependency. A None entry in sys.modules makes
+  # every import of it fail, a lazy one on any command's path included.
+  deepcoda() {
+    python3 -c 'import sys; sys.modules["scipy"] = None; from deepcoda.cli import main; main()' "$@"
+  }
+  deepcoda simulate toy --n 200 --out "$work/data"
+  deepcoda train "$work/data/relative.csv" --out "$work/model.txt"
+  deepcoda explain "$work/model.txt" "$work/data/relative.csv" --out "$work/explain"
+  deepcoda benchmark "$work/data/relative.csv" --splits 2 --epochs 50 --out "$work/bench.csv"
+  deepcoda baseline "$work/data/relative.csv" --out "$work/baseline.csv"
+}
+
+# Every CLI command runs under an ASCII locale.
+check_ascii_locale() {
+  work=$(mktemp -d)
+  python3 -m deepcoda simulate toy --n 200 --out "$work/data"
+  # Non-ASCII sample ids and feature names, which a C locale can
+  # neither decode nor print by default.
+  sed -e '1s/feature_/μ_/g' -e '2,$s/^S/é/' "$work/data/relative.csv" > "$work/names.csv"
+  ascii="env LC_ALL=C PYTHONUTF8=0 PYTHONCOERCECLOCALE=0 python3 -m deepcoda"
+  $ascii train "$work/names.csv" --out "$work/model.txt"
+  $ascii explain "$work/model.txt" "$work/names.csv" --out "$work/ascii"
+  $ascii benchmark "$work/names.csv" --splits 2 --epochs 50 --out "$work/bench.csv"
+  $ascii baseline "$work/names.csv" --out "$work/baseline.csv"
+  python3 -m deepcoda explain "$work/model.txt" "$work/names.csv" --out "$work/utf8"
+  for name in explanations.csv memberships.csv correlations.csv summary.txt; do
+    cmp "$work/ascii/$name" "$work/utf8/$name"
+  done
+}
+
+# Every CLI command runs clean in Python's dev mode.
+check_dev_mode() {
+  work=$(mktemp -d)
+  # Dev mode prints ResourceWarnings (an unclosed file or pool) and
+  # DeprecationWarnings. One raised in __del__ is only printed, and the
+  # exit code stays 0 even under -W error, so any stderr fails the check.
+  dev() {
+    status=0
+    python3 -X dev -m deepcoda "$@" > /dev/null 2> "$work/stderr.txt" || status=$?
+    cat "$work/stderr.txt"
+    test "$status" -eq 0 && test ! -s "$work/stderr.txt"
+  }
+  dev simulate toy --n 10000 --out "$work/data"
+  dev train "$work/data/relative.csv" --out "$work/model.txt"
+  # 10,000 rows: three blocks of the explanations table, so the fork
+  # map starts its pool where more than one CPU is usable.
+  dev explain "$work/model.txt" "$work/data/relative.csv" --out "$work/explain"
+  dev benchmark "$work/data/relative.csv" --splits 2 --epochs 50 --out "$work/bench.csv"
+  dev baseline "$work/data/relative.csv" --out "$work/baseline.csv"
+}
+
+checks=("$@")
+if [ ${#checks[@]} -eq 0 ]; then
+  checks=(benchmark train explain no_scipy ascii_locale dev_mode)
+fi
+for check in "${checks[@]}"; do
+  echo "== $check"
+  "check_$check"
+done

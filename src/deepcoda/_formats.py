@@ -57,21 +57,21 @@ def key_values(text: str, where: str):
 
 # --- NUMBER for whole arrays --------------------------------------------------
 #
-# ``number_rows`` writes %.17g exactly, without a Python format per number. A
-# value x = m * 2**e (m the 53-bit significand) with decimal exponent X (10**X
-# <= |x| < 10**(X + 1)) has the 17-digit significand round(m * 5**k * 2**(e +
-# k)), k = 16 - X. For 1e-11 <= |x| < 2**52, k lies in [1, 27], so 5**k fits
-# in 64 bits and m * 5**k in two 64-bit limbs (< 2**116); and e + k <= 0, so
-# the product is shifted right by s = -(e + k) bits, with 0 <= s <= 62, and
-# rounded half to even, as printf rounds. Everything else (zero, subnormals,
-# inf, nan, tiny and huge values) is formatted by ``%``.
+# ``_number_cells`` writes %.17g exactly, without a Python format per number.
+# A value x = m * 2**e (m the 53-bit significand) with decimal exponent X
+# (10**X <= |x| < 10**(X + 1)) has the 17-digit significand round(m * 5**k *
+# 2**(e + k)), k = 16 - X. For 1e-11 <= |x| < 2**52, k lies in [1, 27], so
+# 5**k fits in 64 bits and m * 5**k in two 64-bit limbs (< 2**116); and e + k
+# <= 0, so the product is shifted right by s = -(e + k) bits, with 0 <= s <=
+# 62, and rounded half to even, as printf rounds. Everything else (zero,
+# subnormals, inf, nan, tiny and huge values) is formatted by ``%``.
 #
 # Each number is laid out in a 48-byte cell of six little-endian uint64
 # words; NUL bytes are dropped at the end, so a cell may have holes:
 #   byte 0: "-" or NUL;  bytes 1-5: "0." and zeros, for -4 <= X <= -1;
 #   bytes 6, 8, ..., 38: the 17 digits, each followed by a slot that holds the
 #   decimal point after digit X (or after the first digit in e-notation);
-#   bytes 40-43: "e-XX" for X < -4;  byte 44: "," or "\n".
+#   bytes 40-43: "e-XX" for X < -4;  byte 44: the separator.
 # Which literals a cell holds, and which digits it shows (%g drops trailing
 # zeros after the point), depends only on X and the significant-digit count.
 
@@ -155,14 +155,12 @@ def _significands(bits, exponent, pow5):
     return ((high << _U64(1)) << (_U64(63) - shift)) | (low_up >> shift)
 
 
-def number_rows(values) -> list[str]:
-    """Each row of a 2-D float array as ``",".join(NUMBER % x for x in row)``, exactly."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    n_rows, n_cols = v.shape
-    if v.size == 0:
-        return [""] * n_rows
+def _number_cells(flat: np.ndarray) -> np.ndarray:
+    """``NUMBER % x`` for each x of a 1-D float64 array, as an N x _CELL uint8 array of cells.
+
+    Each cell's separator byte, ``_SEPARATOR``, is left NUL for its finisher.
+    """
     ceil10, pow5, digit_chunks, trailing, literals, shown = _number_tables()
-    flat = v.ravel()
     magnitude = np.abs(flat)
     exact = (magnitude >= ceil10[0]) & (magnitude < 2.0**52)
     magnitude[~exact] = 1.0  # any value in range; these lanes are written by "%"
@@ -201,6 +199,36 @@ def number_rows(values) -> list[str]:
         width = _SEPARATOR
         written = [(NUMBER % x).encode().ljust(width, b"\0") for x in flat[inexact].tolist()]
         text[inexact, :width] = np.frombuffer(b"".join(written), dtype=np.uint8).reshape(-1, width)
-    text[:, _SEPARATOR] = ord(",")
-    text.reshape(n_rows, n_cols * _CELL)[:, -_CELL + _SEPARATOR] = ord("\n")
-    return text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    return text
+
+
+def text_cells(texts) -> np.ndarray:
+    """Byte strings without NUL as an N x w uint8 array of NUL-padded cells, w the longest length."""
+    cells = np.array(texts, dtype=bytes)
+    return cells.view(np.uint8).reshape(len(cells), cells.itemsize)
+
+
+def cell_lines(first, numbers, last) -> bytes:
+    """One line per row: its ``first`` text, each of its ``numbers`` as ``NUMBER``, its ``last`` text.
+
+    The fields are separated by ``,`` and each line ends in ``\\n``. ``first``
+    and ``last`` are N x w uint8 cells (``text_cells``), written without their
+    NUL padding; ``numbers`` is an N x k float array. The line is laid out as
+    one row of a byte array with NUL holes, and one ``translate`` drops them.
+    """
+    n_rows, n_cols = np.shape(numbers)
+    if n_rows == 0:
+        return b""
+    head, tail = first.shape[1], last.shape[1]
+    width = n_cols * _CELL
+    buffer = bytearray(n_rows * (head + 1 + width + tail + 1))
+    rows = np.frombuffer(buffer, dtype=np.uint8).reshape(n_rows, -1)
+    rows[:, :head] = first
+    rows[:, head] = ord(",")
+    if n_cols:
+        cells = _number_cells(np.ascontiguousarray(numbers, dtype=np.float64).ravel())
+        cells[:, _SEPARATOR] = ord(",")
+        rows[:, head + 1 : head + 1 + width] = cells.reshape(n_rows, width)
+    rows[:, head + 1 + width : -1] = last
+    rows[:, -1] = ord("\n")
+    return bytes(buffer.translate(None, b"\0"))

@@ -57,8 +57,12 @@ def soft_threshold(u, threshold):
         check_real(threshold, "threshold")
     else:
         threshold = check_array(threshold, "threshold", np.ndim(threshold), bound=">=0")
-    arr = np.asarray(u, dtype=float)
-    return np.sign(arr) * np.maximum(np.abs(arr) - threshold, 0.0)
+    return _soft_threshold(np.asarray(u, dtype=float), threshold)
+
+
+def _soft_threshold(u: np.ndarray, threshold):
+    """``soft_threshold`` without its checks, for the solver's inner loop."""
+    return np.sign(u) * np.maximum(np.abs(u) - threshold, 0.0)
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,7 @@ def lasso_logistic_fit(
 
         step = min(step * 2.0, 1e6)
         while True:
-            new_coef = soft_threshold(coef - step * g_coef, step * weights)
+            new_coef = _soft_threshold(coef - step * g_coef, step * weights)
             new_int = intercept - step * g_int
             new_margins = xs @ new_coef + new_int
             f_new = smooth(new_margins)

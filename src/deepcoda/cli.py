@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._forkmap import ordered_fork_map
-from ._formats import NUMBER, csv_row, key_values
+from ._formats import NUMBER, csv_row, key_values, text_cells
 from .baselines import (
     TRANSFORMS,
     apply_transform,
@@ -54,8 +54,10 @@ from .evaluate import (
 # ``explain_sample`` and ``render_report`` are not called here; perfbench/tracer.py wraps them.
 from .explain import (  # noqa: F401
     _ROW_BLOCK,
+    DECISION_NEGATIVE,
+    DECISION_POSITIVE,
     _explanation_blocks,
-    _explanation_rows,
+    _explanation_lines,
     _explanations_header,
     _positives,
     _summary_tables,
@@ -138,6 +140,62 @@ def _parse_rows(path, reader, n_fields: int):
         labels.append(row[-1] == "1")
     values_2d = np.array(values).reshape(len(sample_ids), n_fields - 2)
     return sample_ids, values_2d, np.array(labels, dtype=int)
+
+
+_TEXT_CELL_MAX = 256  # bytes; a longer id would widen every row's id cell
+
+
+def _parse_block(data: bytes, n_fields: int):
+    """(id cells, N x (n_fields - 2) values) of the data lines in ``data``, read with numpy.
+
+    The fast reader of an ``explain`` block, which holds no ``"``. It reads
+    only what ``_parse_rows`` reads to the same ids and values, and raises
+    ValueError on anything else: a NUL byte or a ``\\r`` (so CRLF files too);
+    a line (lines end at ``\\n`` only) without exactly ``n_fields - 1`` commas;
+    a label other than ``0`` or ``1``; a value byte other than ``0-9 . + - e
+    E``; an id longer than ``_TEXT_CELL_MAX`` bytes; a value ``np.loadtxt``
+    rejects; a non-finite or negative value. The ids are
+    ``_formats.text_cells`` of their bytes.
+    """
+    if b"\0" in data or b"\r" in data:
+        raise ValueError("NUL byte or carriage return")
+    text = str(data, "utf-8")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if raw[-1] != ord("\n"):
+        ends = np.append(ends, raw.size)
+    n_rows, n_commas = ends.size, n_fields - 1
+    commas = np.flatnonzero(raw == ord(","))
+    if commas.size != n_rows * n_commas or np.any(
+        np.searchsorted(commas, ends) != n_commas * np.arange(1, n_rows + 1)
+    ):
+        raise ValueError("line with a wrong field count")
+    commas = commas.reshape(n_rows, n_commas)
+    labels = commas[:, -1] + 1
+    if np.any(ends - labels != 1) or np.any(raw[labels] | 1 != ord("1")):
+        raise ValueError("label other than 0 or 1")
+    # float() and loadtxt read a field of these bytes alike; an id may hold any.
+    value_byte = (raw - np.uint8(ord("+")) <= ord("9") - ord("+")) & (raw != ord("/"))
+    value_byte |= (raw | 0x20) == ord("e")
+    value_byte |= raw == ord("\n")
+    other = np.flatnonzero(~value_byte)
+    if np.any(other >= commas[np.searchsorted(ends, other), 0]):
+        raise ValueError("value the block reader leaves to csv")
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    widths = commas[:, 0] - starts
+    width = int(widths.max())
+    if width > _TEXT_CELL_MAX:
+        raise ValueError("id too long for a text cell")
+    columns = np.arange(width)
+    ids = raw[np.minimum(starts[:, None] + columns, raw.size - 1)]
+    ids[columns >= widths[:, None]] = 0
+    values = np.loadtxt(io.StringIO(text), delimiter=",", usecols=range(1, n_commas),
+                        comments=None, quotechar=None, ndmin=2, dtype=float)
+    if values.shape != (n_rows, n_fields - 2):
+        raise ValueError("loadtxt read another row count")
+    if not (np.isfinite(values).all() and (values >= 0).all()):
+        raise ValueError("non-finite or negative value")
+    return ids, values
 
 
 def load_dataset(path, delta_fraction: float = DEFAULT_DELTA_FRACTION):
@@ -295,7 +353,7 @@ def _explain_whole_file(params, path, delta_fraction, out_dir: Path):
         raise ValueError(f"model expects {d} features, data has {matrix.n_features}")
     batch = explain_batch(params, matrix.values, matrix.sample_ids)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "explanations.csv", "w", encoding="utf-8") as fh:
+    with open(out_dir / "explanations.csv", "wb") as fh:
         fh.writelines(_explanation_blocks(batch))
     return matrix.feature_names, batch.z, batch.w, _positives(batch)
 
@@ -307,13 +365,15 @@ _BLOCK_FAULTS = (ValueError, ArithmeticError, MemoryError, csv.Error)
 def _explain_in_blocks(params, path, delta_fraction, out_dir: Path):
     """``_explain_whole_file``, with every row stage run per block of ``_ROW_BLOCK`` lines.
 
-    Each ``ordered_fork_map`` task decodes, parses, imputes, explains and
-    formats one block, so this process never holds the dataset. Returns
-    None, and leaves the file system as it found it, where the blocks cannot
-    stand for the whole file: a file holding a ``"`` (a quoted field may span
-    lines), a first line that is not one valid header for the model, any
-    fault or warning in any block, or any OSError. The whole-file path then
-    gives the result, or raises the error, of reading the file at once.
+    Each ``ordered_fork_map`` task reads one block with ``_parse_block``,
+    imputes, explains and formats it, and returns its lines as bytes, so
+    this process never holds the dataset. Returns None, and leaves the file
+    system as it found it, where the blocks cannot stand for the whole file:
+    a file holding a ``"`` (a quoted field may span lines), a first line that
+    is not one valid header for the model, any fault (``_parse_block``'s
+    rejections included) or warning in any block, or any OSError. The
+    whole-file path then gives the result, or raises the error, of reading
+    the file at once.
     """
     try:
         with open(path, "rb") as fh:
@@ -342,18 +402,18 @@ def _explain_in_blocks(params, path, delta_fraction, out_dir: Path):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                text = str(data[bounds[k] : bounds[k + 1]], "utf-8")
-                reader = csv.reader(io.StringIO(text, newline=""))
-                sample_ids, values, _labels = _parse_rows(path, reader, len(header))
+                ids, values = _parse_block(data[bounds[k] : bounds[k + 1]], len(header))
                 imputed = _replace_zeros_values(values, delta_fraction)
-                batch = explain_batch(params, imputed, sample_ids)
-                rows = _explanation_rows(batch)
+                batch = explain_batch(params, imputed, range(len(imputed)))
+                decisions = text_cells([DECISION_NEGATIVE.encode(), DECISION_POSITIVE.encode()])
+                positive = (batch.decisions == DECISION_POSITIVE) * 1
+                lines = _explanation_lines(batch, ids, decisions[positive])
                 relative = (_sums_to_one(values), _sums_to_one(imputed))
             except _BLOCK_FAULTS:
                 return None
         if caught:
             return None
-        return rows, batch.z, batch.w, _positives(batch), relative
+        return lines, batch.z, batch.w, _positives(batch), relative
 
     created = []  # the directories mkdir makes, deepest first
     missing = out_dir
@@ -366,9 +426,8 @@ def _explain_in_blocks(params, path, delta_fraction, out_dir: Path):
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         # O_EXCL: never truncate a file this process did not create.
-        with open(os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w",
-                  encoding="utf-8") as fh:
-            fh.write(_explanations_header(params.dims[1]))
+        with open(os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+            fh.write(_explanations_header(params.dims[1]).encode())
             for result in results:
                 if result is None:
                     break

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._formats import csv_field, csv_row, number_rows
+from ._formats import cell_lines, csv_field, csv_row
 from ._forkmap import ordered_fork_map
 from .checks import check_array, check_count, check_names, check_real
 # ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
@@ -256,24 +256,37 @@ def _explanations_header(n_contrasts: int) -> str:
     )
 
 
-def _explanation_rows(batch: ExplanationBatch, rows: slice = slice(None)) -> str:
-    """The explanations table's lines for ``batch[rows]``; each number is written as ``NUMBER``."""
+def _explanation_lines(batch: ExplanationBatch, id_cells, decision_cells,
+                       rows: slice = slice(None)) -> bytes:
+    """The explanations table's lines for ``batch[rows]``, as UTF-8.
+
+    Each line holds the id, Z, W, the products, the prediction and the
+    decision. The ids and decisions are given as ``_formats.text_cells``;
+    each number is written as ``NUMBER``.
+    """
     numbers = np.hstack(
         [batch.z[rows], batch.w[rows], batch.products[rows], batch.prediction[rows, None]]
     )
-    ids = map(csv_field, map(str, batch.sample_ids[rows]))
-    lines = zip(ids, number_rows(numbers), batch.decisions[rows].tolist())
-    return "".join([f"{sid},{text},{decision}\n" for sid, text, decision in lines])
+    return cell_lines(id_cells, numbers, decision_cells)
 
 
-def _explanation_blocks(batch: ExplanationBatch) -> Iterator[str]:
-    """The explanations table in order: its header, then one string per ``_ROW_BLOCK`` rows.
+def _explanation_rows(batch: ExplanationBatch, rows: slice = slice(None)) -> bytes:
+    """``_explanation_lines`` for any ids and decisions, each joined around its line's numbers."""
+    ids = [csv_field(str(sid)).encode("utf-8", "surrogatepass") for sid in batch.sample_ids[rows]]
+    decisions = [str(d).encode("utf-8", "surrogatepass") for d in batch.decisions[rows].tolist()]
+    empty = np.zeros((len(ids), 0), dtype=np.uint8)
+    lines = _explanation_lines(batch, empty, empty, rows).split(b"\n")
+    return b"".join([sid + line + d + b"\n" for sid, line, d in zip(ids, lines, decisions)])
+
+
+def _explanation_blocks(batch: ExplanationBatch) -> Iterator[bytes]:
+    """The explanations table in order, as UTF-8: its header, then one block per ``_ROW_BLOCK`` rows.
 
     With two or more blocks, ``ordered_fork_map`` formats them in forked workers.
     """
-    yield _explanations_header(batch.z.shape[1] if len(batch) else 0)
+    yield _explanations_header(batch.z.shape[1] if len(batch) else 0).encode()
 
-    def block(k: int) -> str:
+    def block(k: int) -> bytes:
         return _explanation_rows(batch, slice(k * _ROW_BLOCK, (k + 1) * _ROW_BLOCK))
 
     yield from ordered_fork_map(block, -(-len(batch) // _ROW_BLOCK))
@@ -341,5 +354,5 @@ def render_report(
     summary, memberships_csv, correlations_csv = _summary_tables(
         len(batch), _positives(batch), memberships, correlations
     )
-    explanations_csv = "".join(_explanation_blocks(batch))
+    explanations_csv = b"".join(_explanation_blocks(batch)).decode("utf-8", "surrogatepass")
     return ReportBundle(summary, explanations_csv, memberships_csv, correlations_csv)

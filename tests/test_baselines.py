@@ -17,6 +17,7 @@ from deepcoda import (
     scaled_magnitudes,
     soft_threshold,
 )
+from deepcoda.baselines import _soft_threshold
 from deepcoda.evaluate import auc, split
 
 
@@ -45,6 +46,15 @@ class TestSoftThreshold:
     def test_takes_one_threshold_per_entry(self):
         got = soft_threshold([2.0, -2.0, 0.1], np.array([0.5, 1.5, 0.0]))
         assert np.array_equal(got, [1.5, -0.5, 0.1])
+
+    def test_the_solver_prox_is_the_checked_one_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        u = rng.normal(0.0, 3.0, 2000) * 10.0 ** rng.integers(-8, 8, 2000)
+        u[:3] = [0.0, -0.0, 1e-300]
+        per_entry = np.abs(rng.normal(0.0, 1.0, 2000)) * 10.0 ** rng.integers(-8, 8, 2000)
+        for threshold in (per_entry, 0.7, 0.0, np.float64(2.5)):
+            checked = soft_threshold(u, threshold)
+            assert checked.tobytes() == _soft_threshold(u, threshold).tobytes()
 
     @pytest.mark.parametrize(
         "threshold,message",

@@ -6,6 +6,7 @@ exit code, the error line and the file system a whole-file read gives.
 """
 
 import contextlib
+import csv
 import io
 import os
 import tempfile
@@ -15,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deepcoda import (
     DeepCodaParams,
@@ -26,8 +27,11 @@ from deepcoda import (
     save_params,
     weight_contrast_correlation,
 )
-from deepcoda import cli
+from deepcoda import DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch, cli
+from deepcoda._formats import csv_row, text_cells
 from deepcoda.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_dataset, run
+from deepcoda.cli import _TEXT_CELL_MAX
+from deepcoda.explain import _explanation_lines
 
 D = 4
 REPORT_FILES = ("explanations.csv", "memberships.csv", "correlations.csv", "summary.txt")
@@ -67,11 +71,33 @@ LINE_FAULTS = {
     "blank": lambda line: b"",
     "bare_cr": lambda line: line[:3] + b"\r" + line[3:],
 }
+# Fields on which np.loadtxt and float(), or the csv rules, may part ways. The
+# block reader must read each as the whole-file reader does, or leave it to it.
+VALUE_TOKENS = ["1_0", "\uff11", "0x1", "1e400", "1e-400", "-0", "+1", "infinity", "nan", "007",
+                "1.5e1", "2E-3", " 7", "7 ", "\v7", "7\x85", "\x1c7", "7\x00", "#7", "\xa07", ""]
+ID_TOKENS = ["i\vd", "i\x85d", "i\x1cd", "i\x00d", "\ufeffid", "#id", " id ", "\u0438\u0434", "i\u2028d"]
+
+
+def _in_field(index, text):
+    return lambda f: [*f[:index], text, *f[index + 1:]]
+
+
+TOKEN_FAULTS = {
+    **{f"value {t!r}": _in_field(2, t) for t in VALUE_TOKENS},
+    **{f"id {t!r}": _in_field(0, t) for t in ID_TOKENS},
+    "label ' 1'": lambda f: [*f[:-1], " 1"],
+    "extra field": lambda f: [*f, "1"],
+}
+FIELD_FAULTS.update(TOKEN_FAULTS)
 
 
 def dataset_bytes(values, faults=(), relative=False, crlf=False, final_newline=True,
-                  drop_feature=False, quoted=False):
-    """A dataset file: one row per row of ``values``, ``faults`` as (row, fault name) pairs."""
+                  drop_feature=False, quoted=False, bom=False, exponent=False):
+    """A dataset file: one row per row of ``values``, ``faults`` as (row, fault name) pairs.
+
+    ``bom`` starts it with a UTF-8 byte-order mark; ``exponent`` writes the
+    values in e-notation.
+    """
     eol = b"\r\n" if crlf else b"\n"
     n_features = values.shape[1] - drop_feature
     header = ["sample_id", *(f"f{j + 1}" for j in range(n_features)), "label"]
@@ -81,7 +107,8 @@ def dataset_bytes(values, faults=(), relative=False, crlf=False, final_newline=T
         numbers = (row / row.sum()).tolist() if relative else row.tolist()
         # A quoted id may span lines, so a file holding a quote is one block.
         sample_id = '"q,uo\nted"' if quoted and i == 0 else f"S{i}" if i % 3 else f"é{i}"
-        fields = [sample_id, *(repr(v) if relative else f"{v:.0f}" for v in numbers), str(i % 2)]
+        written = (f"{v:.16e}" if exponent else repr(v) if relative else f"{v:.0f}" for v in numbers)
+        fields = [sample_id, *written, str(i % 2)]
         for row_index, fault in faults:
             if row_index == i and fault in FIELD_FAULTS:
                 fields = FIELD_FAULTS[fault](fields)
@@ -90,7 +117,7 @@ def dataset_bytes(values, faults=(), relative=False, crlf=False, final_newline=T
             if row_index == i and fault in LINE_FAULTS:
                 line = LINE_FAULTS[fault](line)
         lines.append(line)
-    return eol.join(lines) + (eol if final_newline else b"")
+    return b"\xef\xbb\xbf" * bom + eol.join(lines) + (eol if final_newline else b"")
 
 
 def reference(model: Path, data: Path, out: Path):
@@ -163,7 +190,7 @@ def counts(n_rows: int, seed: int) -> np.ndarray:
     return values
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     n_rows=st.integers(1, 14),
     seed=st.integers(0, 2**16),
@@ -177,6 +204,8 @@ def counts(n_rows: int, seed: int) -> np.ndarray:
         "final_newline": st.booleans(),
         "drop_feature": st.sampled_from([False] * 5 + [True]),
         "quoted": st.sampled_from([False] * 4 + [True]),
+        "bom": st.sampled_from([False] * 9 + [True]),
+        "exponent": st.sampled_from([False] * 4 + [True]),
     }),
     overflowing=st.booleans(),
     block=st.integers(1, 4),
@@ -211,6 +240,63 @@ def test_a_fault_in_any_block_gives_the_whole_file_error(
     assert message in stderr
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    n_rows=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    faults=st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from(sorted({**FIELD_FAULTS, **LINE_FAULTS}))),
+        max_size=2,
+    ),
+    layout=st.fixed_dictionaries({
+        "relative": st.booleans(),
+        "final_newline": st.booleans(),
+        "exponent": st.booleans(),
+    }),
+)
+def test_the_block_reader_reads_what_the_csv_reader_reads(n_rows, seed, faults, layout):
+    data = dataset_bytes(counts(n_rows, seed), faults, **layout)
+    block = data[data.find(b"\n") + 1 :]
+    assume(block)
+    try:
+        reader = csv.reader(io.StringIO(str(block, "utf-8"), newline=""))
+        sample_ids, values, _ = cli._parse_rows("data.csv", reader, D + 2)
+    except (ValueError, csv.Error):
+        with pytest.raises(ValueError):
+            cli._parse_block(block, D + 2)
+        return
+    try:
+        ids, got = cli._parse_block(block, D + 2)
+    except ValueError:
+        assert faults  # a clean block is the block reader's; others may be left to csv
+        return
+    assert got.tobytes() == values.tobytes()
+    assert np.array_equal(ids, text_cells([sid.encode() for sid in sample_ids]))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("fault", sorted(TOKEN_FAULTS))
+def test_a_field_the_two_readers_may_read_apart_gives_the_whole_file_result(
+    tmp_path, fault, cpus
+):
+    data = dataset_bytes(counts(10, 8), [(8, fault)])
+    assert_matches_reference(tmp_path, data, False, 3, cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "faults,layout",
+    [([(7, "bare_cr")], {}), ([], {"crlf": True}), ([(7, "bare_cr")], {"crlf": True}),
+     ([], {"bom": True}), ([(4, "blank")], {}), ([(9, "blank")], {"crlf": True}),
+     ([], {"crlf": True, "final_newline": False})],
+    ids=["bare-cr", "crlf", "crlf-and-bare-cr", "bom", "blank-line", "crlf-blank-last-line",
+         "crlf-no-final-newline"],
+)
+def test_line_ends_and_marks_give_the_whole_file_result(tmp_path, faults, layout, cpus):
+    data = dataset_bytes(counts(10, 9), faults, **layout)
+    assert_matches_reference(tmp_path, data, False, 3, cpus)
+
+
 @pytest.mark.parametrize("layout", [{}, {"crlf": True}, {"relative": True}, {"quoted": True}],
                          ids=["counts", "crlf", "relative", "quoted"])
 def test_good_files_give_the_whole_batch_report(tmp_path, layout):
@@ -229,21 +315,62 @@ def test_a_block_that_warns_gives_the_whole_file_warnings(tmp_path, cpus):
     assert (RuntimeWarning, "overflow encountered in reduce") in caught
 
 
+def _no_whole_file(*args):
+    raise AssertionError("the blocks fell back to the whole-file path")
+
+
 def test_a_good_file_is_explained_without_the_whole_file_path(tmp_path, monkeypatch, set_cpus):
     save_params(model_params(False), tmp_path / "model.txt")
     (tmp_path / "data.csv").write_bytes(dataset_bytes(counts(30, 4)))
 
-    def whole_file(*args):
-        raise AssertionError("the blocks fell back to the whole-file path")
-
     monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
-    monkeypatch.setattr(cli, "_explain_whole_file", whole_file)
+    monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
     set_cpus(2)
     argv = ["explain", str(tmp_path / "model.txt"), str(tmp_path / "data.csv"),
             "--out", str(tmp_path / "out")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(argv) == EXIT_OK
     assert sorted(os.listdir(tmp_path / "out")) == sorted(REPORT_FILES)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "layout",
+    [{}, {"relative": True}, {"exponent": True}, {"relative": True, "final_newline": False}],
+    ids=["counts-with-zeros", "relative", "exponent", "relative-unterminated"],
+)
+def test_good_files_are_read_by_the_block_reader(tmp_path, monkeypatch, layout, cpus):
+    # Every third id is non-ASCII. A silent fallback would give the same bytes, slower.
+    monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
+    data = dataset_bytes(counts(30, 4), **layout)
+    assert assert_matches_reference(tmp_path, data, False, 7, cpus)[0][0] == EXIT_OK
+
+
+def test_the_byte_writer_writes_csv_rows():
+    rng = np.random.default_rng(12)
+    n = 7
+    z, w = rng.normal(0.0, 3.0, (n, 2)), rng.uniform(0.0, 1.0, (n, 2))
+    z[0, 0], w[1, 1], z[2, 1] = 0.0, 3e-7, -1e300  # zero, e-notation, written by %
+    products, prediction = w * z, rng.uniform(0.0, 1.0, n)
+    ids = ["S0", "\u00e91", "a b", "x", "", "#7", "\u0438\u0434" * 30]
+    positive = np.array([True, False, True, False, False, True, True])
+    decisions = [DECISION_POSITIVE if p else DECISION_NEGATIVE for p in positive]
+
+    def table(ids):
+        return "".join(
+            csv_row([sid, *z[i], *w[i], *products[i], prediction[i], decisions[i]])
+            for i, sid in enumerate(ids)
+        )
+
+    batch = ExplanationBatch(tuple(ids), z, w, products, prediction, np.array(decisions))
+    id_cells = text_cells([sid.encode() for sid in ids])
+    decision_cells = text_cells([d.encode() for d in decisions])
+    assert _explanation_lines(batch, id_cells, decision_cells) == table(ids).encode()
+    # The whole-file path writes the batch's ids and decisions, a long id or a NUL included.
+    for odd_id in ("x\x00y", "x" * (_TEXT_CELL_MAX + 1)):
+        odd = (*ids[:3], odd_id, *ids[4:])
+        batch = ExplanationBatch(odd, z, w, products, prediction, np.array(decisions))
+        assert render_report(batch, []).explanations_csv.endswith(table(odd))
 
 
 def test_a_rejected_file_leaves_an_earlier_report_as_it_was(tmp_path):

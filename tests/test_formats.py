@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from deepcoda import DeepCodaParams, params_from_text, params_to_text
 from deepcoda._forkmap import ordered_fork_map
-from deepcoda._formats import NUMBER, csv_row, number_rows
+from deepcoda._formats import NUMBER, cell_lines, csv_row
 from deepcoda.cli import parse_train_config
 
 
@@ -67,6 +67,15 @@ def test_reader_rejects_a_duplicate_key(read, canonical, text, where):
         read(f"{text}{first}\n")
 
 
+def number_rows(values) -> list[str]:
+    """Each row of ``values`` as ``cell_lines`` writes its numbers, between empty text fields."""
+    values = np.asarray(values, dtype=float)
+    empty = np.zeros((values.shape[0], 0), dtype=np.uint8)
+    lines = cell_lines(empty, values, empty).decode("ascii").split("\n")[:-1]
+    assert all(line[0] == line[-1] == "," for line in lines)
+    return [line[1:-1] for line in lines]
+
+
 def _percent_rows(values: np.ndarray) -> list[str]:
     """``",".join(NUMBER % x for x in row)`` for each row, as one ``%`` per row."""
     row_format = ",".join([NUMBER] * values.shape[1])
@@ -119,7 +128,7 @@ def _value_set(case: int) -> np.ndarray:
 
 
 class TestNumberRows:
-    """number_rows is ``NUMBER %`` on whole arrays: byte-identical on every float64."""
+    """cell_lines writes ``NUMBER %`` on whole arrays: byte-identical on every float64."""
 
     def test_matches_percent_on_ten_million_values(self):
         # Forked workers share the cases, one per usable CPU.

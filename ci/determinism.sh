@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end checks of the deepcoda CLI: outputs that must not depend on the
-# CPU count, and commands that must run without scipy, under an ASCII locale
-# and cleanly in Python's dev mode.
+# CPU count, commands that must run without scipy, under an ASCII locale
+# and cleanly in Python's dev mode, and failed commands that must leave the
+# file system as they found it.
 #
 #   bash ci/determinism.sh            # every check
 #   bash ci/determinism.sh explain    # the named checks only
@@ -152,9 +153,40 @@ check_dev_mode() {
   dev baseline "$work/data/relative.csv" --out "$work/baseline.csv"
 }
 
+# A command that fails leaves the file system as it found it: with a
+# directory where its last output goes, it exits 2 and changes no file.
+check_failed_outputs() {
+  work=$(mktemp -d)
+  tree="$work/tree"  # what the snapshots cover
+  python3 -m deepcoda simulate toy --n 200 --out "$tree/data"
+  printf 'epochs = 50\n' > "$tree/train.cfg"
+  mkdir "$tree/out"
+  python3 -m deepcoda train "$tree/data/relative.csv" --config "$tree/train.cfg" \
+    --out "$tree/out/y.txt"
+  python3 -m deepcoda explain "$tree/out/y.txt" "$tree/data/relative.csv" --out "$tree/report"
+  rm "$tree/out/y.txt.report.csv" "$tree/report/summary.txt"
+  mkdir -p "$tree/out/y.txt.report.csv/kept" "$tree/report/summary.txt" "$tree/sim/relative.csv"
+  snapshot() {
+    find "$tree" | sort
+    find "$tree" -type f -exec sha256sum {} + | sort
+  }
+  fails() {
+    status=0
+    python3 -m deepcoda "$@" > /dev/null 2> "$work/stderr.txt" || status=$?
+    cat "$work/stderr.txt"
+    test "$status" -eq 2
+  }
+  snapshot > "$work/before.txt"
+  # A new model would differ from the one in place.
+  fails train "$tree/data/relative.csv" --config "$tree/train.cfg" --seed 1 --out "$tree/out/y.txt"
+  fails simulate toy --n 200 --out "$tree/sim"
+  fails explain "$tree/out/y.txt" "$tree/data/absolute.csv" --out "$tree/report"
+  snapshot | diff "$work/before.txt" -
+}
+
 checks=("$@")
 if [ ${#checks[@]} -eq 0 ]; then
-  checks=(benchmark train explain no_scipy ascii_locale dev_mode)
+  checks=(benchmark train explain no_scipy ascii_locale dev_mode failed_outputs)
 fi
 for check in "${checks[@]}"; do
   echo "== $check"

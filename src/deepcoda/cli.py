@@ -14,6 +14,8 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
+import functools
 import io
 import math
 import os
@@ -53,12 +55,11 @@ from .evaluate import (
 )
 # ``explain_sample`` and ``render_report`` are not called here; perfbench/tracer.py wraps them.
 from .explain import (  # noqa: F401
-    _ROW_BLOCK,
     DECISION_NEGATIVE,
     DECISION_POSITIVE,
-    _explanation_blocks,
     _explanation_lines,
     _explanations_header,
+    _explanations_table,
     _positives,
     _summary_tables,
     contrast_membership,
@@ -76,6 +77,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+_ROW_BLOCK = 4096  # input lines per block of explain: one fork-map task
 
 
 def read_dataset_csv(path):
@@ -93,6 +95,14 @@ def read_dataset_csv(path):
                 raise
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError:  # its position counts from the decoder's current chunk
+            data = Path(path).read_bytes()
+            try:
+                str(data, "utf-8")
+            except UnicodeDecodeError as exc:  # its position is the file's byte offset
+                line = len(data[: exc.start + 1].splitlines())
+                raise ValueError(f"{path}:{line}: {exc}") from None
+            raise
 
 
 def _parse_dataset(path, reader):
@@ -217,6 +227,53 @@ def write_dataset_csv(path, matrix: CompositionMatrix, labels) -> None:
             fh.write(csv_row([sid, *matrix.values[i].tolist(), int(labels[i])]))
 
 
+@contextlib.contextmanager
+def _staged_outputs():
+    """Yield ``stage(path)``: the temporary path through which a command writes ``path``.
+
+    The first ``stage(path)`` makes the missing parent directories and, with ``O_EXCL``,
+    an empty ``.<name>.<pid>.part`` beside ``path``; a later call returns the same path.
+    When the block ends, and no target is a directory, each temporary replaces its target
+    in staging order, an old target kept as ``.<name>.<pid>.old`` until all are in. On any
+    exception the renames are undone and the temporaries and directories made removed.
+    """
+    staged, made, renamed = {}, [], []
+
+    def stage(path) -> Path:
+        path = Path(path)
+        if path not in staged:
+            for directory in reversed(path.parents):  # outermost first, so "a/b/.." exists
+                if not os.path.lexists(directory):
+                    directory.mkdir()
+                    made.append(directory)
+            part = path.with_name(f".{path.name}.{os.getpid()}.part")
+            os.close(os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            staged[path] = part
+        return staged[path]
+
+    try:
+        yield stage
+        if directories := [path for path in staged if path.is_dir()]:
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(directories[0]))
+        for path, part in staged.items():
+            old = part.with_suffix(".old") if os.path.lexists(path) else None
+            if old:
+                os.replace(path, old)
+            renamed.append((path, old))
+            os.replace(part, path)
+    except BaseException:
+        undo = [(os.replace, old, path) if old else (os.unlink, path) for path, old in renamed]
+        undo += [(os.unlink, part) for part in staged.values()]
+        undo += [(os.rmdir, directory) for directory in reversed(made)]
+        for step, *paths in undo:
+            with contextlib.suppress(OSError):
+                step(*paths)
+        raise
+    for old in [old for _, old in renamed if old]:
+        with contextlib.suppress(OSError):
+            os.unlink(old)
+
+
 def parse_train_config(text: str) -> TrainConfig:
     """Parse flat ``key = value`` lines (# comments); unknown keys are rejected."""
     kwargs = {}
@@ -234,9 +291,9 @@ def cmd_simulate(args) -> int:
     generator = gen_toy if args.kind == "toy" else gen_cmyc
     dataset = generator(args.n, args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_dataset_csv(out_dir / "absolute.csv", dataset.absolute, dataset.labels)
-    write_dataset_csv(out_dir / "relative.csv", dataset.relative, dataset.labels)
+    with _staged_outputs() as stage:
+        write_dataset_csv(stage(out_dir / "absolute.csv"), dataset.absolute, dataset.labels)
+        write_dataset_csv(stage(out_dir / "relative.csv"), dataset.relative, dataset.labels)
     print(f"wrote {out_dir / 'absolute.csv'} and {out_dir / 'relative.csv'}")
     return EXIT_OK
 
@@ -250,14 +307,15 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     report = train(matrix.values, labels, cfg)
-    save_params(report.params, args.out)
     report_path = f"{args.out}.report.csv"
-    with open(report_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(csv_row(["record", "index", "value"]))
-        for epoch, value in enumerate(report.loss_history):
-            fh.write(csv_row(["loss", epoch, value]))
-        for b, value in enumerate(report.final_constraint_residuals):
-            fh.write(csv_row(["constraint_residual", b, value]))
+    with _staged_outputs() as stage:
+        save_params(report.params, stage(args.out))
+        with open(stage(report_path), "w", newline="", encoding="utf-8") as fh:
+            fh.write(csv_row(["record", "index", "value"]))
+            for epoch, value in enumerate(report.loss_history):
+                fh.write(csv_row(["loss", epoch, value]))
+            for b, value in enumerate(report.final_constraint_residuals):
+                fh.write(csv_row(["constraint_residual", b, value]))
     print("final loss:", NUMBER % report.loss_history[-1])
     for b, value in enumerate(report.final_constraint_residuals):
         print(f"constraint residual {b}:", NUMBER % value)
@@ -308,7 +366,8 @@ def cmd_benchmark(args) -> int:
             methods.append(_METHOD_BUILDERS[name](args))
         results = benchmark(dataset, methods, n_splits=args.splits, base_seed=args.seed)
     results = standardize_scores(results)
-    Path(args.out).write_text(results_to_csv(results), encoding="utf-8")
+    with _staged_outputs() as stage:
+        stage(args.out).write_text(results_to_csv(results), encoding="utf-8")
     print(f"wrote {args.out} ({len(results)} rows)")
     return EXIT_OK
 
@@ -319,29 +378,31 @@ def cmd_explain(args) -> int:
         raise ValueError("model uses the linear head; explanations need self_explain")
     check_real(args.delta_fraction, "delta_fraction", high=1.0, low_open=True)
     out_dir = Path(args.out)
-    explained = _explain_in_blocks(params, args.data, args.delta_fraction, out_dir)
-    if explained is None:
-        explained = _explain_whole_file(params, args.data, args.delta_fraction, out_dir)
-    feature_names, z, w, n_positive = explained
-    n_bottlenecks = params.dims[1]
-    memberships = [contrast_membership(params, b, feature_names) for b in range(n_bottlenecks)]
-    correlations = None
-    if z.shape[0] > n_bottlenecks:
-        correlations = weight_contrast_correlation(w, z)
-    # render_report's tables; explanations.csv is already written.
-    summary, memberships_csv, correlations_csv = _summary_tables(
-        z.shape[0], n_positive, memberships, correlations
-    )
-    (out_dir / "memberships.csv").write_text(memberships_csv, encoding="utf-8")
-    (out_dir / "correlations.csv").write_text(correlations_csv, encoding="utf-8")
-    (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
+    with _staged_outputs() as stage:
+        explanations = functools.partial(stage, out_dir / "explanations.csv")
+        explained = _explain_in_blocks(params, args.data, args.delta_fraction, explanations)
+        if explained is None:
+            explained = _explain_whole_file(params, args.data, args.delta_fraction, explanations)
+        feature_names, z, w, n_positive = explained
+        n_bottlenecks = params.dims[1]
+        memberships = [contrast_membership(params, b, feature_names) for b in range(n_bottlenecks)]
+        correlations = None
+        if z.shape[0] > n_bottlenecks:
+            correlations = weight_contrast_correlation(w, z)
+        # render_report's tables; explanations.csv is already written.
+        summary, memberships_csv, correlations_csv = _summary_tables(
+            z.shape[0], n_positive, memberships, correlations
+        )
+        stage(out_dir / "memberships.csv").write_text(memberships_csv, encoding="utf-8")
+        stage(out_dir / "correlations.csv").write_text(correlations_csv, encoding="utf-8")
+        stage(out_dir / "summary.txt").write_text(summary, encoding="utf-8")
     print(summary, end="")
     print(f"wrote report files to {out_dir}")
     return EXIT_OK
 
 
-def _explain_whole_file(params, path, delta_fraction, out_dir: Path):
-    """Read the whole dataset, explain it and write explanations.csv.
+def _explain_whole_file(params, path, delta_fraction, explanations):
+    """Read the whole dataset, explain it and write explanations.csv to ``explanations()``.
 
     Returns (feature names, Z, W, positive decisions). This is the reference
     that ``_explain_in_blocks`` matches byte for byte, and its errors are the
@@ -352,9 +413,8 @@ def _explain_whole_file(params, path, delta_fraction, out_dir: Path):
     if matrix.n_features != d:
         raise ValueError(f"model expects {d} features, data has {matrix.n_features}")
     batch = explain_batch(params, matrix.values, matrix.sample_ids)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "explanations.csv", "wb") as fh:
-        fh.writelines(_explanation_blocks(batch))
+    with open(explanations(), "wb") as fh:
+        fh.write(_explanations_table(batch))
     return matrix.feature_names, batch.z, batch.w, _positives(batch)
 
 
@@ -362,22 +422,20 @@ def _explain_whole_file(params, path, delta_fraction, out_dir: Path):
 _BLOCK_FAULTS = (ValueError, ArithmeticError, MemoryError, csv.Error)
 
 
-def _explain_in_blocks(params, path, delta_fraction, out_dir: Path):
+def _explain_in_blocks(params, path, delta_fraction, explanations):
     """``_explain_whole_file``, with every row stage run per block of ``_ROW_BLOCK`` lines.
 
     Each ``ordered_fork_map`` task reads one block with ``_parse_block``,
     imputes, explains and formats it, and returns its lines as bytes, so
-    this process never holds the dataset. Returns None, and leaves the file
-    system as it found it, where the blocks cannot stand for the whole file:
-    a file holding a ``"`` (a quoted field may span lines), a first line that
-    is not one valid header for the model, any fault (``_parse_block``'s
-    rejections included) or warning in any block, or any OSError. The
-    whole-file path then gives the result, or raises the error, of reading
-    the file at once.
+    this process never holds the dataset. Returns None where the blocks
+    cannot stand for the whole file: a file holding a ``"`` (a quoted field
+    may span lines), a first line that is not one valid header for the
+    model, any fault (``_parse_block``'s rejections included) or warning in
+    any block, or any OSError. The whole-file path then gives the result, or
+    raises the error, of reading the file at once, over ``explanations()``.
     """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        data = Path(path).read_bytes()
     except OSError:
         return None
     header_end = data.find(b"\n") + 1
@@ -415,45 +473,25 @@ def _explain_in_blocks(params, path, delta_fraction, out_dir: Path):
             return None
         return lines, batch.z, batch.w, _positives(batch), relative
 
-    created = []  # the directories mkdir makes, deepest first
-    missing = out_dir
-    while not os.path.lexists(missing):
-        created.append(missing)
-        missing = missing.parent
-    part = out_dir / f".explanations.csv.{os.getpid()}.part"
-    results = ordered_fork_map(block, len(bounds) - 1)
-    zs, ws, n_positive, sums_to_one, written = [], [], 0, [], False
+    zs, ws, n_positive, sums_to_one = [], [], 0, []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # O_EXCL: never truncate a file this process did not create.
-        with open(os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+        with (contextlib.closing(ordered_fork_map(block, len(bounds) - 1)) as results,
+              open(explanations(), "wb") as fh):
             fh.write(_explanations_header(params.dims[1]).encode())
             for result in results:
                 if result is None:
-                    break
+                    return None
                 rows, z, w, positives, sums = result
                 fh.write(rows)
                 zs.append(z)
                 ws.append(w)
                 n_positive += positives
                 sums_to_one.append(sums)
-        # As in load_dataset, the file is relative when every row sums to one,
-        # and then every imputed row must too.
-        relative = all(raw for raw, _ in sums_to_one)
-        consistent = not relative or all(imputed for _, imputed in sums_to_one)
-        if len(zs) == len(bounds) - 1 and consistent:
-            os.replace(part, out_dir / "explanations.csv")
-            written = True
     except OSError:
-        pass
-    finally:
-        results.close()
-        if not written:
-            with contextlib.suppress(OSError):
-                part.unlink(missing_ok=True)
-                for directory in created:
-                    directory.rmdir()
-    if not written:
+        return None
+    # As in load_dataset, the file is relative when every row sums to one,
+    # and then every imputed row must too.
+    if all(raw for raw, _ in sums_to_one) and not all(imputed for _, imputed in sums_to_one):
         return None
     return header[1:-1], np.concatenate(zs), np.concatenate(ws), n_positive
 
@@ -470,7 +508,7 @@ def cmd_baseline(args) -> int:
             file=sys.stderr,
         )
     scaled = scaled_magnitudes(model.coef)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with _staged_outputs() as stage, open(stage(args.out), "w", newline="", encoding="utf-8") as fh:
         fh.write(csv_row(["feature", "coefficient", "scaled_magnitude"]))
         for name, coef, mag in zip(matrix.feature_names, model.coef, scaled):
             fh.write(csv_row([name, coef, mag]))

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._formats import cell_lines, csv_field, csv_row
-from ._forkmap import ordered_fork_map
 from .checks import check_array, check_count, check_names, check_real
 # ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
 from .model import DeepCodaParams, _forward_batch, forward  # noqa: F401
@@ -41,7 +40,6 @@ DECISION_POSITIVE = "unhealthy"
 DECISION_NEGATIVE = "healthy"
 
 _CCA_JITTER = 1e-8
-_ROW_BLOCK = 4096  # explanation rows per block: one join, one fork-map task
 
 
 def _decisions(products: np.ndarray) -> np.ndarray:
@@ -256,40 +254,25 @@ def _explanations_header(n_contrasts: int) -> str:
     )
 
 
-def _explanation_lines(batch: ExplanationBatch, id_cells, decision_cells,
-                       rows: slice = slice(None)) -> bytes:
-    """The explanations table's lines for ``batch[rows]``, as UTF-8.
+def _explanation_lines(batch: ExplanationBatch, id_cells, decision_cells) -> bytes:
+    """The explanations table's lines for ``batch``, as UTF-8.
 
     Each line holds the id, Z, W, the products, the prediction and the
     decision. The ids and decisions are given as ``_formats.text_cells``;
     each number is written as ``NUMBER``.
     """
-    numbers = np.hstack(
-        [batch.z[rows], batch.w[rows], batch.products[rows], batch.prediction[rows, None]]
-    )
+    numbers = np.hstack([batch.z, batch.w, batch.products, batch.prediction[:, None]])
     return cell_lines(id_cells, numbers, decision_cells)
 
 
-def _explanation_rows(batch: ExplanationBatch, rows: slice = slice(None)) -> bytes:
-    """``_explanation_lines`` for any ids and decisions, each joined around its line's numbers."""
-    ids = [csv_field(str(sid)).encode("utf-8", "surrogatepass") for sid in batch.sample_ids[rows]]
-    decisions = [str(d).encode("utf-8", "surrogatepass") for d in batch.decisions[rows].tolist()]
-    empty = np.zeros((len(ids), 0), dtype=np.uint8)
-    lines = _explanation_lines(batch, empty, empty, rows).split(b"\n")
-    return b"".join([sid + line + d + b"\n" for sid, line, d in zip(ids, lines, decisions)])
-
-
-def _explanation_blocks(batch: ExplanationBatch) -> Iterator[bytes]:
-    """The explanations table in order, as UTF-8: its header, then one block per ``_ROW_BLOCK`` rows.
-
-    With two or more blocks, ``ordered_fork_map`` formats them in forked workers.
-    """
-    yield _explanations_header(batch.z.shape[1] if len(batch) else 0).encode()
-
-    def block(k: int) -> bytes:
-        return _explanation_rows(batch, slice(k * _ROW_BLOCK, (k + 1) * _ROW_BLOCK))
-
-    yield from ordered_fork_map(block, -(-len(batch) // _ROW_BLOCK))
+def _explanations_table(batch: ExplanationBatch) -> bytes:
+    """The explanations table, header first, as UTF-8, for any ids and decisions."""
+    ids = [csv_field(str(sid)).encode("utf-8", "surrogatepass") for sid in batch.sample_ids]
+    decisions = [str(d).encode("utf-8", "surrogatepass") for d in batch.decisions.tolist()]
+    empty = np.zeros((len(ids), 0), dtype=np.uint8)  # each id and decision joins its line
+    lines = _explanation_lines(batch, empty, empty).split(b"\n")
+    rows = [sid + line + d + b"\n" for sid, line, d in zip(ids, lines, decisions)]
+    return b"".join([_explanations_header(batch.z.shape[1] if len(batch) else 0).encode(), *rows])
 
 
 def _summary_tables(
@@ -344,9 +327,7 @@ def render_report(
     """Serialize report tables deterministically (numbers as ``_formats.NUMBER``).
 
     A sequence of ``Explanation`` is stacked into an ``ExplanationBatch``
-    first, so both forms give the same bytes. The explanations table is
-    joined from the row blocks that ``deepcoda explain`` streams to disk,
-    formatted through the shared ``_forkmap.ordered_fork_map``.
+    first, so both forms give the same bytes.
     """
     batch = explanations
     if not isinstance(batch, ExplanationBatch):
@@ -354,5 +335,5 @@ def render_report(
     summary, memberships_csv, correlations_csv = _summary_tables(
         len(batch), _positives(batch), memberships, correlations
     )
-    explanations_csv = b"".join(_explanation_blocks(batch)).decode("utf-8", "surrogatepass")
+    explanations_csv = _explanations_table(batch).decode("utf-8", "surrogatepass")
     return ReportBundle(summary, explanations_csv, memberships_csv, correlations_csv)

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface (exit codes and artifacts)."""
 
+import builtins
 import csv
+import errno
 import importlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -388,6 +392,166 @@ class TestExplain:
         ) == EXIT_USAGE
 
 
+# Each command's outputs, in the order it writes them; --out names the first
+# one's directory (simulate, explain) or the first one.
+OUTPUTS = {
+    "simulate": ["absolute.csv", "relative.csv"],
+    "train": ["model.txt", "model.txt.report.csv"],
+    "benchmark": ["bench.csv"],
+    "baseline": ["coef.csv"],
+    "explain": ["explanations.csv", "memberships.csv", "correlations.csv", "summary.txt"],
+}
+
+
+@pytest.fixture(scope="module")
+def output_inputs(tmp_path_factory, toy_dir):
+    """A 5-epoch config and two self-explaining models trained with it."""
+    out = tmp_path_factory.mktemp("output_inputs")
+    (out / "train.cfg").write_text("epochs = 5\n")
+    for seed in (0, 1):
+        argv = ["train", str(toy_dir / "relative.csv"), "--config", str(out / "train.cfg"),
+                "--seed", str(seed), "--out", str(out / f"model{seed}.txt")]
+        assert run(argv) == EXIT_OK
+    return out
+
+
+def command_argv(command, out, run_no, toy_dir, inputs):
+    """``command``'s argv writing under ``out``; run 0 and run 1 write different bytes."""
+    data = str(toy_dir / "relative.csv")
+    target = str(out if command in ("simulate", "explain") else out / OUTPUTS[command][0])
+    return {
+        "simulate": ["simulate", "toy", "--n", "40", "--seed", str(run_no)],
+        "train": ["train", data, "--config", str(inputs / "train.cfg"), "--seed", str(run_no)],
+        "benchmark": ["benchmark", data, "--methods", "deepcoda", "--epochs", "5",
+                      "--splits", str(2 + run_no)],
+        "baseline": ["baseline", data, "--transform", ("none", "clr")[run_no]],
+        "explain": ["explain", str(inputs / f"model{run_no}.txt"), data],
+    }[command] + ["--out", target]
+
+
+def snapshot(root):
+    """Every path under ``root``, with each file's bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def output_name(path):
+    """The output a path written by a command stands for: its staged temporary's target."""
+    return re.sub(r"^\.(.*)\.\d+\.part$", r"\1", os.path.basename(os.fspath(path)))
+
+
+def fail_output_open(monkeypatch, k, fired, opener):
+    """Make every ``opener`` ("create": os.open, "write": open) of the k-th output raise."""
+    outputs = []
+
+    def failing(original, writes):
+        def patched(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and writes(*args, **kwargs):
+                name = output_name(file)
+                if name not in outputs:
+                    outputs.append(name)
+                if outputs.index(name) == k and (original is os_open) == (opener == "create"):
+                    fired.append(name)
+                    raise OSError(errno.EIO, "injected fault", os.fspath(file))
+            return original(file, *args, **kwargs)
+
+        return patched
+
+    os_open, builtin_open = os.open, builtins.open
+    monkeypatch.setattr(os, "open", failing(os_open, lambda flags, *a, **kw: flags & os.O_WRONLY))
+    writing = failing(builtin_open, lambda mode="r", *a, **kw: set(mode) & set("wax+"))
+    monkeypatch.setattr(builtins, "open", writing)
+    monkeypatch.setattr(io, "open", writing)
+
+
+def fail_rename(monkeypatch, k, fired):
+    """Make the k-th call of os.replace raise."""
+    calls = []
+    replace = os.replace
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == k + 1:
+            fired.append(args)
+            raise OSError(errno.EIO, "injected fault")
+        return replace(*args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", patched)
+
+
+def for_each_fault(root, argv, inject):
+    """Run ``argv`` with ``inject``'s k-th fault for k = 0, 1, ... until none fires.
+
+    Each faulted run must exit 2 and leave ``root`` as it was; the last run
+    must succeed. Returns how many faults fired.
+    """
+    before = snapshot(root)
+    for k in range(100):
+        fired = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            inject(monkeypatch, k, fired)
+            code = run(argv)
+        if not fired:
+            assert code == EXIT_OK
+            return k
+        assert (code, k) == (EXIT_USAGE, k)
+        assert snapshot(root) == before, (k, fired)
+    raise AssertionError("faults kept firing")
+
+
+class TestFailedOutputs:
+    """A command that fails leaves the file system as it found it."""
+
+    @pytest.fixture
+    def earlier_outputs(self, tmp_path, toy_dir, output_inputs, capsys):
+        """(command -> argv of a run that replaces them) after writing a command's outputs."""
+
+        def write(command):
+            out = tmp_path / "out"
+            out.mkdir()
+            assert run(command_argv(command, out, 0, toy_dir, output_inputs)) == EXIT_OK
+            assert sorted(os.listdir(out)) == sorted(OUTPUTS[command])
+            capsys.readouterr()
+            return command_argv(command, out, 1, toy_dir, output_inputs)
+
+        return write
+
+    @pytest.mark.parametrize("opener", ["create", "write"])
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_a_failed_output_open(self, tmp_path, earlier_outputs, command, opener):
+        argv = earlier_outputs(command)
+        inject = lambda m, k, fired: fail_output_open(m, k, fired, opener)  # noqa: E731
+        assert for_each_fault(tmp_path, argv, inject) == len(OUTPUTS[command])
+
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_a_failed_rename(self, tmp_path, earlier_outputs, command):
+        argv = earlier_outputs(command)
+        # Each earlier output is moved aside, then its new file moved in.
+        assert for_each_fault(tmp_path, argv, fail_rename) == 2 * len(OUTPUTS[command])
+
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_a_directory_at_the_last_output(self, tmp_path, earlier_outputs, capsys, command):
+        argv = earlier_outputs(command)
+        last = tmp_path / "out" / OUTPUTS[command][-1]
+        last.unlink()
+        last.mkdir()
+        (last / "kept.txt").write_text("kept")
+        before = snapshot(tmp_path)
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{last}'\n"
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("layout", ["new/deeper", "new/sub/../deeper"])
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_missing_out_directories_are_made_and_removed(
+        self, tmp_path, toy_dir, output_inputs, command, layout
+    ):
+        out = tmp_path / layout
+        argv = command_argv(command, out, 1, toy_dir, output_inputs)
+        assert for_each_fault(tmp_path, argv, fail_rename) == len(OUTPUTS[command])
+        assert sorted(os.listdir(out)) == sorted(OUTPUTS[command])
+
+
 class TestBaseline:
     def test_writes_coefficients(self, tmp_path, toy_dir, capsys):
         out = tmp_path / "coef.csv"
@@ -541,6 +705,25 @@ class TestDatasetIo:
         args = cli.build_parser().parse_args([command, *files, "--out", "out"])
         assert args.delta_fraction == deepcoda.DEFAULT_DELTA_FRACTION
         assert args.data == "data.csv"
+
+    @pytest.mark.parametrize("command", ["train", "explain"])
+    def test_a_decode_error_names_the_file_line_and_byte(
+        self, tmp_path, trained_model, capsys, command
+    ):
+        assert run(["simulate", "toy", "--n", "10000", "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "absolute.csv").read_bytes().split(b"\n")
+        lines[9500] = b"\xff" + lines[9500]  # the start of line 9501
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        offset = len(b"\n".join(lines[:9500])) + 1
+        capsys.readouterr()
+        argv = {"train": ["train", str(bad), "--out", str(tmp_path / "model.txt")],
+                "explain": ["explain", str(trained_model), str(bad), "--out", str(tmp_path / "r")]}
+        assert run(argv[command]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {bad}:9501: 'utf-8' codec can't decode byte 0xff in position {offset}: "
+            "invalid start byte\n"
+        )
 
     def test_zero_replacement_on_ingest(self, tmp_path):
         data = tmp_path / "zeros.csv"

@@ -3,6 +3,7 @@ inputs with ValueError, and the text parsers raise nothing but ValueError."""
 
 import csv
 import inspect
+import io
 import math
 import re
 import tempfile
@@ -554,7 +555,18 @@ def test_read_dataset_csv_raises_only_value_error(tmp_path_factory, data):
 
 
 def reference_read_dataset_csv(path):
-    """The reader before streaming: the whole file as rows first, then checks."""
+    """The reader before streaming: the whole file as rows first, then checks.
+
+    A byte that is not UTF-8 anywhere in the file is reported first, by its
+    line (as csv counts lines) and its offset in the file.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "x" stands for the bad byte, which starts or continues the last line.
+        line = len(list(io.StringIO(data[: exc.start].decode("utf-8") + "x", newline="")))
+        raise ValueError(f"{path}:{line}: {exc}") from None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

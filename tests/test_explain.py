@@ -28,8 +28,9 @@ from deepcoda import (
     train,
     weight_contrast_correlation,
 )
-from deepcoda.cli import EXIT_NUMERIC, EXIT_OK, load_dataset, run
-from deepcoda.explain import _ROW_BLOCK, DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch
+from deepcoda import cli
+from deepcoda.cli import _ROW_BLOCK, EXIT_NUMERIC, EXIT_OK, load_dataset, run
+from deepcoda.explain import DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch
 
 
 def small_params(head="self_explain", seed=0, d=4, n_b=3):
@@ -416,8 +417,46 @@ def three_block_inputs(tmp_path_factory):
     return out, names
 
 
+@pytest.fixture(scope="module")
+def block_inputs(tmp_path_factory):
+    """A model file and unquoted datasets of one to three blocks, which explain reads in blocks."""
+    out = tmp_path_factory.mktemp("blocks")
+    save_params(small_params(seed=22), out / "model.txt")
+    rng = np.random.default_rng(22)
+    values = rng.integers(0, 40, size=(THREE_BLOCKS, 4))
+    values[:, 0] += 1  # at most three zeros per row, which the blocks impute
+    lines = ["sample_id,f1,f2,f3,f4,label\n"]
+    for i, row in enumerate(values.tolist()):
+        sample_id = f"S{i}" if i % 3 else f"\u03bc-{i}"
+        lines.append(",".join([sample_id, *map(str, row), str(i % 2)]) + "\n")
+    for n in (_ROW_BLOCK, _ROW_BLOCK + 1, THREE_BLOCKS):
+        (out / f"data{n}.csv").write_text("".join(lines[: n + 1]), encoding="utf-8")
+    return out
+
+
+def explain_blocks(inputs, n, tmp_path):
+    """explanations.csv from ``deepcoda explain`` on the n-row file; the blocks must give it."""
+
+    def whole_file(*args):
+        raise AssertionError("the blocks fell back to the whole-file path")
+
+    out = tmp_path / "report"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_explain_whole_file", whole_file)
+        assert run(["explain", str(inputs / "model.txt"), str(inputs / f"data{n}.csv"),
+                    "--out", str(out)]) == EXIT_OK
+    return (out / "explanations.csv").read_bytes()
+
+
+def reference_file(inputs, n):
+    """The explanations table of the n-row file, explained whole and written by csv.writer."""
+    matrix, _ = load_dataset(inputs / f"data{n}.csv")
+    batch = explain_batch(load_params(inputs / "model.txt"), matrix.values, matrix.sample_ids)
+    return reference_explanations_csv(batch).encode()
+
+
 class TestStreamedReport:
-    """explanations.csv is streamed block by block, formatted on every usable CPU."""
+    """explain reads, explains and formats its rows block by block, on every usable CPU."""
 
     def test_explain_files_do_not_depend_on_cpu_count(self, tmp_path, set_cpus, three_block_inputs):
         inputs, names = three_block_inputs
@@ -459,16 +498,18 @@ class TestStreamedReport:
         "n,workers", [(_ROW_BLOCK, []), (_ROW_BLOCK + 1, [2]), (THREE_BLOCKS, [3])],
         ids=["one_block", "two_blocks", "three_blocks"],
     )
-    def test_pool_starts_only_for_two_or_more_blocks(self, set_cpus, started_pools, n, workers):
-        batch = synthetic_batch(n)
+    def test_pool_starts_only_for_two_or_more_blocks(
+        self, tmp_path, set_cpus, started_pools, block_inputs, n, workers
+    ):
         set_cpus(8)
-        assert render_report(batch, [], None).explanations_csv == reference_explanations_csv(batch)
+        assert explain_blocks(block_inputs, n, tmp_path) == reference_file(block_inputs, n)
         assert started_pools == workers
 
     @needs_fork
     @pytest.mark.parametrize("fails_at", [1, 2], ids=["first_worker", "second_worker"])
-    def test_failed_fork_renders_in_process(self, monkeypatch, set_cpus, fails_at):
-        batch = synthetic_batch(THREE_BLOCKS)
+    def test_failed_fork_explains_in_process(
+        self, tmp_path, monkeypatch, set_cpus, block_inputs, fails_at
+    ):
         starts = []
         start = multiprocessing.get_context("fork").Process.start
 
@@ -483,19 +524,18 @@ class TestStreamedReport:
         )
         set_cpus(2)
         try:
-            got = render_report(batch, [], None).explanations_csv
+            got = explain_blocks(block_inputs, THREE_BLOCKS, tmp_path)
             assert len(starts) == fails_at
             assert multiprocessing.active_children() == []
         finally:
             for child in multiprocessing.active_children():  # a leftover would hang exit
                 child.terminate()
-        assert got == reference_explanations_csv(batch)
+        assert got == reference_file(block_inputs, THREE_BLOCKS)
 
     @pytest.mark.parametrize("cause", ["no_fork", "other_thread"])
-    def test_renders_in_process_without_a_safe_fork(
-        self, monkeypatch, set_cpus, started_pools, cause
+    def test_explains_in_process_without_a_safe_fork(
+        self, tmp_path, monkeypatch, set_cpus, started_pools, block_inputs, cause
     ):
-        batch = synthetic_batch(THREE_BLOCKS)
         set_cpus(2)
         if cause == "no_fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -504,10 +544,10 @@ class TestStreamedReport:
         if cause == "other_thread":
             waiter.start()
         try:
-            got = render_report(batch, [], None).explanations_csv
+            got = explain_blocks(block_inputs, THREE_BLOCKS, tmp_path)
         finally:
             release.set()
             if cause == "other_thread":
                 waiter.join()
         assert started_pools == []
-        assert got == reference_explanations_csv(batch)
+        assert got == reference_file(block_inputs, THREE_BLOCKS)

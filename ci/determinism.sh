@@ -8,11 +8,16 @@
 #   bash ci/determinism.sh explain    # the named checks only
 #
 # Run from the root of a checkout with deepcoda importable (pip install -e .).
+# Each check works in its own directory under one temporary root, which is
+# removed when the script exits.
 set -eo pipefail
+
+root=$(mktemp -d)
+trap 'rm -rf "$root"' EXIT
 
 # The benchmark CSV does not depend on the CPU count.
 check_benchmark() {
-  work=$(mktemp -d)
+  work=$(mktemp -d "$root/check.XXXXXX")
   python3 -m deepcoda simulate toy --n 200 --out "$work/data"
   # Flip every third label, so AUCs differ between methods and splits
   # and a wrong merge order or a drifted AUC changes the CSV.
@@ -25,9 +30,27 @@ check_benchmark() {
   cmp "$work/serial.csv" "$work/parallel.csv"
 }
 
+# The LASSO baseline converges on separable absolute counts (stderr
+# stays empty, so no fit stopped before its duality gap closed), and its
+# coefficients do not depend on the CPU count.
+check_baseline() {
+  work=$(mktemp -d "$root/check.XXXXXX")
+  python3 -m deepcoda simulate cmyc --n 1000 --out "$work/data"
+  quiet() {
+    status=0
+    "$@" 2> "$work/stderr.txt" || status=$?
+    cat "$work/stderr.txt"
+    test "$status" -eq 0 && test ! -s "$work/stderr.txt"
+  }
+  baseline="python3 -m deepcoda baseline $work/data/absolute.csv"
+  quiet taskset -c 0 $baseline --out "$work/serial.csv"
+  quiet $baseline --out "$work/parallel.csv"
+  cmp "$work/serial.csv" "$work/parallel.csv"
+}
+
 # Training output does not depend on the CPU count.
 check_train() {
-  work=$(mktemp -d)
+  work=$(mktemp -d "$root/check.XXXXXX")
   # 20,000 rows: above 10,000 elements an OpenBLAS dot product
   # splits its sum across threads.
   python3 -m deepcoda simulate cmyc --n 20000 --out "$work/data"
@@ -41,7 +64,7 @@ check_train() {
 
 # Explain output does not depend on the CPU count, and is the whole batch's report.
 check_explain() {
-  work=$(mktemp -d)
+  work=$(mktemp -d "$root/check.XXXXXX")
   # 10,000 rows: three blocks, which forked workers read, explain and
   # format when more than one CPU is usable.
   python3 -m deepcoda simulate cmyc --n 10000 --out "$work/data"
@@ -101,7 +124,7 @@ PY
 
 # Every CLI command runs without scipy.
 check_no_scipy() {
-  work=$(mktemp -d)
+  work=$(mktemp -d "$root/check.XXXXXX")
   # scipy is only a test dependency. A None entry in sys.modules makes
   # every import of it fail, a lazy one on any command's path included.
   deepcoda() {
@@ -116,7 +139,7 @@ check_no_scipy() {
 
 # Every CLI command runs under an ASCII locale.
 check_ascii_locale() {
-  work=$(mktemp -d)
+  work=$(mktemp -d "$root/check.XXXXXX")
   python3 -m deepcoda simulate toy --n 200 --out "$work/data"
   # Non-ASCII sample ids and feature names, which a C locale can
   # neither decode nor print by default.
@@ -134,7 +157,7 @@ check_ascii_locale() {
 
 # Every CLI command runs clean in Python's dev mode.
 check_dev_mode() {
-  work=$(mktemp -d)
+  work=$(mktemp -d "$root/check.XXXXXX")
   # Dev mode prints ResourceWarnings (an unclosed file or pool) and
   # DeprecationWarnings. One raised in __del__ is only printed, and the
   # exit code stays 0 even under -W error, so any stderr fails the check.
@@ -156,7 +179,7 @@ check_dev_mode() {
 # A command that fails leaves the file system as it found it: with a
 # directory where its last output goes, it exits 2 and changes no file.
 check_failed_outputs() {
-  work=$(mktemp -d)
+  work=$(mktemp -d "$root/check.XXXXXX")
   tree="$work/tree"  # what the snapshots cover
   python3 -m deepcoda simulate toy --n 200 --out "$tree/data"
   printf 'epochs = 50\n' > "$tree/train.cfg"
@@ -186,7 +209,7 @@ check_failed_outputs() {
 
 checks=("$@")
 if [ ${#checks[@]} -eq 0 ]; then
-  checks=(benchmark train explain no_scipy ascii_locale dev_mode failed_outputs)
+  checks=(benchmark baseline train explain no_scipy ascii_locale dev_mode failed_outputs)
 fi
 for check in "${checks[@]}"; do
   echo "== $check"

@@ -94,15 +94,22 @@ def read_dataset_csv(path):
                     pass
                 raise
         except csv.Error as exc:
+            # The reader stopped, maybe before a byte that is not UTF-8, which wins.
+            _raise_undecodable(path)
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError:  # its position counts from the decoder's current chunk
-            data = Path(path).read_bytes()
-            try:
-                str(data, "utf-8")
-            except UnicodeDecodeError as exc:  # its position is the file's byte offset
-                line = len(data[: exc.start + 1].splitlines())
-                raise ValueError(f"{path}:{line}: {exc}") from None
+            _raise_undecodable(path)
             raise
+
+
+def _raise_undecodable(path) -> None:
+    """Raise a ValueError naming the file's first byte that is not UTF-8, if it has one."""
+    data = Path(path).read_bytes()
+    try:
+        str(data, "utf-8")
+    except UnicodeDecodeError as exc:  # its position is the file's byte offset
+        line = len(data[: exc.start + 1].splitlines())
+        raise ValueError(f"{path}:{line}: {exc}") from None
 
 
 def _parse_dataset(path, reader):
@@ -503,8 +510,8 @@ def cmd_baseline(args) -> int:
     model = lasso_logistic_fit(features, labels, lam, transform=args.transform)
     if not model.converged:
         print(
-            f"warning: the LASSO fit stopped at its {model.n_iter}-iteration cap "
-            "before reaching its tolerance",
+            f"warning: the LASSO fit stopped after {model.n_iter} Newton steps, "
+            "before its duality gap closed",
             file=sys.stderr,
         )
     scaled = scaled_magnitudes(model.coef)

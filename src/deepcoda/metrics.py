@@ -18,8 +18,8 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     """
     order = np.argsort(x, kind="stable")
     sorted_x = x[order]
-    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
-    stops = np.r_[starts[1:], x.shape[0]]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_x[1:] != sorted_x[:-1])))
+    stops = np.append(starts[1:], x.shape[0])
     ranks = np.empty(x.shape[0])
     ranks[order] = np.repeat((starts + 1 + stops) / 2.0, stops - starts)
     return ranks

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
-from scipy.special import logit
+from scipy.special import expit, log_expit, logit
 
 from deepcoda import (
+    DEFAULT_LAMBDA_GRID,
     LassoModel,
     apply_transform,
     clr,
     cv_select_lambda,
+    gen_cmyc,
     gen_toy,
     lasso_logistic_fit,
     lasso_objective,
@@ -19,6 +21,58 @@ from deepcoda import (
 )
 from deepcoda.baselines import _soft_threshold
 from deepcoda.evaluate import auc, split
+
+
+def reference_objective(X, y, lam):
+    """The L1 logistic minimum by L-BFGS-B on the split form coef = plus - minus, plus, minus >= 0.
+
+    It runs on centered and scaled columns, an exact reparametrization.
+    """
+    n, d = X.shape
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    scale = np.where(std > 0, std, 1.0)
+    xs = (X - mean) / scale
+    weights = lam / scale
+    signs = 2.0 * y - 1.0
+
+    def objective(v):
+        b = v[:d] - v[d : 2 * d]
+        margins = signs * (xs @ b + v[-1])
+        resid = -signs * expit(-margins) / n
+        g = xs.T @ resid
+        value = -log_expit(margins).mean() + weights @ v[: 2 * d].reshape(2, d).sum(axis=0)
+        return value, np.concatenate([g + weights, weights - g, [resid.sum()]])
+
+    result = minimize(
+        objective,
+        np.zeros(2 * d + 1),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(0.0, None)] * (2 * d) + [(None, None)],
+        options={"ftol": 0.0, "gtol": 1e-13, "maxiter": 100_000, "maxcor": 30},
+    )
+    b = result.x[:d] - result.x[d : 2 * d]
+    return lasso_objective(X, y, b / scale, result.x[-1] - (mean / scale) @ b, lam)
+
+
+def duality_gap(X, y, model):
+    """Objective minus the dual objective at a feasible point built from the model's residuals.
+
+    The dual variable of sample i is s_i * a_i, where s_i is +1 for a case and
+    -1 for a control and a_i, in [0, 1], is the fitted probability of sample
+    i's other class. The point must sum to zero and keep every
+    |x_j . theta| / n within lam, and the dual objective is minus the mean
+    of a log a + (1 - a) log(1 - a).
+    """
+    n = X.shape[0]
+    margins = (2.0 * y - 1.0) * model.decision(X)
+    a = expit(-margins)
+    cases, controls = a[y == 1].sum(), a[y == 0].sum()
+    a = np.where(y == 1, min(1.0, controls / cases), min(1.0, cases / controls)) * a
+    corr = np.abs((X - X.mean(axis=0)).T @ ((2.0 * y - 1.0) * a)).max() / n
+    a = a * min(1.0, model.lam / corr)
+    dual = -np.mean(a * np.log(a) + (1.0 - a) * np.log1p(-a))
+    return lasso_objective(X, y, model.coef, model.intercept, model.lam) - dual
 
 
 def overlap_1d(n=120, seed=0):
@@ -54,7 +108,9 @@ class TestSoftThreshold:
         per_entry = np.abs(rng.normal(0.0, 1.0, 2000)) * 10.0 ** rng.integers(-8, 8, 2000)
         for threshold in (per_entry, 0.7, 0.0, np.float64(2.5)):
             checked = soft_threshold(u, threshold)
-            assert checked.tobytes() == _soft_threshold(u, threshold).tobytes()
+            cuts = np.broadcast_to(threshold, u.shape)
+            solver = np.array([_soft_threshold(v, c) for v, c in zip(u.tolist(), cuts.tolist())])
+            assert checked.tobytes() == solver.tobytes()
 
     @pytest.mark.parametrize(
         "threshold,message",
@@ -159,15 +215,28 @@ class TestLassoFit:
 
     def test_fit_stopped_at_cap_is_not_converged(self):
         X, y = overlap_1d()
-        model = lasso_logistic_fit(X, y, 0.01, max_iter=5)
+        # Four Newton steps close this fit's gap; two do not.
+        model = lasso_logistic_fit(X, y, 0.01, max_iter=2)
         assert model.converged is False
-        assert model.n_iter == 5
+        assert model.n_iter == 2
+
+    def test_converged_fit_is_within_its_tolerance_of_the_optimum(self):
+        # Separable absolute abundances, where a stop on the objective's
+        # relative change once said converged 6e-8 above the optimum.
+        ds = gen_toy(200, seed=1)
+        X, y, lam = ds.absolute.values, ds.labels, DEFAULT_LAMBDA_GRID[2]
+        rel_tol = 1e-10
+        model = lasso_logistic_fit(X, y, lam, rel_tol=rel_tol)
+        assert model.converged is True
+        objective = lasso_objective(X, y, model.coef, model.intercept, lam)
+        assert objective <= reference_objective(X, y, lam) * (1.0 + rel_tol)
+        assert duality_gap(X, y, model) <= rel_tol * max(objective, 1e-12)
 
     def test_toy_fit_converges(self):
         ds = gen_toy(200, seed=5)
         model = lasso_logistic_fit(ds.relative.values, ds.labels, 0.01)
         assert model.converged is True
-        assert 0 < model.n_iter < 10_000
+        assert 0 < model.n_iter < 100
 
 
 class TestCvSelectLambda:
@@ -189,6 +258,25 @@ class TestCvSelectLambda:
         model = lasso_logistic_fit(X[train_idx], ds.labels[train_idx], lam)
         held_out = auc(model.decision(X[test_idx]), ds.labels[test_idx])
         assert held_out > 0.9
+
+    @pytest.mark.parametrize(
+        "generate,view,index",
+        [
+            (gen_toy, "relative", 4),
+            (gen_toy, "clr", 5),
+            (gen_toy, "absolute", 7),
+            (gen_cmyc, "relative", 3),
+            (gen_cmyc, "clr", 5),
+            (gen_cmyc, "absolute", 7),
+        ],
+        ids=["toy-relative", "toy-clr", "toy-absolute", "cmyc-relative", "cmyc-clr", "cmyc-absolute"],
+    )
+    def test_selected_lambda_is_pinned(self, generate, view, index):
+        # The picks of the earlier proximal-gradient solver, which a faster
+        # solver must keep.
+        ds = generate(1000, 42)
+        X = clr(ds.relative.values) if view == "clr" else getattr(ds, view).values
+        assert cv_select_lambda(X, ds.labels, seed=42) == DEFAULT_LAMBDA_GRID[index]
 
     def test_stratification_error_when_class_too_small(self):
         X = np.ones((10, 2)) + np.arange(10)[:, None]

@@ -644,6 +644,11 @@ def faulty_dataset_bytes(draw):
 @example(data=b"sample_id,a,label\ns0,1,2\ns1," + _OVERSIZED_FIELD.encode() + b",1,1\n")
 # A fault, then past the first 8 KiB read an undecodable byte: the decoding error wins.
 @example(data=b"sample_id,a,b,label\ns0,x,1,1\n" + b"s1,1,1,1\n" * 2000 + b"s2,1,1,\xff\n")
+# An oversized field, then past the next 8 KiB an undecodable byte: the decoding error wins.
+@example(
+    data=b"sample_id,a,b,label\ns0,1," + _OVERSIZED_FIELD.encode() + b",1\n"
+    + b"s1,1,1,1\n" * 2000 + b"s2,\xff,1,1\n"
+)
 # An undecodable byte past the first 8 KiB, then an oversized field: the decoding error wins.
 @example(
     data=b"sample_id,a,b,label\n" + b"s1,1,1,1\n" * 2000 + b"s2,\xff,1,1\n" * 2000

@@ -120,6 +120,21 @@ for name in sys.argv[2:]:
     for file, text in tables.items():
         assert (work / name / "serial" / file).read_bytes() == text.encode(), (name, file)
 PY
+  # A byte that is not UTF-8 at the start of line 5000, in the middle block:
+  # the serial and the free run exit 2 with the same error line, which names
+  # line 5000, and neither makes its --out directory.
+  { head -n 4999 "$work/data/absolute.csv"; printf '\377'; tail -n +5000 "$work/data/absolute.csv"; } \
+    > "$work/undecodable.csv"
+  explain="python3 -m deepcoda explain $work/model.txt $work/undecodable.csv"
+  status=0
+  taskset -c 0 $explain --out "$work/undecodable/serial" 2> "$work/serial.err" || status=$?
+  test "$status" -eq 2
+  status=0
+  $explain --out "$work/undecodable/parallel" 2> "$work/parallel.err" || status=$?
+  test "$status" -eq 2
+  cmp "$work/serial.err" "$work/parallel.err"
+  grep -q "undecodable.csv:5000: 'utf-8' codec can't decode byte 0xff" "$work/serial.err"
+  test ! -e "$work/undecodable"
 }
 
 # Every CLI command runs without scipy.

@@ -15,7 +15,6 @@ import contextlib
 import csv
 import dataclasses
 import errno
-import functools
 import io
 import math
 import os
@@ -68,7 +67,7 @@ from .explain import (  # noqa: F401
     render_report,
     weight_contrast_correlation,
 )
-from .model import load_params, save_params
+from .model import params_from_text, save_params
 from .simulate import gen_cmyc, gen_toy
 from .train import TrainConfig, TrainingDivergedError, train
 
@@ -80,45 +79,47 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig
 _ROW_BLOCK = 4096  # input lines per block of explain: one fork-map task
 
 
-def read_dataset_csv(path):
-    """Parse a dataset file; returns (sample_ids, feature_names, values, labels)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            try:
-                return _parse_dataset(path, reader)
-            except UnicodeDecodeError:  # raised by the read, so it wins at once
-                raise
-            except ValueError:
-                for _ in reader:  # a malformed record later in the file still wins
-                    pass
-                raise
-        except csv.Error as exc:
-            # The reader stopped, maybe before a byte that is not UTF-8, which wins.
-            _raise_undecodable(path)
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError:  # its position counts from the decoder's current chunk
-            _raise_undecodable(path)
-            raise
+def _text(path, data: bytes) -> str:
+    """``data``, the bytes of the file ``path``, decoded as UTF-8.
 
-
-def _raise_undecodable(path) -> None:
-    """Raise a ValueError naming the file's first byte that is not UTF-8, if it has one."""
-    data = Path(path).read_bytes()
+    A byte that is not UTF-8 raises ValueError ``path:line: ...``, with the
+    line as csv counts lines and the byte's offset in the file.
+    """
     try:
-        str(data, "utf-8")
-    except UnicodeDecodeError as exc:  # its position is the file's byte offset
+        return str(data, "utf-8")
+    except UnicodeDecodeError as exc:
         line = len(data[: exc.start + 1].splitlines())
         raise ValueError(f"{path}:{line}: {exc}") from None
 
 
-def _parse_dataset(path, reader):
-    """``read_dataset_csv``'s result from the rows of ``reader``; raises at the first fault."""
-    header = next(reader, None)
-    _check_header(path, header)
-    sample_ids, values, labels = _parse_rows(path, reader, len(header))
-    if not sample_ids:
-        raise ValueError(f"{path}: no data rows")
+def _parsed_file(path, parse):
+    """``parse`` of the text of the file ``path``; its ValueErrors name the file."""
+    text = _text(path, Path(path).read_bytes())
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_dataset_csv(path):
+    """Parse a dataset file; returns (sample_ids, feature_names, values, labels)."""
+    data = Path(path).read_bytes()
+    _text(path, data)  # a byte that is not UTF-8 wins over every other fault
+    # Not io.StringIO(text), which holds 4 bytes per character.
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        try:
+            header = next(reader, None)
+            _check_header(path, header)
+            sample_ids, values, labels = _parse_rows(path, reader, len(header))
+            if not sample_ids:
+                raise ValueError(f"{path}: no data rows")
+        except ValueError:
+            for _ in reader:  # a malformed record later in the file still wins
+                pass
+            raise
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return sample_ids, header[1:-1], values, labels
 
 
@@ -165,17 +166,16 @@ _TEXT_CELL_MAX = 256  # bytes; a longer id would widen every row's id cell
 def _parse_block(data: bytes, n_fields: int):
     """(id cells, N x (n_fields - 2) values) of the data lines in ``data``, read with numpy.
 
-    The fast reader of an ``explain`` block, which holds no ``"``. It reads
-    only what ``_parse_rows`` reads to the same ids and values, and raises
-    ValueError on anything else: a NUL byte or a ``\\r`` (so CRLF files too);
-    a line (lines end at ``\\n`` only) without exactly ``n_fields - 1`` commas;
-    a label other than ``0`` or ``1``; a value byte other than ``0-9 . + - e
-    E``; an id longer than ``_TEXT_CELL_MAX`` bytes; a value ``np.loadtxt``
-    rejects; a non-finite or negative value. The ids are
-    ``_formats.text_cells`` of their bytes.
+    The fast reader of an ``explain`` block, which holds no ``"``, ``\\r`` or
+    NUL byte (``_explain_in_blocks`` declines such files before any block).
+    It reads only what ``_parse_rows`` reads to the same ids and values, and
+    raises ValueError on anything else: a line (lines end at ``\\n``) without
+    exactly ``n_fields - 1`` commas; a label other than ``0`` or ``1``; a value
+    byte other than ``0-9 . + - e E``; an id longer than ``_TEXT_CELL_MAX``
+    bytes; a value ``np.loadtxt`` rejects, or a row count it reads otherwise; a
+    non-finite or negative value. The ids are ``_formats.text_cells`` of their
+    bytes.
     """
-    if b"\0" in data or b"\r" in data:
-        raise ValueError("NUL byte or carriage return")
     text = str(data, "utf-8")
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
@@ -308,7 +308,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     matrix, labels = load_dataset(args.data, args.delta_fraction)
     if args.config:
-        cfg = parse_train_config(Path(args.config).read_text(encoding="utf-8"))
+        cfg = _parsed_file(args.config, parse_train_config)
     else:
         cfg = TrainConfig()
     if args.seed is not None:
@@ -380,13 +380,13 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    params = load_params(args.model)
+    params = _parsed_file(args.model, params_from_text)
     if params.head != "self_explain":
         raise ValueError("model uses the linear head; explanations need self_explain")
     check_real(args.delta_fraction, "delta_fraction", high=1.0, low_open=True)
     out_dir = Path(args.out)
     with _staged_outputs() as stage:
-        explanations = functools.partial(stage, out_dir / "explanations.csv")
+        explanations = stage(out_dir / "explanations.csv")
         explained = _explain_in_blocks(params, args.data, args.delta_fraction, explanations)
         if explained is None:
             explained = _explain_whole_file(params, args.data, args.delta_fraction, explanations)
@@ -409,7 +409,7 @@ def cmd_explain(args) -> int:
 
 
 def _explain_whole_file(params, path, delta_fraction, explanations):
-    """Read the whole dataset, explain it and write explanations.csv to ``explanations()``.
+    """Read the whole dataset, explain it and write explanations.csv to ``explanations``.
 
     Returns (feature names, Z, W, positive decisions). This is the reference
     that ``_explain_in_blocks`` matches byte for byte, and its errors are the
@@ -420,13 +420,9 @@ def _explain_whole_file(params, path, delta_fraction, explanations):
     if matrix.n_features != d:
         raise ValueError(f"model expects {d} features, data has {matrix.n_features}")
     batch = explain_batch(params, matrix.values, matrix.sample_ids)
-    with open(explanations(), "wb") as fh:
+    with open(explanations, "wb") as fh:
         fh.write(_explanations_table(batch))
     return matrix.feature_names, batch.z, batch.w, _positives(batch)
-
-
-# What a block's rows may raise; the whole-file path then reports it.
-_BLOCK_FAULTS = (ValueError, ArithmeticError, MemoryError, csv.Error)
 
 
 def _explain_in_blocks(params, path, delta_fraction, explanations):
@@ -434,25 +430,23 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
 
     Each ``ordered_fork_map`` task reads one block with ``_parse_block``,
     imputes, explains and formats it, and returns its lines as bytes, so
-    this process never holds the dataset. Returns None where the blocks
-    cannot stand for the whole file: a file holding a ``"`` (a quoted field
-    may span lines), a first line that is not one valid header for the
-    model, any fault (``_parse_block``'s rejections included) or warning in
-    any block, or any OSError. The whole-file path then gives the result, or
-    raises the error, of reading the file at once, over ``explanations()``.
+    this process never holds the dataset. A byte that is not UTF-8 and an
+    OSError raise here as they do in the whole-file read. Returns None where
+    the blocks cannot stand for the whole file, and the whole-file path then
+    gives the result, or the error, of reading the file at once: before any
+    block, a file holding a ``"`` (a quoted field may span lines), a ``\\r``
+    or a NUL byte, or a first line that is not one valid header for the
+    model; then any block that raises (``_parse_block``'s rejections
+    included) or warns, since each block turns warnings into errors.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
-        return None
+    data = Path(path).read_bytes()
+    header = _text(path, data).partition("\n")[0].split(",")
     header_end = data.find(b"\n") + 1
-    if b'"' in data or not 0 < header_end < len(data):
+    if any(byte in data for byte in (b'"', b"\r", b"\0")) or not 0 < header_end < len(data):
         return None
     try:
-        records = list(csv.reader(io.StringIO(str(data[:header_end], "utf-8"), newline="")))
-        header = records[0] if len(records) == 1 else None
         _check_header(path, header)
-    except (ValueError, csv.Error):
+    except ValueError:
         return None
     if len(header) - 2 != params.dims[0]:
         return None
@@ -463,38 +457,30 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
 
     def block(k: int):
         # The whole-file path's steps on one block. Its error messages count
-        # lines from the block's start, so a fault is only flagged (None).
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                ids, values = _parse_block(data[bounds[k] : bounds[k + 1]], len(header))
-                imputed = _replace_zeros_values(values, delta_fraction)
-                batch = explain_batch(params, imputed, range(len(imputed)))
-                decisions = text_cells([DECISION_NEGATIVE.encode(), DECISION_POSITIVE.encode()])
-                positive = (batch.decisions == DECISION_POSITIVE) * 1
-                lines = _explanation_lines(batch, ids, decisions[positive])
-                relative = (_sums_to_one(values), _sums_to_one(imputed))
-            except _BLOCK_FAULTS:
-                return None
-        if caught:
-            return None
+        # lines from the block's start, so a fault only declines the blocks.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids, values = _parse_block(data[bounds[k] : bounds[k + 1]], len(header))
+            imputed = _replace_zeros_values(values, delta_fraction)
+            batch = explain_batch(params, imputed, range(len(imputed)))
+            decisions = text_cells([DECISION_NEGATIVE.encode(), DECISION_POSITIVE.encode()])
+            positive = (batch.decisions == DECISION_POSITIVE) * 1
+            lines = _explanation_lines(batch, ids, decisions[positive])
+            relative = (_sums_to_one(values), _sums_to_one(imputed))
         return lines, batch.z, batch.w, _positives(batch), relative
 
     zs, ws, n_positive, sums_to_one = [], [], 0, []
     try:
         with (contextlib.closing(ordered_fork_map(block, len(bounds) - 1)) as results,
-              open(explanations(), "wb") as fh):
+              open(explanations, "wb") as fh):
             fh.write(_explanations_header(params.dims[1]).encode())
-            for result in results:
-                if result is None:
-                    return None
-                rows, z, w, positives, sums = result
+            for rows, z, w, positives, sums in results:
                 fh.write(rows)
                 zs.append(z)
                 ws.append(w)
                 n_positive += positives
                 sums_to_one.append(sums)
-    except OSError:
+    except (ValueError, ArithmeticError, MemoryError, Warning):
         return None
     # As in load_dataset, the file is relative when every row sums to one,
     # and then every imputed row must too.

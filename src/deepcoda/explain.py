@@ -186,7 +186,9 @@ def contrast_membership(
 def _standardize_columns(arr: np.ndarray):
     centered = arr - arr.mean(axis=0)
     std = arr.std(axis=0)
-    constant = std == 0
+    # By ptp, as a constant column whose mean is inexact has a tiny nonzero std;
+    # a zero std (an underflow) would divide by zero.
+    constant = (np.ptp(arr, axis=0) == 0) | (std == 0)
     safe = np.where(constant, 1.0, std)
     out = centered / safe
     out[:, constant] = 0.0

@@ -171,6 +171,21 @@ class TestTrain:
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["train", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [(b"epochs = soon\n", " config line 1: bad value for 'epochs'"),
+         (b"seed = 1\n\xff", "2: 'utf-8' codec can't decode byte 0xff in position 9: "
+                              "invalid start byte")],
+        ids=["bad-value", "bad-byte"],
+    )
+    def test_config_errors_name_the_file(self, tmp_path, toy_dir, capsys, text, message):
+        config = tmp_path / "train.cfg"
+        config.write_bytes(text)
+        argv = ["train", str(toy_dir / "relative.csv"), "--config", str(config),
+                "--out", str(tmp_path / "m")]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {config}:{message}\n"
+
     @pytest.mark.parametrize("fraction", ["5", "nan", "0"])
     def test_bad_delta_fraction_exits_2_without_zeros(self, tmp_path, toy_dir, fraction):
         data = toy_dir / "absolute.csv"
@@ -382,6 +397,36 @@ class TestExplain:
         assert all(len(row) == 5 for row in rows)
         assert {row[2] for row in rows[1:]} <= set(NAMES_NEEDING_QUOTES)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [(b"# a model\nbogus\n", " line 2: expected 'key = value'"),
+         (b"\xff", "1: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")],
+        ids=["syntax", "bad-byte"],
+    )
+    def test_model_errors_name_the_file(self, tmp_path, toy_dir, capsys, text, message):
+        model = tmp_path / "model.txt"
+        model.write_bytes(text)
+        argv = ["explain", str(model), str(toy_dir / "relative.csv"), "--out", str(tmp_path / "r")]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {model}:{message}\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_identical_rows_have_zero_correlations(self, tmp_path, capsys):
+        # Every W and Z column is constant, and the float mean of most is inexact.
+        (tmp_path / "train.cfg").write_text("epochs = 30\n")
+        assert run(["simulate", "toy", "--n", "40", "--out", str(tmp_path)]) == EXIT_OK
+        assert run(["train", str(tmp_path / "relative.csv"), "--config", str(tmp_path / "train.cfg"),
+                    "--out", str(tmp_path / "model.txt")]) == EXIT_OK
+        data = tmp_path / "same.csv"
+        data.write_text("sample_id,f1,f2,f3,f4,label\n"
+                        + "".join(f"s{i},1,2,3,4,{i % 2}\n" for i in range(12)))
+        out = tmp_path / "report"
+        with pytest.warns(RuntimeWarning, match="constant columns"):
+            code = run(["explain", str(tmp_path / "model.txt"), str(data), "--out", str(out)])
+        assert code == EXIT_OK
+        values = [float(row[-1]) for row in read_csv(out / "correlations.csv")[1:]]
+        assert values == [0.0] * (5 * 5 + 5)
+
     def test_forged_model_dims_exit_2(self, tmp_path, toy_dir, trained_model):
         text = trained_model.read_text()
         dims = next(ln for ln in text.splitlines() if ln.startswith("dims ="))
@@ -390,6 +435,63 @@ class TestExplain:
         assert run(
             ["explain", str(forged), str(toy_dir / "relative.csv"), "--out", str(tmp_path / "r")]
         ) == EXIT_USAGE
+
+
+def _no_whole_file(*args):
+    raise AssertionError("explain read the whole file")
+
+
+class TestExplainBlocksRaise:
+    """What the blocks can report as the whole-file read would, they raise themselves."""
+
+    @pytest.fixture(autouse=True)
+    def three_blocks(self, monkeypatch, set_cpus):
+        # toy_dir's 120 rows are three blocks, lines 2-41, 42-81 and 82-121.
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 40)
+        set_cpus(2)
+
+    def explain(self, model, data, out):
+        return run(["explain", str(model), str(data), "--out", str(out)])
+
+    def test_a_bad_byte_in_the_middle_block(self, tmp_path, toy_dir, trained_model, monkeypatch,
+                                            capsys):
+        lines = (toy_dir / "absolute.csv").read_bytes().split(b"\n")
+        lines[60] = b"\xff" + lines[60]  # the start of line 61
+        bad = tmp_path / "data.csv"
+        bad.write_bytes(b"\n".join(lines))
+        offset = len(b"\n".join(lines[:60])) + 1
+        monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
+        assert self.explain(trained_model, bad, tmp_path / "r") == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {bad}:61: 'utf-8' codec can't decode byte 0xff in position {offset}: "
+            "invalid start byte\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+    def test_a_missing_data_file(self, tmp_path, trained_model, monkeypatch, capsys):
+        missing = tmp_path / "missing.csv"
+        monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
+        assert self.explain(trained_model, missing, tmp_path / "r") == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+    def test_a_crlf_file_is_read_whole_without_the_block_reader(
+        self, tmp_path, toy_dir, trained_model, monkeypatch
+    ):
+        lf = toy_dir / "relative.csv"
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert self.explain(trained_model, lf, tmp_path / "lf") == EXIT_OK
+
+        def no_block_reader(*args):
+            raise AssertionError("a block of a CRLF file was parsed")
+
+        monkeypatch.setattr(cli, "_parse_block", no_block_reader)
+        assert self.explain(trained_model, crlf, tmp_path / "crlf") == EXIT_OK
+        for name in OUTPUTS["explain"]:
+            assert (tmp_path / "crlf" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
 
 
 # Each command's outputs, in the order it writes them; --out names the first

@@ -221,6 +221,17 @@ class TestWeightContrastCorrelation:
             pearson, _ = weight_contrast_correlation(w, z)
         assert np.all(pearson[1, :] == 0.0)
 
+    def test_constant_column_with_an_inexact_mean_is_constant(self):
+        # The mean of twelve 0.1s is not 0.1, so their std is 1.4e-17, not 0.
+        rng = np.random.default_rng(8)
+        w = rng.normal(size=(12, 2))
+        w[:, 0] = 0.1
+        z = np.column_stack([np.arange(12.0), rng.normal(size=12)])
+        assert np.std(w[:, 0]) > 0
+        with pytest.warns(RuntimeWarning, match="constant"):
+            pearson, _ = weight_contrast_correlation(w, z)
+        assert np.all(pearson[0, :] == 0.0)
+
     def test_bounds(self):
         rng = np.random.default_rng(6)
         w = rng.normal(size=(80, 4))

@@ -120,21 +120,28 @@ for name in sys.argv[2:]:
     for file, text in tables.items():
         assert (work / name / "serial" / file).read_bytes() == text.encode(), (name, file)
 PY
-  # A byte that is not UTF-8 at the start of line 5000, in the middle block:
-  # the serial and the free run exit 2 with the same error line, which names
-  # line 5000, and neither makes its --out directory.
+  # A rejected input: the serial and the free run exit 2 with the same error
+  # line, which holds $2, and neither makes its --out directory.
+  rejected() {
+    explain="python3 -m deepcoda explain $work/model.txt $work/$1.csv"
+    status=0
+    taskset -c 0 $explain --out "$work/$1/serial" 2> "$work/serial.err" || status=$?
+    test "$status" -eq 2
+    status=0
+    $explain --out "$work/$1/parallel" 2> "$work/parallel.err" || status=$?
+    test "$status" -eq 2
+    cmp "$work/serial.err" "$work/parallel.err"
+    grep -q "$2" "$work/serial.err"
+    test ! -e "$work/$1"
+  }
+  # A byte that is not UTF-8 at the start of line 5000, in the middle block.
   { head -n 4999 "$work/data/absolute.csv"; printf '\377'; tail -n +5000 "$work/data/absolute.csv"; } \
     > "$work/undecodable.csv"
-  explain="python3 -m deepcoda explain $work/model.txt $work/undecodable.csv"
-  status=0
-  taskset -c 0 $explain --out "$work/undecodable/serial" 2> "$work/serial.err" || status=$?
-  test "$status" -eq 2
-  status=0
-  $explain --out "$work/undecodable/parallel" 2> "$work/parallel.err" || status=$?
-  test "$status" -eq 2
-  cmp "$work/serial.err" "$work/parallel.err"
-  grep -q "undecodable.csv:5000: 'utf-8' codec can't decode byte 0xff" "$work/serial.err"
-  test ! -e "$work/undecodable"
+  rejected undecodable "undecodable.csv:5000: 'utf-8' codec can't decode byte 0xff"
+  # A quote opened at the start of line 4 and never closed: csv reads on until
+  # the field outgrows its limit, and the error names line 4.
+  sed -e '4s/^/"/' "$work/data/absolute.csv" > "$work/unclosed.csv"
+  rejected unclosed "unclosed.csv:4: field larger than field limit"
 }
 
 # Every CLI command runs without scipy.

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +21,7 @@ def csv_field(text: str) -> str:
     return text if _SPECIALS.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
-def _text(field) -> str:
+def _field_text(field) -> str:
     return NUMBER % field if isinstance(field, float) else str(field)
 
 
@@ -30,7 +31,34 @@ def csv_row(fields) -> str:
     A float (numpy float64 included) is written as ``NUMBER``, any other
     field as ``str``.
     """
-    return ",".join(map(csv_field, map(_text, fields))) + "\n"
+    return ",".join(map(csv_field, map(_field_text, fields))) + "\n"
+
+
+def csv_table(header, rows) -> str:
+    """The CSV lines of ``header``, then of each of ``rows``."""
+    return "".join(map(csv_row, [header, *rows]))
+
+
+def utf8_text(path, data: bytes) -> str:
+    """``data``, the bytes of the file ``path``, decoded as UTF-8.
+
+    A byte that is not UTF-8 raises ValueError ``path:line: ...``, with the
+    line as csv counts lines and the byte's offset in the file.
+    """
+    try:
+        return str(data, "utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(data[: exc.start + 1].splitlines())
+        raise ValueError(f"{path}:{line}: {exc}") from None
+
+
+def parse_file(path, parse):
+    """``parse`` of the text of the file ``path``; its ValueErrors name the file."""
+    text = utf8_text(path, Path(path).read_bytes())
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def key_values(text: str, where: str):

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ._forkmap import ordered_fork_map
-from ._formats import NUMBER, csv_row, key_values, text_cells
+from ._formats import NUMBER, csv_table, key_values, parse_file, text_cells, utf8_text
 from .baselines import (
     TRANSFORMS,
     apply_transform,
@@ -67,7 +67,7 @@ from .explain import (  # noqa: F401
     render_report,
     weight_contrast_correlation,
 )
-from .model import params_from_text, save_params
+from .model import load_params, save_params
 from .simulate import gen_cmyc, gen_toy
 from .train import TrainConfig, TrainingDivergedError, train
 
@@ -79,34 +79,15 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig
 _ROW_BLOCK = 4096  # input lines per block of explain: one fork-map task
 
 
-def _text(path, data: bytes) -> str:
-    """``data``, the bytes of the file ``path``, decoded as UTF-8.
-
-    A byte that is not UTF-8 raises ValueError ``path:line: ...``, with the
-    line as csv counts lines and the byte's offset in the file.
-    """
-    try:
-        return str(data, "utf-8")
-    except UnicodeDecodeError as exc:
-        line = len(data[: exc.start + 1].splitlines())
-        raise ValueError(f"{path}:{line}: {exc}") from None
-
-
-def _parsed_file(path, parse):
-    """``parse`` of the text of the file ``path``; its ValueErrors name the file."""
-    text = _text(path, Path(path).read_bytes())
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def read_dataset_csv(path):
     """Parse a dataset file; returns (sample_ids, feature_names, values, labels)."""
     data = Path(path).read_bytes()
-    _text(path, data)  # a byte that is not UTF-8 wins over every other fault
-    # Not io.StringIO(text), which holds 4 bytes per character.
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    utf8_text(path, data)  # a byte that is not UTF-8 wins over every other fault
+
+    def records():  # not io.StringIO(text), which holds 4 bytes per character
+        return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+
+    reader = records()
     try:
         try:
             header = next(reader, None)
@@ -119,7 +100,12 @@ def read_dataset_csv(path):
                 pass
             raise
     except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+        # Name the line where the failing record began (an unclosed quote's), not reader.line_num.
+        reader, line = records(), 1
+        with contextlib.suppress(csv.Error):
+            for _ in reader:
+                line = reader.line_num + 1
+        raise ValueError(f"{path}:{line}: {exc}") from exc
     return sample_ids, header[1:-1], values, labels
 
 
@@ -228,10 +214,10 @@ def load_dataset(path, delta_fraction: float = DEFAULT_DELTA_FRACTION):
 
 
 def write_dataset_csv(path, matrix: CompositionMatrix, labels) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(csv_row(["sample_id", *matrix.feature_names, "label"]))
-        for i, sid in enumerate(matrix.sample_ids):
-            fh.write(csv_row([sid, *matrix.values[i].tolist(), int(labels[i])]))
+    rows = zip(matrix.sample_ids, matrix.values.tolist(), labels, strict=True)
+    table = csv_table(["sample_id", *matrix.feature_names, "label"],
+                      ([sid, *values, int(label)] for sid, values, label in rows))
+    Path(path).write_text(table, encoding="utf-8", newline="")
 
 
 @contextlib.contextmanager
@@ -307,22 +293,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     matrix, labels = load_dataset(args.data, args.delta_fraction)
-    if args.config:
-        cfg = _parsed_file(args.config, parse_train_config)
-    else:
-        cfg = TrainConfig()
+    cfg = parse_file(args.config, parse_train_config) if args.config else TrainConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     report = train(matrix.values, labels, cfg)
     report_path = f"{args.out}.report.csv"
+    rows = [["loss", epoch, value] for epoch, value in enumerate(report.loss_history)]
+    rows += [["constraint_residual", b, value]
+             for b, value in enumerate(report.final_constraint_residuals)]
     with _staged_outputs() as stage:
         save_params(report.params, stage(args.out))
-        with open(stage(report_path), "w", newline="", encoding="utf-8") as fh:
-            fh.write(csv_row(["record", "index", "value"]))
-            for epoch, value in enumerate(report.loss_history):
-                fh.write(csv_row(["loss", epoch, value]))
-            for b, value in enumerate(report.final_constraint_residuals):
-                fh.write(csv_row(["constraint_residual", b, value]))
+        stage(report_path).write_text(csv_table(["record", "index", "value"], rows),
+                                      encoding="utf-8", newline="")
     print("final loss:", NUMBER % report.loss_history[-1])
     for b, value in enumerate(report.final_constraint_residuals):
         print(f"constraint residual {b}:", NUMBER % value)
@@ -374,13 +356,13 @@ def cmd_benchmark(args) -> int:
         results = benchmark(dataset, methods, n_splits=args.splits, base_seed=args.seed)
     results = standardize_scores(results)
     with _staged_outputs() as stage:
-        stage(args.out).write_text(results_to_csv(results), encoding="utf-8")
+        stage(args.out).write_text(results_to_csv(results), encoding="utf-8", newline="")
     print(f"wrote {args.out} ({len(results)} rows)")
     return EXIT_OK
 
 
 def cmd_explain(args) -> int:
-    params = _parsed_file(args.model, params_from_text)
+    params = load_params(args.model)
     if params.head != "self_explain":
         raise ValueError("model uses the linear head; explanations need self_explain")
     check_real(args.delta_fraction, "delta_fraction", high=1.0, low_open=True)
@@ -393,17 +375,12 @@ def cmd_explain(args) -> int:
         feature_names, z, w, n_positive = explained
         n_bottlenecks = params.dims[1]
         memberships = [contrast_membership(params, b, feature_names) for b in range(n_bottlenecks)]
-        correlations = None
-        if z.shape[0] > n_bottlenecks:
-            correlations = weight_contrast_correlation(w, z)
-        # render_report's tables; explanations.csv is already written.
-        summary, memberships_csv, correlations_csv = _summary_tables(
-            z.shape[0], n_positive, memberships, correlations
-        )
-        stage(out_dir / "memberships.csv").write_text(memberships_csv, encoding="utf-8")
-        stage(out_dir / "correlations.csv").write_text(correlations_csv, encoding="utf-8")
-        stage(out_dir / "summary.txt").write_text(summary, encoding="utf-8")
-    print(summary, end="")
+        correlations = weight_contrast_correlation(w, z) if z.shape[0] > n_bottlenecks else None
+        # render_report's other tables; explanations.csv is already written.
+        tables = _summary_tables(z.shape[0], n_positive, memberships, correlations)
+        for name, text in zip(["memberships.csv", "correlations.csv", "summary.txt"], tables):
+            stage(out_dir / name).write_text(text, encoding="utf-8", newline="")
+    print(tables[-1], end="")
     print(f"wrote report files to {out_dir}")
     return EXIT_OK
 
@@ -440,7 +417,7 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
     included) or warns, since each block turns warnings into errors.
     """
     data = Path(path).read_bytes()
-    header = _text(path, data).partition("\n")[0].split(",")
+    header = utf8_text(path, data).partition("\n")[0].split(",")
     header_end = data.find(b"\n") + 1
     if any(byte in data for byte in (b'"', b"\r", b"\0")) or not 0 < header_end < len(data):
         return None
@@ -501,11 +478,10 @@ def cmd_baseline(args) -> int:
             file=sys.stderr,
         )
     scaled = scaled_magnitudes(model.coef)
-    with _staged_outputs() as stage, open(stage(args.out), "w", newline="", encoding="utf-8") as fh:
-        fh.write(csv_row(["feature", "coefficient", "scaled_magnitude"]))
-        for name, coef, mag in zip(matrix.feature_names, model.coef, scaled):
-            fh.write(csv_row([name, coef, mag]))
-        fh.write(csv_row(["(intercept)", model.intercept, ""]))
+    rows = [*zip(matrix.feature_names, model.coef, scaled), ["(intercept)", model.intercept, ""]]
+    with _staged_outputs() as stage:
+        stage(args.out).write_text(csv_table(["feature", "coefficient", "scaled_magnitude"], rows),
+                                   encoding="utf-8", newline="")
     print("selected lambda:", NUMBER % lam)
     print("intercept:", NUMBER % model.intercept)
     print(f"wrote {args.out}")

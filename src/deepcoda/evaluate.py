@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import baselines
-from ._formats import csv_row
+from ._formats import csv_table
 from ._forkmap import ordered_fork_map
 from .checks import check_choice, check_count, check_real, check_seed
 from .metrics import auc
@@ -245,9 +245,9 @@ def grid_search(
 
 def results_to_csv(results: Sequence[BenchmarkResult]) -> str:
     """Canonical CSV (sorted rows, numbers as ``_formats.NUMBER``)."""
-    lines = ["dataset,method,split,auc,standardized_auc\n"]
     ordered = sorted(results, key=lambda r: (r.dataset, r.method, r.split_index))
-    for r in ordered:
-        std = "" if r.standardized_auc is None else r.standardized_auc
-        lines.append(csv_row([r.dataset, r.method, r.split_index, r.auc, std]))
-    return "".join(lines)
+    return csv_table(
+        ["dataset", "method", "split", "auc", "standardized_auc"],
+        ([r.dataset, r.method, r.split_index, r.auc,
+          "" if r.standardized_auc is None else r.standardized_auc] for r in ordered),
+    )

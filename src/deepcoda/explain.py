@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._formats import cell_lines, csv_field, csv_row
+from ._formats import cell_lines, csv_field, csv_row, csv_table
 from .checks import check_array, check_count, check_names, check_real
 # ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
 from .model import DeepCodaParams, _forward_batch, forward  # noqa: F401
@@ -244,10 +244,6 @@ class ReportBundle:
     correlations_csv: str
 
 
-def _csv_table(header: list[str], rows: Iterable[list]) -> str:
-    return "".join(map(csv_row, [header, *rows]))
-
-
 def _explanations_header(n_contrasts: int) -> str:
     return csv_row(
         ["sample_id"]
@@ -280,7 +276,7 @@ def _explanations_table(batch: ExplanationBatch) -> bytes:
 def _summary_tables(
     n_samples: int, n_positive: int, memberships, correlations
 ) -> tuple[str, str, str]:
-    """``render_report``'s summary, memberships CSV and correlations CSV.
+    """``render_report``'s memberships CSV, correlations CSV and summary, as explain writes them.
 
     ``n_positive`` of the ``n_samples`` explained rows have the decision
     ``DECISION_POSITIVE``.
@@ -290,7 +286,7 @@ def _summary_tables(
         for rank, (name, power) in enumerate(m.entries, start=1):
             side = "numerator" if power > 0 else "denominator"
             mem_rows.append([m.bottleneck_index + 1, rank, name, power, side])
-    memberships_csv = _csv_table(["bottleneck", "rank", "feature", "power", "side"], mem_rows)
+    memberships_csv = csv_table(["bottleneck", "rank", "feature", "power", "side"], mem_rows)
 
     corr_rows = []
     if correlations is not None:
@@ -301,7 +297,7 @@ def _summary_tables(
                 corr_rows.append(["pearson", i + 1, j + 1, pearson[i, j]])
         for k, value in enumerate(np.asarray(canonical, dtype=float), start=1):
             corr_rows.append(["canonical", k, "", value])
-    correlations_csv = _csv_table(["kind", "row", "col", "value"], corr_rows)
+    correlations_csv = csv_table(["kind", "row", "col", "value"], corr_rows)
 
     lines = [
         f"samples: {n_samples}",
@@ -317,8 +313,7 @@ def _summary_tables(
             )
         else:
             lines.append(f"contrast {m.bottleneck_index + 1}: no parts above threshold")
-    summary = "\n".join(lines) + "\n"
-    return summary, memberships_csv, correlations_csv
+    return memberships_csv, correlations_csv, "\n".join(lines) + "\n"
 
 
 def render_report(
@@ -334,7 +329,7 @@ def render_report(
     batch = explanations
     if not isinstance(batch, ExplanationBatch):
         batch = ExplanationBatch.stack(explanations)
-    summary, memberships_csv, correlations_csv = _summary_tables(
+    memberships_csv, correlations_csv, summary = _summary_tables(
         len(batch), _positives(batch), memberships, correlations
     )
     explanations_csv = _explanations_table(batch).decode("utf-8", "surrogatepass")

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from ._expit import expit
-from ._formats import NUMBER, key_values
+from ._formats import NUMBER, key_values, parse_file
 from .checks import check_array, check_choice, check_count, check_labels, check_real
 
 __all__ = [
@@ -400,10 +401,9 @@ def params_from_text(text: str) -> DeepCodaParams:
 
 
 def save_params(p: DeepCodaParams, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(params_to_text(p))
+    Path(path).write_text(params_to_text(p), encoding="utf-8", newline="")
 
 
 def load_params(path) -> DeepCodaParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return params_from_text(fh.read())
+    """Read a model file; an error names the file, and the line of a byte that is not UTF-8."""
+    return parse_file(path, params_from_text)

@@ -830,6 +830,26 @@ class TestDatasetIo:
             "invalid start byte\n"
         )
 
+    @pytest.mark.parametrize("command", ["train", "baseline", "explain"])
+    def test_an_unclosed_quote_names_the_line_where_it_opens(
+        self, tmp_path, trained_model, capsys, command
+    ):
+        # csv reads on past line 4 until the quoted field outgrows its limit.
+        assert run(["simulate", "toy", "--n", "10000", "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "absolute.csv").read_bytes().split(b"\n")
+        lines[3] = b'"' + lines[3]
+        bad = tmp_path / "quote.csv"
+        bad.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {"train": ["train", str(bad)], "baseline": ["baseline", str(bad)],
+                "explain": ["explain", str(trained_model), str(bad)]}
+        assert run([*argv[command], "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {bad}:4: field larger than field limit ({csv.field_size_limit()})\n"
+        )
+        assert not out.exists()
+
     def test_zero_replacement_on_ingest(self, tmp_path):
         data = tmp_path / "zeros.csv"
         data.write_text("sample_id,f1,f2,f3,label\ns0,0.0,2.0,2.0,0\ns1,1.0,2.0,3.0,1\n")

@@ -558,7 +558,8 @@ def reference_read_dataset_csv(path):
     """The reader before streaming: the whole file as rows first, then checks.
 
     A byte that is not UTF-8 anywhere in the file is reported first, by its
-    line (as csv counts lines) and its offset in the file.
+    line (as csv counts lines) and its offset in the file. A csv error is
+    reported at the line where its record began.
     """
     data = Path(path).read_bytes()
     try:
@@ -569,10 +570,13 @@ def reference_read_dataset_csv(path):
         raise ValueError(f"{path}:{line}: {exc}") from None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        rows, start = [], 1  # the line where the next record begins
         try:
-            rows = list(reader)
+            for row in reader:
+                rows.append(row)
+                start = reader.line_num + 1
         except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+            raise ValueError(f"{path}:{start}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: empty dataset file")
     header = rows[0]
@@ -649,6 +653,9 @@ def faulty_dataset_bytes(draw):
     data=b"sample_id,a,b,label\ns0,1," + _OVERSIZED_FIELD.encode() + b",1\n"
     + b"s1,1,1,1\n" * 2000 + b"s2,\xff,1,1\n"
 )
+# A quote left open on line 3: csv gives up when the field outgrows its limit, and the error
+# names line 3, where the record began.
+@example(data=b'sample_id,a,b,label\ns0,1,1,1\n"s1,1,1,1\n' + b"s2,1,1,1\n" * 20_000)
 # An undecodable byte past the first 8 KiB, then an oversized field: the decoding error wins.
 @example(
     data=b"sample_id,a,b,label\n" + b"s1,1,1,1\n" * 2000 + b"s2,\xff,1,1\n" * 2000

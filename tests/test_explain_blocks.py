@@ -240,6 +240,15 @@ def test_a_fault_in_any_block_gives_the_whole_file_error(
     assert message in stderr
 
 
+def csv_reads_nul() -> bool:
+    """Whether csv reads a NUL byte: 3.11 does, 3.10 raises ``csv.Error("line contains NUL")``."""
+    try:
+        next(csv.reader(["\0"]))
+    except csv.Error:
+        return False
+    return True
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     n_rows=st.integers(1, 6),
@@ -262,6 +271,10 @@ def test_the_block_reader_reads_what_the_csv_reader_reads(n_rows, seed, faults, 
         reader = csv.reader(io.StringIO(str(block, "utf-8"), newline=""))
         sample_ids, values, _ = cli._parse_rows("data.csv", reader, D + 2)
     except (ValueError, csv.Error):
+        # Python 3.10's csv rejects a NUL byte, which 3.11's and the block reader
+        # read; no block holds one, since _explain_in_blocks declines such files.
+        if b"\0" in block and not csv_reads_nul():
+            return
         with pytest.raises(ValueError):
             cli._parse_block(block, D + 2)
         return

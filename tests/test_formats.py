@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deepcoda import DeepCodaParams, params_from_text, params_to_text
+from deepcoda import DeepCodaParams, load_params, params_from_text, params_to_text
 from deepcoda._forkmap import ordered_fork_map
 from deepcoda._formats import NUMBER, cell_lines, csv_row
-from deepcoda.cli import parse_train_config
+from deepcoda.cli import EXIT_USAGE, parse_train_config, run
 
 
 @pytest.mark.parametrize(
@@ -65,6 +65,34 @@ def test_reader_rejects_a_duplicate_key(read, canonical, text, where):
     n = len(text.splitlines()) + 1
     with pytest.raises(ValueError, match="^" + re.escape(f"{where} {n}: duplicate key {key!r}")):
         read(f"{text}{first}\n")
+
+
+# A model file's fault: (its bytes, the error after the file's path)
+MODEL_FILE_FAULTS = [
+    pytest.param(
+        MODEL_TEXT.replace("head", "\udcffhead").encode("utf-8", "surrogateescape"),
+        f":3: 'utf-8' codec can't decode byte 0xff in position {MODEL_TEXT.index('head')}: "
+        "invalid start byte",
+        id="bad-byte",
+    ),
+    pytest.param(
+        (MODEL_TEXT + "no equals sign here\n").encode(),
+        f": line {len(MODEL_TEXT.splitlines()) + 1}: expected 'key = value'",
+        id="malformed-line",
+    ),
+]
+
+
+@pytest.mark.parametrize("data,error", MODEL_FILE_FAULTS)
+def test_load_params_and_explain_report_a_model_file_alike(tmp_path, capsys, data, error):
+    model = tmp_path / "model.txt"
+    model.write_bytes(data)
+    with pytest.raises(ValueError) as raised:
+        load_params(model)
+    assert str(raised.value) == f"{model}{error}"
+    argv = ["explain", str(model), str(tmp_path / "data.csv"), "--out", str(tmp_path / "report")]
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {model}{error}\n"
 
 
 def number_rows(values) -> list[str]:

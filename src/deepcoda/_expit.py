@@ -10,6 +10,12 @@ Two kinds of element are redone one at a time with ``math.exp``, which is
 libm's ``exp``: arguments in (709, 710), where glibc's ``cexp`` computes
 ``exp(709) * exp(t - 709)`` to avoid overflow and so may round differently
 (from 710 on both overflow to inf), and NaN, whose sign ``cexp`` drops.
+
+Every probability the package reports goes through this function: the
+network's ``predict_proba``, ``forward`` and explanations, and
+``LassoModel.predict_proba``. Fitting does not: the training kernel and
+the LASSO solver use numpy's faster float64 ``exp``, so a fit's last
+bits may differ between CPUs for which numpy picks different kernels.
 """
 
 from __future__ import annotations
@@ -32,20 +38,16 @@ def _expit_of_negated(t: float) -> float:
     return 1.0 / (1.0 + e)
 
 
-def expit(x, out=None, *, scratch=None):
+def expit(x):
     """``1 / (1 + exp(-x))`` elementwise, as ``scipy.special.expit`` computes it.
 
-    ``x`` is read as float64. The result goes into ``out`` if given, which
-    is returned; otherwise a 0-d input gives a numpy scalar, as a ufunc
-    does. ``scratch``, a complex128 array of ``x``'s shape whose imaginary
-    part is zero, saves one allocation per call; its real part is
-    overwritten and its imaginary part stays zero. Like scipy, this never
-    warns and never raises on overflow or underflow, whatever the caller's
-    ``np.errstate``.
+    ``x`` is read as float64; a 0-d input gives a numpy scalar, as a ufunc
+    does. Like scipy, this never warns and never raises on overflow or
+    underflow, whatever the caller's ``np.errstate``.
     """
     x = np.asarray(x, dtype=float)
-    c = np.zeros(x.shape, dtype=complex) if scratch is None else scratch
-    result = np.empty(x.shape) if out is None else out
+    c = np.zeros(x.shape, dtype=complex)
+    result = np.empty(x.shape)
     t = c.real
     with np.errstate(all="ignore"):
         np.negative(x, out=t)
@@ -59,4 +61,4 @@ def expit(x, out=None, *, scratch=None):
         np.divide(1.0, result, out=result)
     if redone is not None:
         result.flat[slow] = redone
-    return result if out is not None or result.ndim else result[()]
+    return result if result.ndim else result[()]

@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import errno
 import io
+import itertools
 import math
 import os
 import sys
@@ -39,6 +40,7 @@ from .coda import (
     DEFAULT_DELTA_FRACTION,
     CompositionMatrix,
     _replace_zeros_values,
+    _RowFault,
     _sums_to_one,
     replace_zeros,
 )
@@ -83,16 +85,14 @@ def read_dataset_csv(path):
     """Parse a dataset file; returns (sample_ids, feature_names, values, labels)."""
     data = Path(path).read_bytes()
     utf8_text(path, data)  # a byte that is not UTF-8 wins over every other fault
-
-    def records():  # not io.StringIO(text), which holds 4 bytes per character
-        return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-
-    reader = records()
+    reader = _records(data)
     try:
         try:
             header = next(reader, None)
             _check_header(path, header)
-            sample_ids, values, labels = _parse_rows(path, reader, len(header))
+            sample_ids, values, labels = _parse_rows(
+                path, reader, len(header), lambda record: _first_line(data, record)
+            )
             if not sample_ids:
                 raise ValueError(f"{path}: no data rows")
         except ValueError:
@@ -101,12 +101,25 @@ def read_dataset_csv(path):
             raise
     except csv.Error as exc:
         # Name the line where the failing record began (an unclosed quote's), not reader.line_num.
-        reader, line = records(), 1
-        with contextlib.suppress(csv.Error):
-            for _ in reader:
-                line = reader.line_num + 1
-        raise ValueError(f"{path}:{line}: {exc}") from exc
+        raise ValueError(f"{path}:{_first_line(data)}: {exc}") from exc
     return sample_ids, header[1:-1], values, labels
+
+
+def _records(data: bytes):
+    """A csv reader of a UTF-8 file's bytes (io.StringIO(text) would hold 4 bytes a character)."""
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+
+
+def _first_line(data: bytes, record: int | None = None) -> int:
+    """The line where ``record`` of ``data`` begins (the header is record 0), found by re-reading.
+
+    Without ``record``, the line where the record that stops the reader with a csv error begins.
+    """
+    reader, line = _records(data), 1
+    with contextlib.suppress(csv.Error):
+        for _ in itertools.islice(reader, record):
+            line = reader.line_num + 1
+    return line
 
 
 def _check_header(path, header) -> None:
@@ -116,29 +129,34 @@ def _check_header(path, header) -> None:
         raise ValueError(f"{path}: need sample_id, at least two features, and label")
     if header[0] != "sample_id" or header[-1] != "label":
         raise ValueError(f"{path}: header must start with sample_id and end with label")
+    names = header[1:-1]
+    if len(set(names)) < len(names):
+        repeated = next(name for j, name in enumerate(names) if name in names[:j])
+        raise ValueError(f"{path}: feature name {repeated!r} is repeated")
 
 
-def _parse_rows(path, reader, n_fields: int):
-    """(sample ids, N x (n_fields - 2) values, labels) of the data rows of ``reader``.
+def _parse_rows(path, reader, n_fields: int, first_line):
+    """(sample ids, N x (n_fields - 2) values, labels) of the data records of ``reader``.
 
-    Error messages number the rows as lines of a file whose header is line 1.
+    A fault names ``first_line(k)``, the line where data record k begins
+    (the header is record 0).
     """
     sample_ids, values, labels = [], array("d"), []
-    for line_no, row in enumerate(reader, start=2):
+    for record, row in enumerate(reader, start=1):
         if len(row) != n_fields:
-            raise ValueError(f"{path}:{line_no}: expected {n_fields} fields")
+            raise ValueError(f"{path}:{first_line(record)}: expected {n_fields} fields")
         try:
             feats = list(map(float, row[1:-1]))
         except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: non-numeric feature value") from exc
+            raise ValueError(f"{path}:{first_line(record)}: non-numeric feature value") from exc
         # A cheap test per row; the scans name a failing row's fault (or pass an overflowing sum).
         if not (math.isfinite(sum(feats)) and min(feats) >= 0):
             if not all(map(math.isfinite, feats)):
-                raise ValueError(f"{path}:{line_no}: non-finite feature value")
+                raise ValueError(f"{path}:{first_line(record)}: non-finite feature value")
             if any(v < 0 for v in feats):
-                raise ValueError(f"{path}:{line_no}: negative abundance")
+                raise ValueError(f"{path}:{first_line(record)}: negative abundance")
         if row[-1] not in ("0", "1"):
-            raise ValueError(f"{path}:{line_no}: label must be 0 or 1")
+            raise ValueError(f"{path}:{first_line(record)}: label must be 0 or 1")
         sample_ids.append(row[0])
         values.fromlist(feats)
         labels.append(row[-1] == "1")
@@ -210,7 +228,11 @@ def load_dataset(path, delta_fraction: float = DEFAULT_DELTA_FRACTION):
     sample_ids, feature_names, values, labels = read_dataset_csv(path)
     kind = "relative" if _sums_to_one(values) else "absolute"
     matrix = CompositionMatrix(values, sample_ids, feature_names, kind)
-    return replace_zeros(matrix, delta_fraction), labels
+    try:
+        return replace_zeros(matrix, delta_fraction), labels
+    except _RowFault as exc:
+        line = _first_line(Path(path).read_bytes(), exc.row + 1)
+        raise ValueError(f"{path}:{line}: {exc.reason}") from exc
 
 
 def write_dataset_csv(path, matrix: CompositionMatrix, labels) -> None:

@@ -140,6 +140,14 @@ def replace_zeros(
     return CompositionMatrix(values, m.sample_ids, m.feature_names, m.kind)
 
 
+class _RowFault(ValueError):
+    """A row that ``replace_zeros`` cannot impute: its 0-based index, and why without it."""
+
+    def __init__(self, message: str, row: int, reason: str) -> None:
+        super().__init__(message)
+        self.row, self.reason = row, reason
+
+
 def _replace_zeros_values(values: np.ndarray, delta_fraction: float) -> np.ndarray:
     """``replace_zeros`` on a bare N x D array; returns ``values`` itself if it holds no zeros."""
     zero_mask = values == 0
@@ -154,12 +162,11 @@ def _replace_zeros_values(values: np.ndarray, delta_fraction: float) -> np.ndarr
     bad = empty | (scale <= 0)
     if bad.any():
         first = int(np.argmax(bad))
+        row = int(rows[first])
         if empty[first]:
-            raise ValueError(f"row {rows[first]} is entirely zero")
-        raise ValueError(
-            f"row {rows[first]}: imputed mass exceeds the row total; "
-            "use a smaller delta_fraction"
-        )
+            raise _RowFault(f"row {row} is entirely zero", row, "row is entirely zero")
+        reason = "imputed mass exceeds the row total; use a smaller delta_fraction"
+        raise _RowFault(f"row {row}: {reason}", row, reason)
     out = values.copy()
     out[rows] = np.where(zeros, delta[:, None], sub * scale[:, None])
     return out

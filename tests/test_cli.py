@@ -850,6 +850,55 @@ class TestDatasetIo:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "baseline", "explain"])
+    def test_a_row_fault_names_the_line_where_its_record_begins(
+        self, tmp_path, trained_model, capsys, command
+    ):
+        # The first record's quoted id spans lines 2 and 3, so the second record is on line 4.
+        bad = tmp_path / "ml.csv"
+        bad.write_bytes(b'sample_id,a,b,label\n"s\n0",1,1,0\ns1,-1,1,1\n')
+        argv = {"train": ["train", str(bad)], "baseline": ["baseline", str(bad)],
+                "explain": ["explain", str(trained_model), str(bad)]}
+        assert run([*argv[command], "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {bad}:4: negative abundance\n"
+
+    @pytest.mark.parametrize("command", ["train", "baseline", "benchmark", "explain"])
+    @pytest.mark.parametrize(
+        "row,fraction,message",
+        [
+            ("s1,0,0,0,0,1", "0.5", "row is entirely zero"),
+            ("s1,1,0,0,0,1", "0.99",
+             "imputed mass exceeds the row total; use a smaller delta_fraction"),
+        ],
+        ids=["all-zero", "imputed-mass"],
+    )
+    def test_a_zero_replacement_fault_names_the_file_and_line(
+        self, tmp_path, toy_dir, trained_model, capsys, command, row, fraction, message
+    ):
+        lines = (toy_dir / "absolute.csv").read_text().splitlines()
+        lines[40] = row
+        bad = tmp_path / "zeros.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = {"train": ["train", str(bad)], "baseline": ["baseline", str(bad)],
+                "benchmark": ["benchmark", str(bad), "--splits", "2"],
+                "explain": ["explain", str(trained_model), str(bad)]}
+        out = tmp_path / "out"
+        assert run([*argv[command], "--delta-fraction", fraction, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {bad}:41: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "explain"])
+    def test_a_repeated_feature_name_exits_2_naming_it(
+        self, tmp_path, toy_dir, trained_model, capsys, command
+    ):
+        rows = read_csv(toy_dir / "absolute.csv")
+        rows[0][1:-1] = ["a", "a", "c", "d"]
+        bad = tmp_path / "repeated.csv"
+        bad.write_text("".join(",".join(row) + "\n" for row in rows))
+        argv = {"train": ["train", str(bad)], "explain": ["explain", str(trained_model), str(bad)]}
+        assert run([*argv[command], "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {bad}: feature name 'a' is repeated\n"
+
     def test_zero_replacement_on_ingest(self, tmp_path):
         data = tmp_path / "zeros.csv"
         data.write_text("sample_id,f1,f2,f3,label\ns0,0.0,2.0,2.0,0\ns1,1.0,2.0,3.0,1\n")

@@ -558,8 +558,8 @@ def reference_read_dataset_csv(path):
     """The reader before streaming: the whole file as rows first, then checks.
 
     A byte that is not UTF-8 anywhere in the file is reported first, by its
-    line (as csv counts lines) and its offset in the file. A csv error is
-    reported at the line where its record began.
+    line (as csv counts lines) and its offset in the file. A csv error, and
+    a fault in a data record, is reported at the line where its record began.
     """
     data = Path(path).read_bytes()
     try:
@@ -570,10 +570,11 @@ def reference_read_dataset_csv(path):
         raise ValueError(f"{path}:{line}: {exc}") from None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows, start = [], 1  # the line where the next record begins
+        rows, starts, start = [], [], 1  # start: the line where the next record begins
         try:
             for row in reader:
                 rows.append(row)
+                starts.append(start)
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise ValueError(f"{path}:{start}: {exc}") from exc
@@ -585,8 +586,11 @@ def reference_read_dataset_csv(path):
     if header[0] != "sample_id" or header[-1] != "label":
         raise ValueError(f"{path}: header must start with sample_id and end with label")
     feature_names = header[1:-1]
+    for j, name in enumerate(feature_names):
+        if name in feature_names[:j]:
+            raise ValueError(f"{path}: feature name {name!r} is repeated")
     sample_ids, values, labels = [], [], []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in zip(starts[1:], rows[1:]):
         if len(row) != len(header):
             raise ValueError(f"{path}:{line_no}: expected {len(header)} fields")
         sample_ids.append(row[0])
@@ -645,6 +649,9 @@ def faulty_dataset_bytes(draw):
 @given(data=st.one_of(faulty_dataset_bytes(), dataset_bytes()))
 @example(data=b"sample_id,a,b,label\ns0,1e308,1e308,1\n")  # finite values, overflowing sum
 @example(data=b"sample_id,a,b,label\ns0,-1,nan,1\ns1,1,1,2\n")  # two faults: the first wins
+# The first record spans lines 2 and 3, so the faulty second record begins on line 4.
+@example(data=b'sample_id,a,b,label\n"s\n0",1,1,0\ns1,-1,1,1\n')
+@example(data=b"sample_id,a,b,a,b,label\ns0,1,1,1,1,1\n")  # a repeated feature name
 @example(data=b"sample_id,a,label\ns0,1,2\ns1," + _OVERSIZED_FIELD.encode() + b",1,1\n")
 # A fault, then past the first 8 KiB read an undecodable byte: the decoding error wins.
 @example(data=b"sample_id,a,b,label\ns0,x,1,1\n" + b"s1,1,1,1\n" * 2000 + b"s2,1,1,\xff\n")

@@ -223,7 +223,7 @@ def test_blocks_give_the_whole_batch_result(n_rows, seed, faults, layout, overfl
     [
         ([(1, "non_finite_contrast"), (7, "non_numeric")], False, EXIT_USAGE, ":9: non-numeric"),
         ([(2, "label"), (8, "decode")], False, EXIT_USAGE, "'utf-8' codec can't decode"),
-        ([(6, "all_zero")], False, EXIT_USAGE, "row 6 is entirely zero"),
+        ([(6, "all_zero")], False, EXIT_USAGE, ":8: row is entirely zero"),
         ([(5, "negative")], True, EXIT_USAGE, ":7: negative abundance"),
         ([(4, "non_finite_contrast")], False, EXIT_NUMERIC, "non-finite value in forward pass"),
         ([], True, EXIT_USAGE, "model expects 4 features, data has 3"),
@@ -269,7 +269,7 @@ def test_the_block_reader_reads_what_the_csv_reader_reads(n_rows, seed, faults, 
     assume(block)
     try:
         reader = csv.reader(io.StringIO(str(block, "utf-8"), newline=""))
-        sample_ids, values, _ = cli._parse_rows("data.csv", reader, D + 2)
+        sample_ids, values, _ = cli._parse_rows("data.csv", reader, D + 2, lambda k: k + 1)
     except (ValueError, csv.Error):
         # Python 3.10's csv rejects a NUL byte, which 3.11's and the block reader
         # read; no block holds one, since _explain_in_blocks declines such files.

@@ -18,9 +18,12 @@ from scipy.special import expit
 
 from deepcoda import (
     DeepCodaParams,
+    TrainConfig,
+    explain_batch,
     forward,
     gradients,
     init_params,
+    lasso_logistic_fit,
     loss,
     loss_and_gradients,
     params_from_text,
@@ -28,6 +31,7 @@ from deepcoda import (
     predict_proba,
     load_params,
     save_params,
+    train,
 )
 from deepcoda._expit import expit as numpy_expit
 from deepcoda.model import PARAM_FIELDS, _loss_and_gradients, _Workspace
@@ -455,18 +459,6 @@ class TestExpit:
     def test_bitwise_equal_to_scipy(self, values):
         assert np.array_equal(_bits(numpy_expit(values)), _bits(expit(values)))
 
-    def test_out_is_filled_and_returned(self, values):
-        out = np.empty_like(values)
-        assert numpy_expit(values, out=out) is out
-        assert np.array_equal(_bits(out), _bits(expit(values)))
-
-    def test_scratch_is_reusable(self, values):
-        head = values[-20_000:].reshape(100, 200)
-        scratch = np.zeros(head.shape, dtype=complex)
-        for _ in range(2):
-            assert np.array_equal(_bits(numpy_expit(head, scratch=scratch)), _bits(expit(head)))
-            assert not scratch.imag.any()
-
     @pytest.mark.parametrize("x", [0.5, -709.5, np.nan, -np.inf])
     def test_zero_dimensional_input_gives_a_scalar(self, x):
         got = numpy_expit(np.array(x))
@@ -479,6 +471,35 @@ class TestExpit:
             with np.errstate(all="raise"):
                 numpy_expit(values)
                 numpy_expit(np.array(-1000.0))
+
+
+class TestReportedProbabilities:
+    """Every probability the package reports is ``scipy.special.expit`` of its
+    logit, bit for bit; only fitting runs the logistic on numpy's ``exp``."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        # Spread-out compositions, so the logits span a wide range.
+        return np.random.default_rng(21).lognormal(0.0, 3.0, size=(2000, 4))
+
+    def test_network_probabilities(self, rows):
+        X, y = random_batch(n=60, seed=7)
+        params = train(X, y, TrainConfig(n_bottlenecks=3, epochs=5, seed=1)).params
+        traces = [forward(params, x) for x in rows]
+        logits = np.array([trace.s for trace in traces])
+        expected = _bits(expit(logits))
+        assert np.array_equal(_bits([trace.yhat for trace in traces]), expected)
+        assert np.array_equal(_bits(predict_proba(params, rows)), expected)
+        batch = explain_batch(params, rows, [str(i) for i in range(len(rows))])
+        assert np.array_equal(_bits(batch.products.sum(axis=1)), _bits(logits))
+        assert np.array_equal(_bits(batch.prediction), expected)
+
+    def test_lasso_probabilities(self, rows):
+        features = np.log(rows)
+        labels = (features[:, 0] - features[:, 1] + features[:, 2] > 0).astype(int)
+        model = lasso_logistic_fit(features, labels, 1e-3)
+        expected = _bits(expit(model.decision(features)))
+        assert np.array_equal(_bits(model.predict_proba(features)), expected)
 
 
 # ---------------------------------------------------------------------------

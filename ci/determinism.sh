@@ -120,6 +120,48 @@ for name in sys.argv[2:]:
     for file, text in tables.items():
         assert (work / name / "serial" / file).read_bytes() == text.encode(), (name, file)
 PY
+  # The parent process holds one block at a time: explaining perfbench's
+  # explain input (50,000 rows) and that input repeated to 800,000 rows, its
+  # own peak memory (getrusage of an in-process run) grows by 10 MiB at most.
+  mkdir "$work/memory"
+  python3 - "$work/memory" "$PWD/perfbench" <<'PY'
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[2])
+import workloads
+from deepcoda.cli import run
+
+os.chdir(sys.argv[1])
+_, setup = workloads.prepare_explain(Path("."), 1, workloads.FULL)
+for argv in setup:
+    assert run(argv) == 0
+PY
+  {
+    head -n 1 "$work/memory/data.csv"
+    for _ in $(seq 16); do tail -n +2 "$work/memory/data.csv"; done
+  } > "$work/memory/data800k.csv"
+  peak_kib() {
+    python3 - "$work/memory" "$1" <<'PY'
+import contextlib
+import io
+import resource
+import sys
+
+from deepcoda.cli import run
+
+work, data = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["explain", f"{work}/model.txt", f"{work}/{data}", "--out", f"{work}/out"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+PY
+  }
+  small=$(peak_kib data.csv)
+  large=$(peak_kib data800k.csv)
+  echo "explain's peak memory: $small KiB at 50,000 rows, $large KiB at 800,000 rows"
+  test "$((large - small))" -le 10240
+
   # A rejected input: the serial and the free run exit 2 with the same error
   # line, which holds $2, and neither makes its --out directory.
   rejected() {

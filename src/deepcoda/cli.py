@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import explain
 from ._forkmap import ordered_fork_map
 from ._formats import NUMBER, csv_table, key_values, parse_file, text_cells, utf8_text
 from .baselines import (
@@ -58,9 +59,12 @@ from .evaluate import (
 from .explain import (  # noqa: F401
     DECISION_NEGATIVE,
     DECISION_POSITIVE,
+    _correlation_moments,
+    _correlations,
     _explanation_lines,
     _explanations_header,
     _explanations_table,
+    _Moments,
     _positives,
     _summary_tables,
     contrast_membership,
@@ -78,7 +82,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
-_ROW_BLOCK = 4096  # input lines per block of explain: one fork-map task
 
 
 def read_dataset_csv(path):
@@ -394,12 +397,13 @@ def cmd_explain(args) -> int:
         explained = _explain_in_blocks(params, args.data, args.delta_fraction, explanations)
         if explained is None:
             explained = _explain_whole_file(params, args.data, args.delta_fraction, explanations)
-        feature_names, z, w, n_positive = explained
+        feature_names, n_rows, n_positive, moments = explained
         n_bottlenecks = params.dims[1]
         memberships = [contrast_membership(params, b, feature_names) for b in range(n_bottlenecks)]
-        correlations = weight_contrast_correlation(w, z) if z.shape[0] > n_bottlenecks else None
+        # weight_contrast_correlation's finisher, on the moments of the rows' [W | Z].
+        correlations = _correlations(moments, n_bottlenecks) if n_rows > n_bottlenecks else None
         # render_report's other tables; explanations.csv is already written.
-        tables = _summary_tables(z.shape[0], n_positive, memberships, correlations)
+        tables = _summary_tables(n_rows, n_positive, memberships, correlations)
         for name, text in zip(["memberships.csv", "correlations.csv", "summary.txt"], tables):
             stage(out_dir / name).write_text(text, encoding="utf-8", newline="")
     print(tables[-1], end="")
@@ -410,82 +414,134 @@ def cmd_explain(args) -> int:
 def _explain_whole_file(params, path, delta_fraction, explanations):
     """Read the whole dataset, explain it and write explanations.csv to ``explanations``.
 
-    Returns (feature names, Z, W, positive decisions). This is the reference
-    that ``_explain_in_blocks`` matches byte for byte, and its errors are the
-    ones ``explain`` reports.
+    Returns (feature names, row count, positive decisions, the moments of
+    the rows' [W | Z], or None for a row count of at most B, which has no
+    correlations). This is the reference that ``_explain_in_blocks`` matches
+    byte for byte, and its errors are the ones ``explain`` reports.
     """
     matrix, _labels = load_dataset(path, delta_fraction)
-    d = params.dims[0]
+    d, n_bottlenecks, _ = params.dims
     if matrix.n_features != d:
         raise ValueError(f"model expects {d} features, data has {matrix.n_features}")
     batch = explain_batch(params, matrix.values, matrix.sample_ids)
     with open(explanations, "wb") as fh:
         fh.write(_explanations_table(batch))
-    return matrix.feature_names, batch.z, batch.w, _positives(batch)
+    moments = _correlation_moments(batch.w, batch.z) if len(batch) > n_bottlenecks else None
+    return matrix.feature_names, len(batch), _positives(batch), moments
+
+
+_SCAN_CHUNK = 1 << 20  # bytes of the dataset file that explain's block scan reads at a time
+
+
+def _block_bounds(fh):
+    """(the first line of the file ``fh`` without its \\n, the offsets that bound its blocks).
+
+    Block k, the bytes from offset ``bounds[k]`` to ``bounds[k + 1]``, holds
+    ``explain._ROW_BLOCK`` data lines, the last block perhaps fewer. The file is read from its start
+    in chunks of ``_SCAN_CHUNK`` bytes. None when it holds a ``"``, a
+    ``\\r`` or a NUL byte, or no byte after its first line.
+    """
+    head, bounds, n_lines, size = b"", [], 0, 0
+    while chunk := fh.read(_SCAN_CHUNK):
+        if any(byte in chunk for byte in (b'"', b"\r", b"\0")):
+            return None
+        ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+        if not bounds:
+            head += chunk[: ends[0]] if ends.size else chunk
+        # Line n_lines + j ends at ends[j]; a block starts after lines 0, R, 2R, ...
+        bounds += (ends[-n_lines % explain._ROW_BLOCK :: explain._ROW_BLOCK] + size + 1).tolist()
+        n_lines += ends.size
+        size += len(chunk)
+    if not bounds or bounds[0] == size:
+        return None
+    if bounds[-1] != size:
+        bounds.append(size)
+    return head, bounds
+
+
+@dataclasses.dataclass(frozen=True)
+class _Block:
+    """What an explain block task returns: nothing that grows with its rows but its lines."""
+
+    lines: bytes  # its rows of the explanations table
+    positives: int  # rows with the decision DECISION_POSITIVE
+    sums_to_one: tuple[bool, bool]  # whether every row sums to one: as read, and imputed
+    moments: _Moments  # of its rows' [W | Z]; its count is the row count
 
 
 def _explain_in_blocks(params, path, delta_fraction, explanations):
-    """``_explain_whole_file``, with every row stage run per block of ``_ROW_BLOCK`` lines.
+    """``_explain_whole_file``, with every row stage run per block of ``explain._ROW_BLOCK`` lines.
 
-    Each ``ordered_fork_map`` task reads one block with ``_parse_block``,
-    imputes, explains and formats it, and returns its lines as bytes, so
-    this process never holds the dataset. A byte that is not UTF-8 and an
-    OSError raise here as they do in the whole-file read. Returns None where
-    the blocks cannot stand for the whole file, and the whole-file path then
-    gives the result, or the error, of reading the file at once: before any
-    block, a file holding a ``"`` (a quoted field may span lines), a ``\\r``
-    or a NUL byte, or a first line that is not one valid header for the
-    model; then any block that raises (``_parse_block``'s rejections
-    included) or warns, since each block turns warnings into errors.
+    This process reads the file in fixed-size chunks to find its blocks, and
+    decodes only its first line. Each ``ordered_fork_map`` task reads one
+    block with ``os.pread``, parses it with ``_parse_block``, imputes,
+    explains and formats it, and returns a ``_Block``; this process writes
+    each block's lines and merges its moments, in block order, so it holds
+    one block at a time. An OSError raises here as it does in the whole-file
+    read. Returns None where the blocks cannot stand for the whole file, and
+    the whole-file path then gives the result, or the error, of reading the
+    file at once: before any block, a file holding a ``"`` (a quoted field
+    may span lines), a ``\\r`` or a NUL byte, or a first line that is not one
+    valid UTF-8 header for the model; then any block that raises (a byte
+    that is not UTF-8 and ``_parse_block``'s rejections included) or warns,
+    since each block turns warnings into errors.
     """
-    data = Path(path).read_bytes()
-    header = utf8_text(path, data).partition("\n")[0].split(",")
-    header_end = data.find(b"\n") + 1
-    if any(byte in data for byte in (b'"', b"\r", b"\0")) or not 0 < header_end < len(data):
-        return None
-    try:
-        _check_header(path, header)
-    except ValueError:
-        return None
-    if len(header) - 2 != params.dims[0]:
-        return None
-    newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-    bounds = [header_end, *(newlines[_ROW_BLOCK::_ROW_BLOCK] + 1).tolist()]
-    if bounds[-1] != len(data):
-        bounds.append(len(data))
+    with open(path, "rb", buffering=0) as fh:
+        scanned = _block_bounds(fh)
+        if scanned is None:
+            return None
+        head, bounds = scanned
+        try:
+            header = str(head, "utf-8").split(",")
+            _check_header(path, header)
+        except ValueError:
+            return None
+        if len(header) - 2 != params.dims[0]:
+            return None
 
-    def block(k: int):
-        # The whole-file path's steps on one block. Its error messages count
-        # lines from the block's start, so a fault only declines the blocks.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ids, values = _parse_block(data[bounds[k] : bounds[k + 1]], len(header))
-            imputed = _replace_zeros_values(values, delta_fraction)
-            batch = explain_batch(params, imputed, range(len(imputed)))
-            decisions = text_cells([DECISION_NEGATIVE.encode(), DECISION_POSITIVE.encode()])
-            positive = (batch.decisions == DECISION_POSITIVE) * 1
-            lines = _explanation_lines(batch, ids, decisions[positive])
-            relative = (_sums_to_one(values), _sums_to_one(imputed))
-        return lines, batch.z, batch.w, _positives(batch), relative
+        def block(k: int) -> _Block:
+            # The whole-file path's steps on one block. Its error messages count
+            # lines from the block's start, so a fault only declines the blocks.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = os.pread(fh.fileno(), bounds[k + 1] - bounds[k], bounds[k])
+                if len(data) != bounds[k + 1] - bounds[k]:
+                    raise ValueError("the file shrank while it was read")
+                ids, values = _parse_block(data, len(header))
+                imputed = _replace_zeros_values(values, delta_fraction)
+                batch = explain_batch(params, imputed, range(len(imputed)))
+                decisions = text_cells([DECISION_NEGATIVE.encode(), DECISION_POSITIVE.encode()])
+                positive = (batch.decisions == DECISION_POSITIVE) * 1
+                return _Block(
+                    _explanation_lines(batch, ids, decisions[positive]),
+                    _positives(batch),
+                    (_sums_to_one(values), _sums_to_one(imputed)),
+                    _Moments.of(np.hstack([batch.w, batch.z])),
+                )
 
-    zs, ws, n_positive, sums_to_one = [], [], 0, []
-    try:
-        with (contextlib.closing(ordered_fork_map(block, len(bounds) - 1)) as results,
-              open(explanations, "wb") as fh):
-            fh.write(_explanations_header(params.dims[1]).encode())
-            for rows, z, w, positives, sums in results:
-                fh.write(rows)
-                zs.append(z)
-                ws.append(w)
-                n_positive += positives
-                sums_to_one.append(sums)
-    except (ValueError, ArithmeticError, MemoryError, Warning):
-        return None
+        # Whether every row sums to one: as read, and imputed.
+        n_positive, sums_to_one, moments = 0, [True, True], None
+        try:
+            with (contextlib.closing(ordered_fork_map(block, len(bounds) - 1)) as blocks,
+                  open(explanations, "wb") as out):
+                out.write(_explanations_header(params.dims[1]).encode())
+                for result in blocks:
+                    out.write(result.lines)
+                    n_positive += result.positives
+                    sums_to_one = [a and b for a, b in zip(sums_to_one, result.sums_to_one)]
+                    if moments is None:
+                        moments = result.moments
+                    else:
+                        # A merge that would warn declines, as a block that warns does.
+                        with np.errstate(over="raise", invalid="raise"):
+                            moments = moments.merge(result.moments)
+        except (ValueError, ArithmeticError, MemoryError, Warning):
+            return None
     # As in load_dataset, the file is relative when every row sums to one,
     # and then every imputed row must too.
-    if all(raw for raw, _ in sums_to_one) and not all(imputed for _, imputed in sums_to_one):
+    if sums_to_one[0] and not sums_to_one[1]:
         return None
-    return header[1:-1], np.concatenate(zs), np.concatenate(ws), n_positive
+    return header[1:-1], moments.count, n_positive, moments
 
 
 def cmd_baseline(args) -> int:

@@ -44,8 +44,36 @@ def split(n: int, test_fraction: float = 0.1, seed: int = 0):
     n_test = int(round(n * test_fraction))
     if n_test < 1 or n_test >= n:
         raise ValueError(f"n={n} is too small for a nonempty train/test split")
-    perm = np.random.default_rng(seed).permutation(n)
+    return _parts(np.random.default_rng(seed).permutation(n), n_test)
+
+
+def _parts(perm: np.ndarray, n_test: int):
+    """(train, test) index arrays: the test part is the first ``n_test`` entries of ``perm``."""
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+
+
+_TEST_FRACTION = 0.1  # of the rows in each benchmark split's test part
+_MAX_DRAWS = 1000  # permutations a benchmark split may draw for both classes in both parts
+
+
+def _split_with_both_classes(y: np.ndarray, seed: int, split_index: int):
+    """``split(len(y), _TEST_FRACTION, seed)`` if both its parts hold both classes of ``y``.
+
+    Otherwise the first such split among the next permutations that the
+    same generator draws. Raises ValueError, naming ``split_index``, after
+    ``_MAX_DRAWS`` permutations without one.
+    """
+    n = y.shape[0]
+    n_test = int(round(n * _TEST_FRACTION))
+    rng = np.random.default_rng(seed)
+    for _ in range(_MAX_DRAWS):
+        train_idx, test_idx = _parts(rng.permutation(n), n_test)
+        if all((y[part] == 0).any() and (y[part] == 1).any() for part in (train_idx, test_idx)):
+            return train_idx, test_idx
+    raise ValueError(
+        f"split {split_index}: {_MAX_DRAWS} permutations gave no split with both classes "
+        "in both parts"
+    )
 
 
 @dataclass(frozen=True)
@@ -152,9 +180,15 @@ def benchmark(
     propagates as raised, its message prefixed with the method name and the
     split index.
 
+    Split s is ``split(n, 0.1, base_seed + s)`` when both its parts hold
+    both classes; otherwise the same generator draws further permutations
+    until one does.
+
     Raises ValueError before any work if ``n_splits`` is below 1, if
-    ``base_seed`` is negative, if there are no methods, or if two methods
-    share a name (their CSV rows could not be told apart).
+    ``base_seed`` is negative, if there are no methods, if two methods
+    share a name (their CSV rows could not be told apart), if a class has
+    fewer than 2 rows or the test part would hold fewer than 2, or if a
+    split finds no such permutation in ``_MAX_DRAWS`` draws.
     """
     check_count(n_splits, "n_splits")
     check_seed(base_seed, "base_seed")
@@ -166,12 +200,21 @@ def benchmark(
         raise ValueError(f"duplicate method names: {', '.join(duplicates)}")
     x = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y)
+    counts = [int(np.count_nonzero(y == label)) for label in (0, 1)]
+    n_test = int(round(y.shape[0] * _TEST_FRACTION))
+    if min(counts) < 2 or n_test < 2:
+        raise ValueError(
+            f"{dataset.name!r} has {counts[0]} rows of class 0 and {counts[1]} of class 1, "
+            f"and a test part of {n_test}; the benchmark needs 2 rows of each class and a "
+            "test part of 2 rows or more"
+        )
+    splits = [_split_with_both_classes(y, base_seed + s, s) for s in range(n_splits)]
     tasks = [(s, method) for s in range(n_splits) for method in methods]
 
     def task_auc(index: int) -> float:
         s, method = tasks[index]
         try:
-            train_idx, test_idx = split(x.shape[0], 0.1, base_seed + s)
+            train_idx, test_idx = splits[s]
             scores = method.fit_score(x[train_idx], y[train_idx], x[test_idx], base_seed + s)
             return auc(scores, y[test_idx])
         except Exception as exc:

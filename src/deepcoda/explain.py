@@ -10,6 +10,7 @@ contrast values through Pearson and canonical correlations.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,6 +41,8 @@ DECISION_POSITIVE = "unhealthy"
 DECISION_NEGATIVE = "healthy"
 
 _CCA_JITTER = 1e-8
+# Rows per chunk of the correlation moments, and so per block of ``deepcoda explain``.
+_ROW_BLOCK = 4096
 
 
 def _decisions(products: np.ndarray) -> np.ndarray:
@@ -183,22 +186,88 @@ def contrast_membership(
     )
 
 
-def _standardize_columns(arr: np.ndarray):
-    centered = arr - arr.mean(axis=0)
-    std = arr.std(axis=0)
-    # By ptp, as a constant column whose mean is inexact has a tiny nonzero std;
-    # a zero std (an underflow) would divide by zero.
-    constant = (np.ptp(arr, axis=0) == 0) | (std == 0)
-    safe = np.where(constant, 1.0, std)
-    out = centered / safe
-    out[:, constant] = 0.0
-    return out, constant
+@dataclass(frozen=True)
+class _Moments:
+    """The moments of the rows of an N x k array, N >= 1.
+
+    ``count`` is N; ``mean``, ``low`` and ``high`` are each column's mean,
+    min and max; ``cross`` is the k x k cross-product of the centered rows.
+    """
+
+    count: int
+    mean: np.ndarray
+    cross: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray) -> "_Moments":
+        mean = rows.mean(axis=0)
+        centered = rows - mean
+        return cls(rows.shape[0], mean, centered.T @ centered, rows.min(axis=0), rows.max(axis=0))
+
+    def merge(self, other: "_Moments") -> "_Moments":
+        """The moments of these rows followed by ``other``'s: the pairwise update of Chan,
+        Golub and LeVeque ("Updating formulae and a pairwise algorithm for computing sample
+        variances", 1979)."""
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return _Moments(
+            count,
+            self.mean + delta * (other.count / count),
+            self.cross + other.cross + np.outer(delta, delta) * (self.count * other.count / count),
+            np.minimum(self.low, other.low),
+            np.maximum(self.high, other.high),
+        )
+
+
+def _correlation_moments(W: np.ndarray, Z: np.ndarray) -> _Moments:
+    """The moments of the rows of [W | Z], merged in order from chunks of ``_ROW_BLOCK`` rows.
+
+    A block of ``deepcoda explain`` is such a chunk, so merging its blocks'
+    moments gives these bits.
+    """
+    rows = np.hstack([W, Z])
+    chunks = (_Moments.of(rows[i : i + _ROW_BLOCK]) for i in range(0, rows.shape[0], _ROW_BLOCK))
+    return functools.reduce(_Moments.merge, chunks)
 
 
 def _inverse_sqrt(sym: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(sym)
     vals = np.maximum(vals, _CCA_JITTER)
     return (vecs / np.sqrt(vals)) @ vecs.T
+
+
+def _correlations(moments: _Moments, n_weights: int):
+    """``weight_contrast_correlation`` of the rows whose [W | Z] has ``moments``.
+
+    W is the first ``n_weights`` columns. Warns, on behalf of the caller's
+    caller, when a column is constant.
+    """
+    # By min and max, as a constant column whose mean is inexact has a tiny
+    # nonzero spread; a zero spread (an underflow) would divide by zero.
+    spread = np.diag(moments.cross)
+    constant = (moments.low == moments.high) | (spread == 0)
+    if constant.any():
+        warnings.warn(
+            "constant columns detected; their correlations are reported as 0",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    # A spread that overflowed standardizes its column to 0, as dividing by an infinite std would.
+    zeroed = constant | ~np.isfinite(spread)
+    scale = np.sqrt(np.where(zeroed, 1.0, spread))
+    r = moments.cross / np.outer(scale, scale)
+    r[zeroed, :] = 0.0
+    r[:, zeroed] = 0.0
+    r_wz = r[:n_weights, n_weights:]
+    pearson = np.clip(r_wz, -1.0, 1.0)
+    r_ww = r[:n_weights, :n_weights] + _CCA_JITTER * np.eye(n_weights)
+    r_zz = r[n_weights:, n_weights:] + _CCA_JITTER * np.eye(r.shape[0] - n_weights)
+    whitened = _inverse_sqrt(r_ww) @ r_wz @ _inverse_sqrt(r_zz)
+    singular = np.linalg.svd(whitened, compute_uv=False)
+    canonical = np.clip(singular, 0.0, 1.0)
+    return pearson, canonical[: min(r_wz.shape)]
 
 
 def weight_contrast_correlation(W, Z):
@@ -208,6 +277,9 @@ def weight_contrast_correlation(W, Z):
     them). Canonical correlations are the singular values of the
     whitened cross-correlation block, computed on standardized columns
     with a 1e-8 ridge on the diagonals, clipped to [0, 1], descending.
+    The column moments are merged from fixed chunks of rows, so
+    ``deepcoda explain``, which merges them from its blocks, writes these
+    bits whatever its CPU count.
     """
     wv = check_array(W, "W", 2)
     zv = check_array(Z, "Z", 2)
@@ -216,22 +288,7 @@ def weight_contrast_correlation(W, Z):
     n = wv.shape[0]
     if n <= max(wv.shape[1], zv.shape[1]):
         raise ValueError("need more samples than columns for correlation analysis")
-    ws, w_const = _standardize_columns(wv)
-    zs, z_const = _standardize_columns(zv)
-    if w_const.any() or z_const.any():
-        warnings.warn(
-            "constant columns detected; their correlations are reported as 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    r_wz = ws.T @ zs / n
-    pearson = np.clip(r_wz, -1.0, 1.0)
-    r_ww = ws.T @ ws / n + _CCA_JITTER * np.eye(wv.shape[1])
-    r_zz = zs.T @ zs / n + _CCA_JITTER * np.eye(zv.shape[1])
-    whitened = _inverse_sqrt(r_ww) @ r_wz @ _inverse_sqrt(r_zz)
-    singular = np.linalg.svd(whitened, compute_uv=False)
-    canonical = np.clip(singular, 0.0, 1.0)
-    return pearson, canonical[: min(wv.shape[1], zv.shape[1])]
+    return _correlations(_correlation_moments(wv, zv), wv.shape[1])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (exit codes and artifacts)."""
 
 import builtins
+import contextlib
 import csv
 import errno
 import importlib
@@ -17,6 +18,8 @@ from scipy.special import expit
 
 import deepcoda
 from deepcoda import CompositionMatrix, cli, lasso_logistic_fit, load_params, predict_proba
+from deepcoda import baselines, evaluate
+from deepcoda import explain as explain_module
 from deepcoda.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -286,7 +289,7 @@ class TestBenchmark:
     @pytest.mark.parametrize(
         "methods,extra,code",
         [
-            # 8 samples leave too few per class for 5-fold stratified CV.
+            # 4 positives of 20 rows leave too few in training for 5-fold stratified CV.
             ("lasso", [], EXIT_USAGE),
             # The L1 term overflows at the first epoch.
             ("deepcoda", ["--lambda-s", "1.7e308", "--epochs", "5"], EXIT_NUMERIC),
@@ -294,7 +297,11 @@ class TestBenchmark:
     )
     def test_split_failure_keeps_its_exit_code(self, tmp_path, capsys, methods, extra, code):
         data = tmp_path / "data"
-        assert run(["simulate", "toy", "--n", "8", "--seed", "0", "--out", str(data)]) == EXIT_OK
+        assert run(["simulate", "toy", "--n", "20", "--seed", "0", "--out", str(data)]) == EXIT_OK
+        rows = read_csv(data / "relative.csv")
+        for row in rows[15:]:  # rows 11-20 are the positives
+            row[-1] = "0"
+        (data / "relative.csv").write_text("".join(",".join(row) + "\n" for row in rows))
         assert run(
             ["benchmark", str(data / "relative.csv"), "--methods", methods, "--splits", "1",
              *extra, "--out", str(tmp_path / "b.csv")]
@@ -442,12 +449,12 @@ def _no_whole_file(*args):
 
 
 class TestExplainBlocksRaise:
-    """What the blocks can report as the whole-file read would, they raise themselves."""
+    """A fault in a block is reported as the whole-file read reports it."""
 
     @pytest.fixture(autouse=True)
     def three_blocks(self, monkeypatch, set_cpus):
         # toy_dir's 120 rows are three blocks, lines 2-41, 42-81 and 82-121.
-        monkeypatch.setattr(cli, "_ROW_BLOCK", 40)
+        monkeypatch.setattr(explain_module, "_ROW_BLOCK", 40)
         set_cpus(2)
 
     def explain(self, model, data, out):
@@ -460,8 +467,18 @@ class TestExplainBlocksRaise:
         bad = tmp_path / "data.csv"
         bad.write_bytes(b"\n".join(lines))
         offset = len(b"\n".join(lines[:60])) + 1
-        monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
+        # Only the first line is decoded up front: the middle block declines to
+        # the whole-file read, which names the byte.
+        whole_file_reads = []
+
+        def whole_file(*args):
+            whole_file_reads.append(args[1])
+            return explain_whole_file(*args)
+
+        explain_whole_file = cli._explain_whole_file
+        monkeypatch.setattr(cli, "_explain_whole_file", whole_file)
         assert self.explain(trained_model, bad, tmp_path / "r") == EXIT_USAGE
+        assert whole_file_reads == [str(bad)]
         assert capsys.readouterr().err == (
             f"error: {bad}:61: 'utf-8' codec can't decode byte 0xff in position {offset}: "
             "invalid start byte\n"
@@ -737,6 +754,46 @@ class TestImpossibleAllocation:
         assert capsys.readouterr().err.startswith(
             "error: method 'deepcoda' failed on split 0 of 'relative': Unable to allocate"
         )
+
+
+class TestBenchmarkOnSmallFiles:
+    def test_a_30_row_file_whose_plain_splits_lack_a_class(self, tmp_path):
+        # split(30, 0.1, 3)'s test part holds one class, so this failed on split 3.
+        simulate = ["simulate", "toy", "--n", "30", "--seed", "1", "--out", str(tmp_path)]
+        assert run(simulate) == EXIT_OK
+        out = tmp_path / "bench.csv"
+        argv = ["benchmark", str(tmp_path / "relative.csv"), "--splits", "6", "--epochs", "50",
+                "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == EXIT_OK
+        rows = read_csv(out)[1:]
+        assert sorted({(row[1], row[2]) for row in rows}) == sorted(
+            (method, str(s)) for method in ("deepcoda", "deepcoda-linear", "lasso", "lasso-clr")
+            for s in range(6)
+        )
+
+    def test_a_file_with_one_positive_row_fails_before_any_training(
+        self, tmp_path, toy_dir, monkeypatch, capsys
+    ):
+        rows = read_csv(toy_dir / "relative.csv")
+        positives = [row for row in rows[1:] if row[-1] == "1"]
+        for row in positives[1:]:
+            row[-1] = "0"
+        data = tmp_path / "one_positive.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(evaluate, "train", no_training)
+        monkeypatch.setattr(baselines, "lasso_logistic_fit", no_training)
+        argv = ["benchmark", str(data), "--out", str(tmp_path / "bench.csv")]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: 'one_positive' has 119 rows of class 0 and 1 of class 1, and a test part of "
+            "12; the benchmark needs 2 rows of each class and a test part of 2 rows or more\n"
+        )
+        assert not (tmp_path / "bench.csv").exists()
 
 
 class TestAsciiLocale:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import rankdata
 
@@ -30,7 +31,8 @@ from deepcoda import (
     split,
     standardize_scores,
 )
-from deepcoda.evaluate import LAMBDA_S_GRID
+from deepcoda import evaluate
+from deepcoda.evaluate import LAMBDA_S_GRID, _split_with_both_classes
 from deepcoda.metrics import _average_ranks
 
 
@@ -67,6 +69,65 @@ class TestSplit:
     def test_rejects_too_small(self):
         with pytest.raises(ValueError):
             split(4, test_fraction=0.1, seed=0)
+
+
+def has_both_classes(labels) -> bool:
+    return bool((labels == 0).any() and (labels == 1).any())
+
+
+class TestBenchmarkSplits:
+    """benchmark's splits: ``split``'s where both parts hold both classes, redrawn otherwise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(15, 120),
+        n_positive=st.integers(2, 118),
+        order_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**31),
+    )
+    def test_both_parts_hold_both_classes(self, n, n_positive, order_seed, seed):
+        n_positive = min(n_positive, n - 2)
+        y = np.zeros(n, dtype=int)
+        y[np.random.default_rng(order_seed).permutation(n)[:n_positive]] = 1
+        train_idx, test_idx = _split_with_both_classes(y, seed, 0)
+        assert has_both_classes(y[train_idx]) and has_both_classes(y[test_idx])
+        plain = split(n, 0.1, seed)
+        if has_both_classes(y[plain[0]]) and has_both_classes(y[plain[1]]):
+            assert np.array_equal(train_idx, plain[0]) and np.array_equal(test_idx, plain[1])
+        else:
+            assert np.intersect1d(train_idx, test_idx).size == 0
+            assert np.array_equal(np.union1d(train_idx, test_idx), np.arange(n))
+            assert test_idx.size == plain[1].size
+
+    def test_the_draw_cap_names_the_split(self, monkeypatch):
+        # Three positives in 30 rows: split(30, 0.1, 0)'s test part of 3 rows holds
+        # both classes, split(30, 0.1, 1)'s none of the positives.
+        y = np.zeros(30, dtype=int)
+        y[:3] = 1
+        assert has_both_classes(y[split(30, 0.1, 0)[1]])
+        assert not y[split(30, 0.1, 1)[1]].any()
+        monkeypatch.setattr(evaluate, "_MAX_DRAWS", 1)
+        data = LabeledDataset("rare", np.ones((30, 3)), y)
+        with pytest.raises(ValueError, match="^split 1: 1 permutations gave no split"):
+            benchmark(data, [Method("never", never_fit)], n_splits=3, base_seed=0)
+
+    @pytest.mark.parametrize(
+        "n,n_positive,counts",
+        [(40, 1, "39 rows of class 0 and 1 of class 1, and a test part of 4"),
+         (40, 39, "1 rows of class 0 and 39 of class 1, and a test part of 4"),
+         (14, 7, "7 rows of class 0 and 7 of class 1, and a test part of 1")],
+        ids=["one-positive", "one-negative", "one-test-row"],
+    )
+    def test_rejects_a_file_too_small_before_any_fit(self, n, n_positive, counts):
+        y = np.zeros(n, dtype=int)
+        y[:n_positive] = 1
+        data = LabeledDataset("small", np.ones((n, 3)), y)
+        with pytest.raises(ValueError, match=f"^'small' has {counts}; the benchmark needs"):
+            benchmark(data, [Method("never", never_fit)], n_splits=2)
+
+
+def never_fit(x_train, y_train, x_test, seed):
+    raise AssertionError("no method may run")
 
 
 class TestAuc:

@@ -29,8 +29,8 @@ from deepcoda import (
     weight_contrast_correlation,
 )
 from deepcoda import cli
-from deepcoda.cli import _ROW_BLOCK, EXIT_NUMERIC, EXIT_OK, load_dataset, run
-from deepcoda.explain import DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch
+from deepcoda.cli import EXIT_NUMERIC, EXIT_OK, load_dataset, run
+from deepcoda.explain import _ROW_BLOCK, DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch
 
 
 def small_params(head="self_explain", seed=0, d=4, n_b=3):

@@ -7,6 +7,7 @@ exit code, the error line and the file system a whole-file read gives.
 
 import contextlib
 import csv
+import dataclasses
 import io
 import os
 import tempfile
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from deepcoda import (
     DeepCodaParams,
@@ -28,6 +29,7 @@ from deepcoda import (
     weight_contrast_correlation,
 )
 from deepcoda import DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch, cli
+from deepcoda import explain as explain_module
 from deepcoda._formats import csv_row, text_cells
 from deepcoda.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_dataset, run
 from deepcoda.cli import _TEXT_CELL_MAX
@@ -171,7 +173,7 @@ def assert_matches_reference(work: Path, data: bytes, overflowing: bool, block: 
     usable = mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True)
     for explain in (reference, explain_cli):
         with warnings.catch_warnings(record=True) as seen, \
-                mock.patch.object(cli, "_ROW_BLOCK", block), usable:
+                mock.patch.object(explain_module, "_ROW_BLOCK", block), usable:
             warnings.simplefilter("always")
             results.append(explain(model, work / "data.csv", out))
         caught.append([(w.category, str(w.message)) for w in seen])
@@ -211,6 +213,13 @@ def counts(n_rows: int, seed: int) -> np.ndarray:
     block=st.integers(1, 4),
     cpus=st.sampled_from([1, 1, 2]),
 )
+# Two one-row blocks whose weights are near 1e305: merging their moments
+# overflows, where the whole batch, with no more rows than bottlenecks, has no
+# correlations and so no warning.
+@example(n_rows=2, seed=0, faults=[],
+         layout={"relative": False, "crlf": False, "final_newline": False, "drop_feature": False,
+                 "quoted": False, "bom": False, "exponent": False},
+         overflowing=True, block=1, cpus=1)
 def test_blocks_give_the_whole_batch_result(n_rows, seed, faults, layout, overflowing, block, cpus):
     data = dataset_bytes(counts(n_rows, seed), faults, **layout)
     with tempfile.TemporaryDirectory() as tmp:
@@ -336,7 +345,7 @@ def test_a_good_file_is_explained_without_the_whole_file_path(tmp_path, monkeypa
     save_params(model_params(False), tmp_path / "model.txt")
     (tmp_path / "data.csv").write_bytes(dataset_bytes(counts(30, 4)))
 
-    monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(explain_module, "_ROW_BLOCK", 7)
     monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
     set_cpus(2)
     argv = ["explain", str(tmp_path / "model.txt"), str(tmp_path / "data.csv"),
@@ -395,7 +404,8 @@ def test_a_rejected_file_leaves_an_earlier_report_as_it_was(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert run([*explain, str(tmp_path / "good.csv"), "--out", str(out)]) == EXIT_OK
     before = {name: (out / name).read_bytes() for name in os.listdir(out)}
-    with mock.patch.object(cli, "_ROW_BLOCK", 2), contextlib.redirect_stderr(io.StringIO()):
+    with mock.patch.object(explain_module, "_ROW_BLOCK", 2), \
+            contextlib.redirect_stderr(io.StringIO()):
         assert run([*explain, str(tmp_path / "bad.csv"), "--out", str(out)]) == EXIT_USAGE
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
@@ -418,3 +428,73 @@ def test_the_kind_is_decided_over_all_rows(tmp_path, absolute_row):
         assert (code, stderr) == (EXIT_USAGE, "error: relative rows must sum to 1\n")
     else:
         assert code == EXIT_OK
+
+
+def block_moments(W, Z, block: int):
+    """The moments of [W | Z] as explain's blocks of ``block`` rows give them, merged in order."""
+    moments = None
+    for start in range(0, W.shape[0], block):
+        # Each block's own arrays, as a block task makes them.
+        rows = np.hstack([W[start : start + block].copy(), Z[start : start + block].copy()])
+        part = explain_module._Moments.of(rows)
+        moments = part if moments is None else moments.merge(part)
+    return moments
+
+
+@pytest.mark.parametrize("block", [4096, 2, 7, 40])
+def test_merged_block_moments_give_the_whole_batch_correlations(block, monkeypatch):
+    monkeypatch.setattr(explain_module, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(block)
+    n = 2 * block + 3  # a short last block
+    z = rng.normal(2.0, 3.0, (n, 3))
+    w = 0.4 * z[:, ::-1] + rng.normal(0.0, 1.0, (n, 3))
+    pearson, canonical = explain_module._correlations(block_moments(w, z, block), 3)
+    whole_pearson, whole_canonical = weight_contrast_correlation(w, z)
+    assert pearson.tobytes() == whole_pearson.tobytes()
+    assert canonical.tobytes() == whole_canonical.tobytes()
+
+
+@pytest.mark.parametrize("block", [4096, 2, 7, 40])
+def test_constant_columns_are_the_whole_batch_constant_columns(block, monkeypatch):
+    monkeypatch.setattr(explain_module, "_ROW_BLOCK", block)
+    n = 3 * block + 5
+    rng = np.random.default_rng(block)
+    z = rng.normal(size=(n, 2))
+    w = rng.normal(size=(n, 2))
+    w[:, 0] = np.arange(n) // block  # constant within every block, not across them
+    w[:, 1] = 0.7  # constant across them; its merged spread need not be 0
+    assert [np.ptp(w[:, j]) == 0 for j in range(2)] == [False, True]
+    moments = block_moments(w, z, block)
+    with pytest.warns(RuntimeWarning, match="constant") as seen:
+        pearson, _ = explain_module._correlations(moments, 2)
+    assert len(seen) == 1
+    assert np.all(pearson[0] != 0.0) and np.all(pearson[1] == 0.0)
+
+
+def test_a_block_task_returns_no_per_row_array(tmp_path, monkeypatch, set_cpus):
+    save_params(model_params(False), tmp_path / "model.txt")
+    (tmp_path / "data.csv").write_bytes(dataset_bytes(counts(30, 4)))
+    monkeypatch.setattr(explain_module, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
+    set_cpus(2)
+    records = []
+
+    def recording_map(task, n_tasks):
+        for record in cli_map(task, n_tasks):
+            records.append(record)
+            yield record
+
+    cli_map = cli.ordered_fork_map
+    monkeypatch.setattr(cli, "ordered_fork_map", recording_map)
+    argv = ["explain", str(tmp_path / "model.txt"), str(tmp_path / "data.csv"),
+            "--out", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == EXIT_OK
+    assert [record.moments.count for record in records] == [7, 7, 7, 7, 2]
+    columns = 2 * 2  # [W | Z] of a 2-bottleneck model
+    for record in records:
+        fields = [getattr(record, f.name) for f in dataclasses.fields(record)]
+        fields += [getattr(record.moments, f.name) for f in dataclasses.fields(record.moments)]
+        arrays = [field for field in fields if isinstance(field, np.ndarray)]
+        assert len(arrays) == 4
+        assert {array.shape for array in arrays} == {(columns,), (columns, columns)}

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from deepcoda import DeepCodaParams, load_params, params_from_text, params_to_text
 from deepcoda._forkmap import ordered_fork_map
-from deepcoda._formats import NUMBER, cell_lines, csv_row
+from deepcoda import _formats
+from deepcoda._formats import NUMBER, cell_lines, csv_row, text_cells
 from deepcoda.cli import EXIT_USAGE, parse_train_config, run
 
 
@@ -182,6 +183,19 @@ class TestNumberRows:
     def test_matches_percent_on_any_floats(self, values, n_rows):
         grid = np.array(values * n_rows).reshape(n_rows, len(values))
         assert number_rows(grid) == _percent_rows(grid)
+
+    def test_rows_across_tiles_match_percent(self):
+        # explain's 16 numbers a row, over three tiles and a ragged fourth.
+        tile = _formats._TILE_CELLS // 16
+        n = 3 * tile + 37
+        rng = np.random.default_rng(20261019)
+        values = rng.normal(0.0, 10.0, (n, 16)) * 10.0 ** rng.integers(-8, 8, (n, 16))
+        ids = [f"S{i}".encode() for i in range(n)]
+        decisions = [b"unhealthy" if i % 3 else b"healthy" for i in range(n)]
+        got = cell_lines(text_cells(ids), values, text_cells(decisions))
+        rows = _percent_rows(values)
+        assert got == b"".join(b"%s,%s,%s\n" % (sid, row.encode(), decision)
+                               for sid, row, decision in zip(ids, rows, decisions))
 
     def test_rows_without_columns_are_empty(self):
         assert number_rows(np.empty((3, 0))) == ["", "", ""]

@@ -86,7 +86,12 @@ check_explain() {
   awk -F, 'BEGIN { OFS = "," } NR == 5000 { $3 = "1_0" } 1' \
     "$work/data/absolute.csv" > "$work/underscore.csv"
   grep -q ',1_0,' "$work/underscore.csv"
-  inputs="relative zeros quoted crlf underscore"
+  # A row that sums to 1 within 1e-9, but not once its zero is imputed: the
+  # file is still relative, and explained.
+  { cat "$work/data/relative.csv"
+    echo 'drift,0.18337780306830323,0.1651560664806076,0.14698177255737394,0.061191411624961632,0,0.10763746162742269,0.016279230655204924,0.12745460031013756,0.095884513083640308,0.096037141592348094,1'
+  } > "$work/drift.csv"
+  inputs="relative zeros quoted crlf underscore drift"
   for input in $inputs; do
     explain="python3 -m deepcoda explain $work/model.txt $work/$input.csv"
     taskset -c 0 $explain --out "$work/$input/serial"
@@ -120,6 +125,11 @@ for name in sys.argv[2:]:
     for file, text in tables.items():
         assert (work / name / "serial" / file).read_bytes() == text.encode(), (name, file)
 PY
+  # A pipe, which has no offsets to read blocks at, is read whole: the file's report.
+  cat "$work/relative.csv" | python3 -m deepcoda explain "$work/model.txt" /dev/stdin --out "$work/pipe"
+  for name in explanations.csv memberships.csv correlations.csv summary.txt; do
+    cmp "$work/pipe/$name" "$work/relative/serial/$name"
+  done
   # The parent process holds one block at a time: explaining perfbench's
   # explain input (50,000 rows) and that input repeated to 800,000 rows, its
   # own peak memory (getrusage of an in-process run) grows by 10 MiB at most.

@@ -19,6 +19,7 @@ import io
 import itertools
 import math
 import os
+import stat
 import sys
 import warnings
 from array import array
@@ -86,7 +87,11 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig
 
 def read_dataset_csv(path):
     """Parse a dataset file; returns (sample_ids, feature_names, values, labels)."""
-    data = Path(path).read_bytes()
+    return _read_dataset(path, Path(path).read_bytes())
+
+
+def _read_dataset(path, data: bytes):
+    """``read_dataset_csv`` of the file ``path`` whose bytes are ``data``."""
     utf8_text(path, data)  # a byte that is not UTF-8 wins over every other fault
     reader = _records(data)
     try:
@@ -228,13 +233,15 @@ def load_dataset(path, delta_fraction: float = DEFAULT_DELTA_FRACTION):
     ``delta_fraction`` is checked even when the file has no zeros to replace.
     """
     check_real(delta_fraction, "delta_fraction", high=1.0, low_open=True)
-    sample_ids, feature_names, values, labels = read_dataset_csv(path)
+    # Read once: a fault's line is found in these bytes, which a pipe gives only once.
+    data = Path(path).read_bytes()
+    sample_ids, feature_names, values, labels = _read_dataset(path, data)
     kind = "relative" if _sums_to_one(values) else "absolute"
     matrix = CompositionMatrix(values, sample_ids, feature_names, kind)
     try:
         return replace_zeros(matrix, delta_fraction), labels
     except _RowFault as exc:
-        line = _first_line(Path(path).read_bytes(), exc.row + 1)
+        line = _first_line(data, exc.row + 1)
         raise ValueError(f"{path}:{line}: {exc.reason}") from exc
 
 
@@ -465,7 +472,6 @@ class _Block:
 
     lines: bytes  # its rows of the explanations table
     positives: int  # rows with the decision DECISION_POSITIVE
-    sums_to_one: tuple[bool, bool]  # whether every row sums to one: as read, and imputed
     moments: _Moments  # of its rows' [W | Z]; its count is the row count
 
 
@@ -480,13 +486,17 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
     one block at a time. An OSError raises here as it does in the whole-file
     read. Returns None where the blocks cannot stand for the whole file, and
     the whole-file path then gives the result, or the error, of reading the
-    file at once: before any block, a file holding a ``"`` (a quoted field
+    file at once: before any byte is read, data that is not a regular file,
+    such as a pipe; before any block, a file holding a ``"`` (a quoted field
     may span lines), a ``\\r`` or a NUL byte, or a first line that is not one
     valid UTF-8 header for the model; then any block that raises (a byte
     that is not UTF-8 and ``_parse_block``'s rejections included) or warns,
     since each block turns warnings into errors.
     """
     with open(path, "rb", buffering=0) as fh:
+        # Only a regular file can be read at the blocks' offsets; a pipe, unread, is read whole.
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return None
         scanned = _block_bounds(fh)
         if scanned is None:
             return None
@@ -515,12 +525,10 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
                 return _Block(
                     _explanation_lines(batch, ids, decisions[positive]),
                     _positives(batch),
-                    (_sums_to_one(values), _sums_to_one(imputed)),
                     _Moments.of(np.hstack([batch.w, batch.z])),
                 )
 
-        # Whether every row sums to one: as read, and imputed.
-        n_positive, sums_to_one, moments = 0, [True, True], None
+        n_positive, moments = 0, None
         try:
             with (contextlib.closing(ordered_fork_map(block, len(bounds) - 1)) as blocks,
                   open(explanations, "wb") as out):
@@ -528,7 +536,6 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
                 for result in blocks:
                     out.write(result.lines)
                     n_positive += result.positives
-                    sums_to_one = [a and b for a, b in zip(sums_to_one, result.sums_to_one)]
                     if moments is None:
                         moments = result.moments
                     else:
@@ -537,10 +544,6 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
                             moments = moments.merge(result.moments)
         except (ValueError, ArithmeticError, MemoryError, Warning):
             return None
-    # As in load_dataset, the file is relative when every row sums to one,
-    # and then every imputed row must too.
-    if sums_to_one[0] and not sums_to_one[1]:
-        return None
     return header[1:-1], moments.count, n_positive, moments
 
 

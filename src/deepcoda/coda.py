@@ -10,6 +10,7 @@ sub-composition extraction.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ _RELATIVE_SUM_TOL = 1e-9
 
 def _sums_to_one(values: np.ndarray) -> bool:
     """Whether every row of ``values`` sums to 1 within ``_RELATIVE_SUM_TOL``."""
-    return bool(np.all(np.abs(values.sum(axis=1) - 1.0) <= _RELATIVE_SUM_TOL))
+    with np.errstate(over="ignore"):  # a sum that overflows is inf, which is not 1
+        return bool(np.all(np.abs(values.sum(axis=1) - 1.0) <= _RELATIVE_SUM_TOL))
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,8 @@ class CompositionMatrix:
         One name per column.
     kind : {"absolute", "relative"}
         Whether rows are raw measurements or proportions. Relative rows
-        must sum to 1 within 1e-9.
+        must sum to 1 within 1e-9; ``replace_zeros`` keeps the kind, and its
+        rows' sums only up to rounding.
     """
 
     values: np.ndarray
@@ -137,7 +140,11 @@ def replace_zeros(
     values = _replace_zeros_values(m.values, delta_fraction)
     if values is m.values:
         return m
-    return CompositionMatrix(values, m.sample_ids, m.feature_names, m.kind)
+    # Imputation keeps all that ``m`` was checked for but its row sums, kept up to a
+    # rounding that can carry a relative row past _RELATIVE_SUM_TOL: so no second check.
+    out = copy.copy(m)
+    object.__setattr__(out, "values", values)
+    return out
 
 
 class _RowFault(ValueError):

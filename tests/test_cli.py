@@ -61,6 +61,19 @@ def write_noisy_copy(src, dst):
     return dst
 
 
+def deepcoda_env(**variables):
+    """The environment, with ``variables``, of a process that imports this deepcoda."""
+    src = str(Path(deepcoda.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, **variables, "PYTHONPATH": path}
+
+
+def deepcoda_from_pipe(argv, data: bytes):
+    """``python -m deepcoda *argv`` in a new process whose stdin is a pipe that gives ``data``."""
+    return subprocess.run([sys.executable, "-m", "deepcoda", *argv], input=data,
+                          env=deepcoda_env(), capture_output=True)
+
+
 @pytest.fixture(scope="module")
 def toy_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("toy")
@@ -448,6 +461,17 @@ def _no_whole_file(*args):
     raise AssertionError("explain read the whole file")
 
 
+def test_explain_reads_a_pipe_whole(tmp_path, toy_dir, trained_model):
+    data = toy_dir / "relative.csv"
+    explain = ["explain", str(trained_model)]
+    assert run([*explain, str(data), "--out", str(tmp_path / "file")]) == EXIT_OK
+    argv = [*explain, "/dev/stdin", "--out", str(tmp_path / "pipe")]
+    done = deepcoda_from_pipe(argv, data.read_bytes())
+    assert done.returncode == EXIT_OK, done.stderr
+    for name in OUTPUTS["explain"]:
+        assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
 class TestExplainBlocksRaise:
     """A fault in a block is reported as the whole-file read reports it."""
 
@@ -806,14 +830,7 @@ class TestAsciiLocale:
         data.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
         config = tmp_path / "train.cfg"
         config.write_text("n_bottlenecks = 2\nepochs = 30\n")
-        src = str(Path(deepcoda.__file__).resolve().parents[1])
-        env = {
-            **os.environ,
-            "LC_ALL": "C",
-            "PYTHONUTF8": "0",
-            "PYTHONCOERCECLOCALE": "0",
-            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-        }
+        env = deepcoda_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
         outputs = {}
         for locale in ("ascii", "utf8"):
             out = tmp_path / locale
@@ -943,6 +960,32 @@ class TestDatasetIo:
         assert run([*argv[command], "--delta-fraction", fraction, "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {bad}:41: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "explain"])
+    def test_a_zero_replacement_fault_read_from_a_pipe_names_its_line(
+        self, tmp_path, toy_dir, trained_model, command
+    ):
+        lines = (toy_dir / "absolute.csv").read_text().splitlines()
+        lines[3] = "s3,0,0,0,0,1"
+        argv = {"train": ["train"], "explain": ["explain", str(trained_model)]}
+        argv = [*argv[command], "/dev/stdin", "--out", str(tmp_path / "out")]
+        done = deepcoda_from_pipe(argv, ("\n".join(lines) + "\n").encode())
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == b"error: /dev/stdin:4: row is entirely zero\n"
+
+    @pytest.mark.parametrize("command", ["train", "baseline", "benchmark"])
+    def test_a_relative_row_that_drifts_when_imputed_is_accepted(self, tmp_path, toy_dir, command):
+        # Sums to 1 within 1e-9, but not once its zero is imputed.
+        drift = "drift,0.0,0.11638940957447788,0.10661105421141165,0.7769995372141104,1\n"
+        data = tmp_path / "drift.csv"
+        data.write_text((toy_dir / "relative.csv").read_text() + drift)
+        assert load_dataset(data)[0].kind == "relative"
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 5\n")
+        argv = {"train": ["train", str(data), "--config", str(config)],
+                "baseline": ["baseline", str(data)],
+                "benchmark": ["benchmark", str(data), "--splits", "2", "--epochs", "5"]}
+        assert run([*argv[command], "--out", str(tmp_path / "out")]) == EXIT_OK
 
     @pytest.mark.parametrize("command", ["train", "explain"])
     def test_a_repeated_feature_name_exits_2_naming_it(

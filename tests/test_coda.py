@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from deepcoda import (
@@ -16,6 +16,7 @@ from deepcoda import (
     replace_zeros,
     subcomposition,
 )
+from deepcoda.coda import _replace_zeros_values, _sums_to_one
 
 positive_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -24,6 +25,24 @@ positive_vectors = st.lists(
 ).map(lambda xs: np.array(xs))
 
 scale_factors = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def near_relative_rows(draw):
+    """Rows of proportions, each holding a zero, whose sums are pushed to the edge of 1 +- 1e-9.
+
+    Within about 1e-15 of the edge, a row may cross it by the rounding of
+    imputation: about 1.8 % of them do.
+    """
+    d = draw(st.integers(2, 9))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        parts = draw(st.lists(st.floats(1e-3, 1.0), min_size=d - 1, max_size=d - 1))
+        row = np.insert(np.array(parts), draw(st.integers(0, d - 1)), 0.0)
+        row /= row.sum()
+        row *= 1.0 + draw(st.sampled_from([-1.0, 1.0])) * (1e-9 - draw(st.floats(0.0, 1e-15)))
+        rows.append(row.tolist())
+    return rows
 
 
 class TestClosure:
@@ -107,6 +126,22 @@ class TestReplaceZeros:
         out = replace_zeros(m, delta_fraction=0.4)
         assert out.kind == "relative"
         assert_allclose(out.values.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(rows=near_relative_rows())
+    # Rows that sum to 1 within 1e-9 but not once their zero is imputed.
+    @example(rows=[[0.0, 0.11638940957447788, 0.10661105421141165, 0.7769995372141104]])
+    @example(rows=[[0.20572013202680742, 0.059281609996512635, 0.12004985036527663,
+                    0.09862500912069663, 0.20738792778713694, 0.00902392711910848,
+                    0.1630573832588376, 0.13685416132562367, 0.0]])
+    def test_relative_rows_stay_relative(self, rows):
+        values = np.array(rows)
+        assume(_sums_to_one(values))
+        m = CompositionMatrix(values, [f"s{i}" for i in range(len(rows))],
+                              [f"f{j}" for j in range(values.shape[1])], "relative")
+        out = replace_zeros(m)
+        assert out.kind == "relative"
+        assert out.values.tobytes() == _replace_zeros_values(values, 0.5).tobytes()
 
     def test_all_zero_row_rejected(self):
         m = CompositionMatrix([[0.0, 0.0], [1.0, 2.0]], ["s0", "s1"], ["a", "b"], "absolute")
@@ -300,8 +335,10 @@ class TestCompositionMatrix:
             CompositionMatrix([[1.0, np.nan]], ["s"], ["a", "b"], "absolute")
 
     def test_rejects_bad_relative_rows(self):
-        with pytest.raises(ValueError):
-            CompositionMatrix([[0.5, 0.6]], ["s"], ["a", "b"], "relative")
+        # A sum that overflows is not 1 either, and says so without a warning.
+        for row in ([0.5, 0.6], [1e308, 1e308]):
+            with pytest.raises(ValueError, match="relative rows must sum to 1"):
+                CompositionMatrix([row], ["s"], ["a", "b"], "relative")
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):

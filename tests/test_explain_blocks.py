@@ -65,8 +65,10 @@ FIELD_FAULTS = {
     "field_count": lambda f: [*f[:2], *f[3:]],
     "all_zero": lambda f: [f[0], *["0"] * (len(f) - 2), f[-1]],
     "non_finite_contrast": lambda f: [f[0], "1e20", "1", *f[3:]],
-    # A row sum that overflows: numpy warns, and the row is still explained.
+    # A row sum that overflows; the row is still explained.
     "huge": lambda f: [f[0], "1e308", "1e308", *f[3:]],
+    # The same with a zero: imputing it overflows the sum, and numpy warns.
+    "huge_with_zero": lambda f: [f[0], "1e308", "1e308", "0", *f[4:]],
 }
 LINE_FAULTS = {
     "decode": lambda line: b"\xff" + line,
@@ -331,7 +333,7 @@ def test_good_files_give_the_whole_batch_report(tmp_path, layout):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_block_that_warns_gives_the_whole_file_warnings(tmp_path, cpus):
-    data = dataset_bytes(counts(8, 3), [(5, "huge")])
+    data = dataset_bytes(counts(8, 3), [(5, "huge_with_zero")])
     (code, _, _, _), caught = assert_matches_reference(tmp_path, data, False, 3, cpus)
     assert code == EXIT_OK
     assert (RuntimeWarning, "overflow encountered in reduce") in caught
@@ -358,11 +360,13 @@ def test_a_good_file_is_explained_without_the_whole_file_path(tmp_path, monkeypa
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "layout",
-    [{}, {"relative": True}, {"exponent": True}, {"relative": True, "final_newline": False}],
-    ids=["counts-with-zeros", "relative", "exponent", "relative-unterminated"],
+    [{}, {"relative": True}, {"exponent": True}, {"relative": True, "final_newline": False},
+     {"faults": [(5, "huge")]}],
+    ids=["counts-with-zeros", "relative", "exponent", "relative-unterminated", "huge-row-sum"],
 )
 def test_good_files_are_read_by_the_block_reader(tmp_path, monkeypatch, layout, cpus):
     # Every third id is non-ASCII. A silent fallback would give the same bytes, slower.
+    # A row sum that overflows warns nowhere, so its block does not decline.
     monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
     data = dataset_bytes(counts(30, 4), **layout)
     assert assert_matches_reference(tmp_path, data, False, 7, cpus)[0][0] == EXIT_OK
@@ -416,6 +420,7 @@ DRIFTING_ROW = ["0.0", "0.11638940957447788", "0.10661105421141165", "0.77699953
 
 @pytest.mark.parametrize("absolute_row", [None, 1], ids=["relative-file", "absolute-file"])
 def test_the_kind_is_decided_over_all_rows(tmp_path, absolute_row):
+    # Relative or not, the file is explained: imputation keeps the kind the reader decided.
     values = counts(9, 7)
     lines = [b"sample_id,f1,f2,f3,f4,label"]
     for i, row in enumerate(values):
@@ -424,10 +429,9 @@ def test_the_kind_is_decided_over_all_rows(tmp_path, absolute_row):
     lines.append(",".join(["drift", *DRIFTING_ROW, "1"]).encode())
     data = b"\n".join(lines) + b"\n"
     (code, _, stderr, _), _ = assert_matches_reference(tmp_path, data, False, 2, 2)
-    if absolute_row is None:
-        assert (code, stderr) == (EXIT_USAGE, "error: relative rows must sum to 1\n")
-    else:
-        assert code == EXIT_OK
+    assert (code, stderr) == (EXIT_OK, "")
+    matrix, _ = load_dataset(tmp_path / "data.csv")
+    assert matrix.kind == ("relative" if absolute_row is None else "absolute")
 
 
 def block_moments(W, Z, block: int):

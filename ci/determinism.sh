@@ -148,6 +148,15 @@ _, setup = workloads.prepare_explain(Path("."), 1, workloads.FULL)
 for argv in setup:
     assert run(argv) == 0
 PY
+  # 13 blocks: more than the fork map sends at once (2 per worker), so
+  # blocks are sent as others return, and the bytes still do not depend on
+  # the CPU count.
+  explain="python3 -m deepcoda explain $work/memory/model.txt $work/memory/data.csv"
+  taskset -c 0 $explain --out "$work/memory/serial"
+  $explain --out "$work/memory/parallel"
+  for name in explanations.csv memberships.csv correlations.csv summary.txt; do
+    cmp "$work/memory/serial/$name" "$work/memory/parallel/$name"
+  done
   {
     head -n 1 "$work/memory/data.csv"
     for _ in $(seq 16); do tail -n +2 "$work/memory/data.csv"; done
@@ -232,7 +241,7 @@ check_ascii_locale() {
 # Every CLI command runs clean in Python's dev mode.
 check_dev_mode() {
   work=$(mktemp -d "$root/check.XXXXXX")
-  # Dev mode prints ResourceWarnings (an unclosed file or pool) and
+  # Dev mode prints ResourceWarnings (an unclosed file) and
   # DeprecationWarnings. One raised in __del__ is only printed, and the
   # exit code stays 0 even under -W error, so any stderr fails the check.
   dev() {
@@ -244,7 +253,7 @@ check_dev_mode() {
   dev simulate toy --n 10000 --out "$work/data"
   dev train "$work/data/relative.csv" --out "$work/model.txt"
   # 10,000 rows: three blocks of the explanations table, so the fork
-  # map starts its pool where more than one CPU is usable.
+  # map forks its workers where more than one CPU is usable.
   dev explain "$work/model.txt" "$work/data/relative.csv" --out "$work/explain"
   dev benchmark "$work/data/relative.csv" --splits 2 --epochs 50 --out "$work/bench.csv"
   dev baseline "$work/data/relative.csv" --out "$work/baseline.csv"

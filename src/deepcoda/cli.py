@@ -482,16 +482,18 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
     decodes only its first line. Each ``ordered_fork_map`` task reads one
     block with ``os.pread``, parses it with ``_parse_block``, imputes,
     explains and formats it, and returns a ``_Block``; this process writes
-    each block's lines and merges its moments, in block order, so it holds
-    one block at a time. An OSError raises here as it does in the whole-file
-    read. Returns None where the blocks cannot stand for the whole file, and
-    the whole-file path then gives the result, or the error, of reading the
-    file at once: before any byte is read, data that is not a regular file,
-    such as a pipe; before any block, a file holding a ``"`` (a quoted field
-    may span lines), a ``\\r`` or a NUL byte, or a first line that is not one
-    valid UTF-8 header for the model; then any block that raises (a byte
-    that is not UTF-8 and ``_parse_block``'s rejections included) or warns,
-    since each block turns warnings into errors.
+    each block's lines and merges its moments, in block order. The map sends
+    blocks only while this process waits for the next one, at most two per
+    worker sent and not returned, so it holds few blocks. An OSError raises
+    here as it does in the whole-file read. Returns None where the blocks
+    cannot stand for the whole file, and the whole-file path then gives the
+    result, or the error, of reading the file at once: before any byte is
+    read, data that is not a regular file, such as a pipe; before any block,
+    a file holding a ``"`` (a quoted field may span lines), a ``\\r`` or a
+    NUL byte, or a first line that is not one valid UTF-8 header for the
+    model; then any block that raises (a byte that is not UTF-8 and
+    ``_parse_block``'s rejections included) or warns, since each block turns
+    warnings into errors.
     """
     with open(path, "rb", buffering=0) as fh:
         # Only a regular file can be read at the blocks' offsets; a pipe, unread, is read whole.

@@ -166,13 +166,17 @@ def _replace_zeros_values(values: np.ndarray, delta_fraction: float) -> np.ndarr
     delta = delta_fraction * np.where(zeros, np.inf, sub).min(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = 1.0 - zeros.sum(axis=1) * delta / sub.sum(axis=1)
-    bad = empty | (scale <= 0)
+    # delta is 0 where the smallest part is so small (subnormal) that its fraction rounds to 0.
+    bad = empty | (delta == 0) | (scale <= 0)
     if bad.any():
         first = int(np.argmax(bad))
         row = int(rows[first])
         if empty[first]:
             raise _RowFault(f"row {row} is entirely zero", row, "row is entirely zero")
-        reason = "imputed mass exceeds the row total; use a smaller delta_fraction"
+        if delta[first] == 0:
+            reason = "imputed value underflows to zero"
+        else:
+            reason = "imputed mass exceeds the row total; use a smaller delta_fraction"
         raise _RowFault(f"row {row}: {reason}", row, reason)
     out = values.copy()
     out[rows] = np.where(zeros, delta[:, None], sub * scale[:, None])

@@ -174,8 +174,9 @@ def benchmark(
     Split s uses seed ``base_seed + s`` for both the split and the method's
     internal randomness, so results are a pure function of the arguments.
     The tasks are the (split, method) pairs, run through the shared
-    ``_forkmap.ordered_fork_map`` and merged in (split, method) order, so
-    results do not depend on the number of workers. A method's side effects
+    ``_forkmap.ordered_fork_map`` (forked workers, one per usable CPU, each
+    taking the next task when it is free) and merged in (split, method)
+    order, so results do not depend on the number of workers. A method's side effects
     in a worker do not reach the caller. The lowest failing task's exception
     propagates as raised, its message prefixed with the method name and the
     split index.

@@ -1,6 +1,6 @@
 """Fixtures shared by the test modules."""
 
-import concurrent.futures
+import errno
 import os
 
 import pytest
@@ -17,14 +17,39 @@ def set_cpus(monkeypatch):
 
 
 @pytest.fixture
-def started_pools(monkeypatch):
-    """The worker count of every process pool started, in order."""
-    started = []
+def forked_workers(monkeypatch):
+    """The pid of every process this test forks, in order: the fork map's workers."""
+    forked = []
+    fork = os.fork
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return started
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+@pytest.fixture
+def fail_fork(monkeypatch):
+    """``fail_fork(n)`` makes the n-th and every later ``os.fork`` raise EAGAIN, as at a process limit.
+
+    It returns the list of forks tried, which grows by one per call.
+    """
+
+    def fail_fork(n):
+        tried = []
+        fork = os.fork
+
+        def fork_until_pid_limit():
+            tried.append(None)
+            if len(tried) >= n:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_until_pid_limit)
+        return tried
+
+    return fail_fork

@@ -943,8 +943,9 @@ class TestDatasetIo:
             ("s1,0,0,0,0,1", "0.5", "row is entirely zero"),
             ("s1,1,0,0,0,1", "0.99",
              "imputed mass exceeds the row total; use a smaller delta_fraction"),
+            ("s1,0,5e-324,1,0,1", "0.5", "imputed value underflows to zero"),
         ],
-        ids=["all-zero", "imputed-mass"],
+        ids=["all-zero", "imputed-mass", "underflow"],
     )
     def test_a_zero_replacement_fault_names_the_file_and_line(
         self, tmp_path, toy_dir, trained_model, capsys, command, row, fraction, message

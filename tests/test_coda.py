@@ -165,6 +165,8 @@ class TestReplaceZeros:
             if nonzero.size == 0:
                 return f"row {i} is entirely zero"
             delta = delta_fraction * nonzero.min()
+            if delta == 0:
+                return f"row {i}: imputed value underflows to zero"
             n_zero = int(zero_mask[i].sum())
             scale = 1.0 - n_zero * delta / row.sum()
             if scale <= 0:
@@ -192,6 +194,9 @@ class TestReplaceZeros:
         [
             ([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], "row 1: imputed mass exceeds"),
             ([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], "row 1 is entirely zero"),
+            # Half the subnormal 5e-324 rounds to 0, which would leave a zero in the output.
+            ([[1.0, 2.0, 3.0], [0.0, 5e-324, 1.0], [0.0, 0.0, 0.0]],
+             "row 1: imputed value underflows to zero"),
         ],
     )
     def test_first_offending_row_is_reported(self, values, message):

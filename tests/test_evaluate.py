@@ -1,9 +1,7 @@
 """Tests for splitting, AUC, and the benchmark harness."""
 
 import csv
-import errno
 import io
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -322,9 +320,7 @@ def failing_on_both_splits(errors):
     return Method("bad", fit_score)
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 class TestParallelBenchmark:
@@ -376,11 +372,11 @@ class TestParallelBenchmark:
     @needs_fork
     @pytest.mark.parametrize(
         "cpus,thread,workers",
-        [(8, False, [2]), (1, False, []), (8, True, [])],
+        [(8, False, 2), (1, False, 0), (8, True, 0)],
         ids=["tasks", "cpus", "other_thread"],
     )
     def test_workers_clamped_to_tasks_and_cpus(
-        self, tiny_dataset, set_cpus, started_pools, cpus, thread, workers
+        self, tiny_dataset, set_cpus, forked_workers, cpus, thread, workers
     ):
         set_cpus(cpus)
         release = threading.Event()
@@ -393,36 +389,22 @@ class TestParallelBenchmark:
             release.set()
             if thread:
                 waiter.join()
-        assert started_pools == workers
+        assert len(forked_workers) == workers
         assert [r.auc for r in results] == [0.5, 0.5]
 
     @needs_fork
     @pytest.mark.parametrize("fails_at", [1, 2], ids=["first_worker", "second_worker"])
-    def test_failed_fork_runs_in_process(self, tiny_dataset, monkeypatch, set_cpus, fails_at):
+    def test_failed_fork_runs_in_process(self, tiny_dataset, set_cpus, fail_fork, fails_at):
         methods = [Method("scaled", lambda xtr, ytr, xte, seed: xte[:, 0] * seed)]
         set_cpus(1)
         serial = benchmark(tiny_dataset, methods, n_splits=3, base_seed=1)
-        starts = []
-        start = multiprocessing.get_context("fork").Process.start
-
-        def start_until_pid_limit(process):
-            starts.append(process)
-            if len(starts) >= fails_at:
-                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-            start(process)
-
-        monkeypatch.setattr(
-            multiprocessing.get_context("fork").Process, "start", start_until_pid_limit
-        )
+        tried = fail_fork(fails_at)
         set_cpus(2)
-        try:
-            assert benchmark(tiny_dataset, methods, n_splits=3, base_seed=1) == serial
-            assert len(starts) == fails_at
-            # A worker started before the failed fork is stopped, not left waiting.
-            assert multiprocessing.active_children() == []
-        finally:
-            for child in multiprocessing.active_children():  # a leftover would hang exit
-                child.terminate()
+        assert benchmark(tiny_dataset, methods, n_splits=3, base_seed=1) == serial
+        assert len(tried) == fails_at
+        # A worker started before the failed fork is stopped and reaped, not left waiting.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestStandardize:

@@ -2,9 +2,8 @@
 
 import csv
 import dataclasses
-import errno
 import io
-import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -404,9 +403,7 @@ class TestRenderReport:
         assert f"{n_pos} {DECISION_POSITIVE}" in bundle.summary
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 THREE_BLOCKS = 2 * _ROW_BLOCK + 7
 REPORT_FILES = ("explanations.csv", "memberships.csv", "correlations.csv", "summary.txt")
 
@@ -506,50 +503,36 @@ class TestStreamedReport:
 
     @needs_fork
     @pytest.mark.parametrize(
-        "n,workers", [(_ROW_BLOCK, []), (_ROW_BLOCK + 1, [2]), (THREE_BLOCKS, [3])],
+        "n,workers", [(_ROW_BLOCK, 0), (_ROW_BLOCK + 1, 2), (THREE_BLOCKS, 3)],
         ids=["one_block", "two_blocks", "three_blocks"],
     )
-    def test_pool_starts_only_for_two_or_more_blocks(
-        self, tmp_path, set_cpus, started_pools, block_inputs, n, workers
+    def test_workers_start_only_for_two_or_more_blocks(
+        self, tmp_path, set_cpus, forked_workers, block_inputs, n, workers
     ):
         set_cpus(8)
         assert explain_blocks(block_inputs, n, tmp_path) == reference_file(block_inputs, n)
-        assert started_pools == workers
+        assert len(forked_workers) == workers
 
     @needs_fork
     @pytest.mark.parametrize("fails_at", [1, 2], ids=["first_worker", "second_worker"])
     def test_failed_fork_explains_in_process(
-        self, tmp_path, monkeypatch, set_cpus, block_inputs, fails_at
+        self, tmp_path, set_cpus, fail_fork, block_inputs, fails_at
     ):
-        starts = []
-        start = multiprocessing.get_context("fork").Process.start
-
-        def start_until_pid_limit(process):
-            starts.append(process)
-            if len(starts) >= fails_at:
-                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-            start(process)
-
-        monkeypatch.setattr(
-            multiprocessing.get_context("fork").Process, "start", start_until_pid_limit
-        )
+        tried = fail_fork(fails_at)
         set_cpus(2)
-        try:
-            got = explain_blocks(block_inputs, THREE_BLOCKS, tmp_path)
-            assert len(starts) == fails_at
-            assert multiprocessing.active_children() == []
-        finally:
-            for child in multiprocessing.active_children():  # a leftover would hang exit
-                child.terminate()
+        got = explain_blocks(block_inputs, THREE_BLOCKS, tmp_path)
+        assert len(tried) == fails_at
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         assert got == reference_file(block_inputs, THREE_BLOCKS)
 
     @pytest.mark.parametrize("cause", ["no_fork", "other_thread"])
     def test_explains_in_process_without_a_safe_fork(
-        self, tmp_path, monkeypatch, set_cpus, started_pools, block_inputs, cause
+        self, tmp_path, monkeypatch, set_cpus, forked_workers, block_inputs, cause
     ):
         set_cpus(2)
         if cause == "no_fork":
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            monkeypatch.delattr(os, "fork")
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         if cause == "other_thread":
@@ -560,5 +543,5 @@ class TestStreamedReport:
             release.set()
             if cause == "other_thread":
                 waiter.join()
-        assert started_pools == []
+        assert forked_workers == []
         assert got == reference_file(block_inputs, THREE_BLOCKS)

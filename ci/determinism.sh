@@ -48,18 +48,21 @@ check_baseline() {
   cmp "$work/serial.csv" "$work/parallel.csv"
 }
 
-# Training output does not depend on the CPU count.
+# Training output does not depend on the CPU count, with either head.
 check_train() {
   work=$(mktemp -d "$root/check.XXXXXX")
   # 20,000 rows: above 10,000 elements an OpenBLAS dot product
   # splits its sum across threads.
   python3 -m deepcoda simulate cmyc --n 20000 --out "$work/data"
-  printf 'epochs = 5\n' > "$work/train.cfg"
-  train="python3 -m deepcoda train $work/data/relative.csv --config $work/train.cfg"
-  taskset -c 0 $train --out "$work/serial.txt"
-  $train --out "$work/parallel.txt"
-  cmp "$work/serial.txt" "$work/parallel.txt"
-  cmp "$work/serial.txt.report.csv" "$work/parallel.txt.report.csv"
+  for head in self_explain linear; do
+    printf 'epochs = 5\nhead = %s\n' "$head" > "$work/$head.cfg"
+    train="python3 -m deepcoda train $work/data/relative.csv --config $work/$head.cfg"
+    taskset -c 0 $train --out "$work/$head-serial.txt"
+    $train --out "$work/$head-parallel.txt"
+    grep -qx "head = $head" "$work/$head-serial.txt"
+    cmp "$work/$head-serial.txt" "$work/$head-parallel.txt"
+    cmp "$work/$head-serial.txt.report.csv" "$work/$head-parallel.txt.report.csv"
+  done
 }
 
 # Explain output does not depend on the CPU count, and is the whole batch's report.

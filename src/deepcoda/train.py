@@ -12,8 +12,7 @@ from .model import (  # noqa: F401
     HEADS,
     PARAM_LAYOUT,
     DeepCodaParams,
-    _loss_and_gradients,
-    _Workspace,
+    _kernel,
     loss_and_gradients,
 )
 
@@ -101,44 +100,47 @@ def train(X, y, cfg: TrainConfig) -> TrainReport:
     Pure function of (X, y, cfg): identical inputs give bit-identical
     reports. ``loss_history[t]`` is the loss evaluated before step t.
     Raises TrainingDivergedError naming the epoch if the loss becomes
-    non-finite. The inputs are checked and log-transformed once, into one
-    ``_Workspace``; each epoch runs the ``loss_and_gradients`` kernel into
-    it and one reused gradient, then steps Adam in place.
+    non-finite. The inputs are checked and log-transformed once, when the
+    ``loss_and_gradients`` kernel is built; each epoch runs it into one
+    reused gradient, then steps Adam in place.
     """
     xv = check_array(X, "X", 2, bound=">0")
     yv = check_labels(y, xv.shape[0], both_classes=True)
 
     params = init_params(xv.shape[1], cfg.n_bottlenecks, seed=cfg.seed, head=cfg.head)
     grads = DeepCodaParams.zeros(params.dims, params.head)
-    ws = _Workspace(xv, params.dims, params.head)
-    moment1, moment2, update, scratch = np.zeros((4, params.flat.size))
-    history = np.empty(cfg.epochs)
-    b1, b2, g = cfg.adam_beta1, cfg.adam_beta2, grads.flat
+    epoch_loss = _kernel(params, grads, xv, yv, cfg.lambda_c, cfg.lambda_s)
+    # The moments [m1; m2] step as one stack, by decay [b1; b2] and gain [1 - b1; 1 - b2].
+    moments, step = np.zeros((2, 2, params.flat.size))
+    m1, m2 = moments
+    # step holds [(1 - b1) g; (1 - b2) g g]; once added to the moments, its rows are scratch.
+    update, scratch = step
+    b1, b2, eps, rate = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    decay, gain = np.array([[[b1], [b2]], [[1.0 - b1], [1.0 - b2]]])
+    g, flat, history = grads.flat, params.flat, np.empty(cfg.epochs)
+    add, subtract, multiply, divide, sqrt = np.add, np.subtract, np.multiply, np.divide, np.sqrt
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for epoch in range(cfg.epochs):
-            try:
-                history[epoch] = _loss_and_gradients(
-                    params, ws, yv, cfg.lambda_c, cfg.lambda_s, grads
-                )
-            except FloatingPointError as exc:
-                raise TrainingDivergedError(
-                    f"training diverged: non-finite loss at epoch {epoch}"
-                ) from exc
-            bias1 = 1.0 - b1 ** (epoch + 1)
-            bias2 = 1.0 - b2 ** (epoch + 1)
-            # In place, in this arithmetic order: m1 = b1 m1 + (1 - b1) g,
-            # m2 = b2 m2 + (1 - b2) g g, p -= lr (m1 / bias1) / (sqrt(m2 / bias2) + eps).
-            moment1 *= b1
-            moment1 += np.multiply(g, 1.0 - b1, out=scratch)
-            moment2 *= b2
-            np.multiply(g, 1.0 - b2, out=scratch)
-            moment2 += np.multiply(scratch, g, out=scratch)
-            np.sqrt(np.divide(moment2, bias2, out=scratch), out=scratch)
-            scratch += cfg.adam_eps
-            np.divide(moment1, bias1, out=update)
-            update *= cfg.learning_rate
-            params.flat -= np.divide(update, scratch, out=update)
+        try:
+            for epoch in range(cfg.epochs):
+                history[epoch] = epoch_loss()
+                bias1 = 1.0 - b1 ** (epoch + 1)
+                bias2 = 1.0 - b2 ** (epoch + 1)
+                # In place, in this arithmetic order: m1 = b1 m1 + (1 - b1) g,
+                # m2 = b2 m2 + ((1 - b2) g) g, p -= lr (m1 / bias1) / (sqrt(m2 / bias2) + eps).
+                multiply(moments, decay, moments)
+                multiply(g, gain, step)
+                multiply(scratch, g, scratch)
+                add(moments, step, moments)
+                sqrt(divide(m2, bias2, scratch), scratch)
+                add(scratch, eps, scratch)
+                divide(m1, bias1, update)
+                multiply(update, rate, update)
+                subtract(flat, divide(update, scratch, update), flat)
+        except FloatingPointError as exc:
+            raise TrainingDivergedError(
+                f"training diverged: non-finite loss at epoch {epoch}"
+            ) from exc
 
     residuals = params.beta.sum(axis=0)
     return TrainReport(

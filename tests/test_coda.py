@@ -120,6 +120,12 @@ class TestReplaceZeros:
             rtol=1e-15, atol=0,
         )
 
+    def test_overflowing_row_sum_imputes_without_warning(self):
+        # The sum is inf, so the nonzero parts keep their values (scale exactly 1).
+        m = CompositionMatrix([[1e308, 1e308, 0.0, 1.0]], ["s0"], list("abcd"), "absolute")
+        out = replace_zeros(m, delta_fraction=0.5)
+        assert out.values.tolist() == [[1e308, 1e308, 0.5, 1.0]]
+
     def test_relative_rows_still_close(self):
         values = np.array([[0.0, 0.5, 0.5], [0.25, 0.25, 0.5]])
         m = CompositionMatrix(values, ["s0", "s1"], list("abc"), "relative")

@@ -29,6 +29,7 @@ from deepcoda import (
     weight_contrast_correlation,
 )
 from deepcoda import DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch, cli
+from deepcoda import coda as coda_module
 from deepcoda import explain as explain_module
 from deepcoda._formats import csv_row, text_cells
 from deepcoda.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_dataset, run
@@ -67,7 +68,7 @@ FIELD_FAULTS = {
     "non_finite_contrast": lambda f: [f[0], "1e20", "1", *f[3:]],
     # A row sum that overflows; the row is still explained.
     "huge": lambda f: [f[0], "1e308", "1e308", *f[3:]],
-    # The same with a zero: imputing it overflows the sum, and numpy warns.
+    # The same with a zero, which is imputed.
     "huge_with_zero": lambda f: [f[0], "1e308", "1e308", "0", *f[4:]],
 }
 LINE_FAULTS = {
@@ -332,11 +333,25 @@ def test_good_files_give_the_whole_batch_report(tmp_path, layout):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_block_that_warns_gives_the_whole_file_warnings(tmp_path, cpus):
+def test_a_block_that_warns_gives_the_whole_file_warnings(tmp_path, monkeypatch, cpus):
+    # Imputation warns on a row holding 1e308: in the second of three blocks, and
+    # once in the whole-file read. The user sees that read's warning, and only it.
+    impute = coda_module._replace_zeros_values
+
+    def warning_impute(values, delta_fraction):
+        if (values == 1e308).any():
+            warnings.warn("a huge row", RuntimeWarning)
+        return impute(values, delta_fraction)
+
+    monkeypatch.setattr(coda_module, "_replace_zeros_values", warning_impute)
+    monkeypatch.setattr(cli, "_replace_zeros_values", warning_impute)
+    whole_file = mock.Mock(wraps=cli._explain_whole_file)
+    monkeypatch.setattr(cli, "_explain_whole_file", whole_file)
     data = dataset_bytes(counts(8, 3), [(5, "huge_with_zero")])
     (code, _, _, _), caught = assert_matches_reference(tmp_path, data, False, 3, cpus)
     assert code == EXIT_OK
-    assert (RuntimeWarning, "overflow encountered in reduce") in caught
+    assert whole_file.call_count == 1
+    assert caught == [(RuntimeWarning, "a huge row")]
 
 
 def _no_whole_file(*args):
@@ -361,8 +376,9 @@ def test_a_good_file_is_explained_without_the_whole_file_path(tmp_path, monkeypa
 @pytest.mark.parametrize(
     "layout",
     [{}, {"relative": True}, {"exponent": True}, {"relative": True, "final_newline": False},
-     {"faults": [(5, "huge")]}],
-    ids=["counts-with-zeros", "relative", "exponent", "relative-unterminated", "huge-row-sum"],
+     {"faults": [(5, "huge")]}, {"faults": [(5, "huge_with_zero")]}],
+    ids=["counts-with-zeros", "relative", "exponent", "relative-unterminated", "huge-row-sum",
+         "huge-row-sum-with-zero"],
 )
 def test_good_files_are_read_by_the_block_reader(tmp_path, monkeypatch, layout, cpus):
     # Every third id is non-ASCII. A silent fallback would give the same bytes, slower.

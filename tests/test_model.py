@@ -34,7 +34,7 @@ from deepcoda import (
     train,
 )
 from deepcoda._expit import expit as numpy_expit
-from deepcoda.model import PARAM_FIELDS, _loss_and_gradients, _Workspace
+from deepcoda.model import PARAM_FIELDS, _kernel
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +390,7 @@ class TestGradients:
 
 
 class TestTrainingKernel:
-    """The workspace kernel against the allocating reference kernel."""
+    """The prebuilt training kernel against the allocating reference kernel."""
 
     @pytest.mark.parametrize("head", ["self_explain", "linear"])
     @pytest.mark.parametrize(
@@ -408,15 +408,17 @@ class TestTrainingKernel:
             assert_allclose(grads[name], expected[name], rtol=1e-12, atol=0, err_msg=name)
 
     @pytest.mark.parametrize("head", ["self_explain", "linear"])
-    def test_reused_workspace_matches_fresh_ones(self, head):
+    def test_one_kernel_called_again_matches_fresh_ones(self, head):
         p = random_params(head=head, d=5, n_b=3, n_h=8, seed=31)
         X, y = random_batch(n=60, d=5, seed=31)
         rng = np.random.default_rng(31)
-        ws, grads = _Workspace(X, p.dims, head), DeepCodaParams.zeros(p.dims, head)
+        grads = DeepCodaParams.zeros(p.dims, head)
+        epoch = _kernel(p, grads, X, y.astype(float), 1.0, 0.01)
         for _ in range(50):
             # Steps large enough to flip ReLU units on and off between calls.
             p.flat += rng.normal(0.0, 0.3, size=p.flat.size)
-            total = _loss_and_gradients(p, ws, y.astype(float), 1.0, 0.01, grads)
+            with np.errstate(over="ignore", under="ignore"):
+                total = epoch()
             fresh_total, fresh = loss_and_gradients(p, X, y, 1.0, 0.01)
             assert total == fresh_total
             assert np.array_equal(grads.flat, fresh.flat)

@@ -111,13 +111,16 @@ _SEPARATOR = 44
 _TILE_CELLS = 1 << 14
 
 
-def _ceil_power_of_ten(exponent: int) -> float:
-    """The smallest double >= 10**exponent."""
-    from fractions import Fraction  # imported on first use, as the tables are built
-
-    power = Fraction(10) ** exponent
-    nearest = float(power)
-    return nearest if Fraction(nearest) >= power else math.nextafter(nearest, math.inf)
+def _ceil_powers_of_ten(exponents) -> np.ndarray:
+    """The smallest double >= 10**x for each integer x of ``exponents``."""
+    ceil = []
+    for x in exponents:
+        nearest = float(f"1e{x}")  # correctly rounded
+        n, d = nearest.as_integer_ratio()
+        # nearest >= 10**x, compared exactly as n * 10**-x >= d (x < 0) or n >= d * 10**x.
+        above = n * 10 ** max(-x, 0) >= d * 10 ** max(x, 0)
+        ceil.append(nearest if above else math.nextafter(nearest, math.inf))
+    return np.array(ceil)
 
 
 @functools.cache
@@ -127,35 +130,32 @@ def _number_tables():
     (the smallest double >= 10**X for X in [_MIN_X, _MAX_X + 1], 5**k,
     4-digit chunks, their trailing zeros, layout literals, shown digits)
     """
-    ceil10 = np.array([_ceil_power_of_ten(x) for x in range(_MIN_X, _MAX_X + 2)])
-    pow5 = np.array([5**k for k in range(16 - _MIN_X + 1)], dtype=_U64)
-    chunk = np.arange(10_000)
+    ceil10 = _ceil_powers_of_ten(range(_MIN_X, _MAX_X + 2))
+    pow5 = _U64(5) ** np.arange(16 - _MIN_X + 1, dtype=_U64)
+    chunk_digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # of 0000, ..., 9999
     digits = np.zeros((10_000, 8), dtype=np.uint8)  # 4 digits, each followed by a NUL slot
-    for j, scale in enumerate((1000, 100, 10, 1)):
-        digits[:, 2 * j] = chunk // scale % 10 + ord("0")
-    trailing = np.zeros(10_000, dtype=np.int64)
-    for scale in (10, 100, 1000, 10_000):
-        trailing += chunk % scale == 0
-    n_keys = (_MAX_X - _MIN_X + 1) * 17
-    literals = np.zeros((n_keys, _CELL), dtype=np.uint8)
-    shown = np.full((n_keys, _CELL), 0xFF, dtype=np.uint8)
-    for exponent in range(_MIN_X, _MAX_X + 1):
-        for n_digits in range(1, 18):
-            key = (exponent - _MIN_X) * 17 + n_digits - 1
-            cell = literals[key]
-            if exponent >= 0:  # ddd.ddd: the integer part keeps its zeros
-                kept = max(n_digits, exponent + 1)
-                if n_digits > exponent + 1:
-                    cell[7 + 2 * exponent] = ord(".")
-            elif exponent >= -4:  # 0.000ddd
-                kept = n_digits
-                cell[1 : 2 - exponent] = np.frombuffer(b"0." + b"0" * (-exponent - 1), np.uint8)
-            else:  # d.ddde-XX
-                kept = n_digits
-                if n_digits > 1:
-                    cell[7] = ord(".")
-                cell[40:44] = np.frombuffer(b"e-%02d" % -exponent, np.uint8)
-            shown[key, 6 + 2 * kept : 40 : 2] = 0
+    digits[:, 0::2] = chunk_digits + ord("0")
+    trailing = np.cumprod(chunk_digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    # One key per exponent X and significant-digit count n: (X - _MIN_X) * 17 + n - 1.
+    x, n = np.divmod(np.arange((_MAX_X - _MIN_X + 1) * 17), 17)
+    x, n = (x + _MIN_X)[:, None], n[:, None] + 1
+    byte = np.arange(_CELL)
+    literals = np.zeros((x.size, _CELL), dtype=np.uint8)
+    # ddd.ddd: the point after digit X + 1, if a digit follows it.
+    literals[(byte == 7 + 2 * x) & (x >= 0) & (n > x + 1)] = ord(".")
+    # 0.000ddd, for -4 <= X <= -1: "0." at bytes 1-2, then -X - 1 zeros.
+    small = (x >= -4) & (x < 0)
+    literals[small & ((byte == 1) | ((byte >= 3) & (byte < 2 - x)))] = ord("0")
+    literals[small & (byte == 2)] = ord(".")
+    # d.ddde-XX, for X < -4: the point after the first digit, if a digit follows it.
+    tiny = x < -4
+    literals[tiny & (byte == 7) & (n > 1)] = ord(".")
+    literals[:, 40:42] = np.where(tiny, np.frombuffer(b"e-", np.uint8), 0)
+    literals[:, 42:44] = np.where(tiny, np.hstack([-x // 10, -x % 10]) + ord("0"), 0)
+    # %g keeps the integer part's zeros (X >= 0), and drops the trailing zeros after the point.
+    kept = np.where(x >= 0, np.maximum(n, x + 1), n)
+    hidden = (byte >= 6 + 2 * kept) & (byte < 40) & (byte % 2 == 0)
+    shown = np.where(hidden, np.uint8(0), np.uint8(0xFF))
     tables = (ceil10, pow5, digits.view(_U64).ravel(), trailing, literals.view(_U64),
               shown.view(_U64))
     for table in tables:  # shared by every call

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import explain
 from ._forkmap import ordered_fork_map
-from ._formats import NUMBER, csv_table, key_values, parse_file, text_cells, utf8_text
+from ._formats import (NUMBER, _number_tables, csv_table, key_values, parse_file, text_cells,
+                       utf8_text)
 from .baselines import (
     TRANSFORMS,
     apply_transform,
@@ -511,6 +512,10 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
         if len(header) - 2 != params.dims[0]:
             return None
 
+        # Built here, before the fork map starts, so every worker inherits them.
+        decisions = text_cells([DECISION_NEGATIVE.encode(), DECISION_POSITIVE.encode()])
+        _number_tables()
+
         def block(k: int) -> _Block:
             # The whole-file path's steps on one block. Its error messages count
             # lines from the block's start, so a fault only declines the blocks.
@@ -522,7 +527,6 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
                 ids, values = _parse_block(data, len(header))
                 imputed = _replace_zeros_values(values, delta_fraction)
                 batch = explain_batch(params, imputed, range(len(imputed)))
-                decisions = text_cells([DECISION_NEGATIVE.encode(), DECISION_POSITIVE.encode()])
                 positive = (batch.decisions == DECISION_POSITIVE) * 1
                 return _Block(
                     _explanation_lines(batch, ids, decisions[positive]),

@@ -164,11 +164,13 @@ def _replace_zeros_values(values: np.ndarray, delta_fraction: float) -> np.ndarr
     sub, zeros = values[rows], zero_mask[rows]
     empty = zeros.all(axis=1)
     delta = delta_fraction * np.where(zeros, np.inf, sub).min(axis=1)
-    # A row sum that overflows to inf gives a scale of exactly 1, which is right.
     with np.errstate(over="ignore"):
         row_sums = sub.sum(axis=1)
+        mass = zeros.sum(axis=1) * delta
+    # A row whose sum overflows to inf keeps its nonzero parts: a scale of 1,
+    # also where its imputed mass overflows too (inf / inf would give NaN).
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = 1.0 - zeros.sum(axis=1) * delta / row_sums
+        scale = np.where(row_sums == np.inf, 1.0, 1.0 - mass / row_sums)
     # delta is 0 where the smallest part is so small (subnormal) that its fraction rounds to 0.
     bad = empty | (delta == 0) | (scale <= 0)
     if bad.any():

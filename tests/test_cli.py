@@ -962,6 +962,19 @@ class TestDatasetIo:
         assert capsys.readouterr().err == f"error: {bad}:41: {message}\n"
         assert not out.exists()
 
+    def test_a_row_whose_imputed_mass_overflows_is_trained_on(self, tmp_path, capsys):
+        # Row s1's sum and imputed mass both overflow; its nonzero parts keep their values.
+        data = tmp_path / "huge.csv"
+        data.write_text("sample_id,a,b,c,d,e,f,label\n"
+                        "s0,1,2,3,4,5,6,0\ns1,1.7e308,1.7e308,0,0,0,0,1\n"
+                        "s2,2,1,3,4,5,6,1\ns3,3,2,1,4,5,6,0\n")
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 5\n")
+        model = tmp_path / "model.txt"
+        assert run(["train", str(data), "--config", str(config), "--out", str(model)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert load_params(model).dims[0] == 6
+
     @pytest.mark.parametrize("command", ["train", "explain"])
     def test_a_zero_replacement_fault_read_from_a_pipe_names_its_line(
         self, tmp_path, toy_dir, trained_model, command

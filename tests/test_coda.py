@@ -126,6 +126,17 @@ class TestReplaceZeros:
         out = replace_zeros(m, delta_fraction=0.5)
         assert out.values.tolist() == [[1e308, 1e308, 0.5, 1.0]]
 
+    def test_overflowing_imputed_mass_imputes_without_warning(self):
+        # The sum and the imputed mass are both inf: the nonzero parts still keep
+        # their values (inf / inf would make them NaN), and the other row its bits.
+        other = [0.0, 3.0, 5.0, 7.0, 11.0, 13.0]
+        m = CompositionMatrix([[1.7e308, 1.7e308, 0.0, 0.0, 0.0, 0.0], other], ["s0", "s1"],
+                              list("abcdef"), "absolute")
+        out = replace_zeros(m, delta_fraction=0.5)
+        assert out.values[0].tolist() == [1.7e308, 1.7e308, *[0.5 * 1.7e308] * 4]
+        alone = replace_zeros(CompositionMatrix([other], ["s1"], list("abcdef"), "absolute"))
+        assert out.values[1].tobytes() == alone.values[0].tobytes()
+
     def test_relative_rows_still_close(self):
         values = np.array([[0.0, 0.5, 0.5], [0.25, 0.25, 0.5]])
         m = CompositionMatrix(values, ["s0", "s1"], list("abc"), "relative")

@@ -30,6 +30,7 @@ from deepcoda import (
 )
 from deepcoda import DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch, cli
 from deepcoda import coda as coda_module
+from deepcoda import _formats
 from deepcoda import explain as explain_module
 from deepcoda._formats import csv_row, text_cells
 from deepcoda.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_dataset, run
@@ -489,6 +490,29 @@ def test_constant_columns_are_the_whole_batch_constant_columns(block, monkeypatc
         pearson, _ = explain_module._correlations(moments, 2)
     assert len(seen) == 1
     assert np.all(pearson[0] != 0.0) and np.all(pearson[1] == 0.0)
+
+
+def test_the_number_tables_are_built_before_the_map_starts(tmp_path, monkeypatch, set_cpus):
+    # Forked workers inherit the tables: none builds its own in its first block.
+    save_params(model_params(False), tmp_path / "model.txt")
+    (tmp_path / "data.csv").write_bytes(dataset_bytes(counts(30, 4)))
+    monkeypatch.setattr(explain_module, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
+    set_cpus(2)
+    tables_built = []
+
+    def checking_map(task, n_tasks):
+        tables_built.append(_formats._number_tables.cache_info().currsize)
+        return cli_map(task, n_tasks)
+
+    cli_map = cli.ordered_fork_map
+    monkeypatch.setattr(cli, "ordered_fork_map", checking_map)
+    _formats._number_tables.cache_clear()
+    argv = ["explain", str(tmp_path / "model.txt"), str(tmp_path / "data.csv"),
+            "--out", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == EXIT_OK
+    assert tables_built == [1]
 
 
 def test_a_block_task_returns_no_per_row_array(tmp_path, monkeypatch, set_cpus):

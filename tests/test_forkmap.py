@@ -1,5 +1,6 @@
 """The ordered fork map shared by benchmark and explain: order, worker count and every fallback."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -13,6 +14,10 @@ import deepcoda
 from deepcoda._forkmap import _LOOKAHEAD, ordered_fork_map
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+needs_mallopt = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(ctypes.CDLL(None), "mallopt"),
+    reason="needs os.fork and glibc's mallopt",
+)
 
 
 def task_and_pid(index):
@@ -264,6 +269,36 @@ for _ in ordered_fork_map(task, 100):
     assert proc.pid not in workers
     time.sleep(1.0)
     assert [pid for pid in workers if running(pid)] == []
+
+
+@needs_mallopt
+def test_workers_keep_the_memory_their_tasks_free():
+    # A fresh interpreter, whose malloc thresholds no earlier test has moved.
+    # Each task allocates and frees a 10 MiB working set twice and reports the
+    # minor page faults of the second round: a worker that gave the first
+    # round's pages back to the system takes about 2,560 (10 MiB of 4 KiB pages).
+    code = """
+import os, resource
+import numpy as np
+os.sched_getaffinity = lambda pid: {0, 1}
+from deepcoda._forkmap import ordered_fork_map
+
+def task(index):
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(1 << 15) for _ in range(40)]  # 40 arrays of 256 KiB
+        del arrays
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return os.getpid(), faults
+
+results = list(ordered_fork_map(task, 4))
+assert os.getpid() not in {pid for pid, _ in results}, results
+print(*(faults for _, faults in results))
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert max(map(int, result.stdout.split())) < 256, result.stdout
 
 
 @needs_fork

@@ -1,6 +1,8 @@
 """The shared text formats: numbers and CSV fields as written, and the ``key = value`` readers."""
 
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,3 +202,55 @@ class TestNumberRows:
     def test_rows_without_columns_are_empty(self):
         assert number_rows(np.empty((3, 0))) == ["", "", ""]
         assert number_rows(np.empty((0, 4))) == []
+
+
+def _reference_number_tables():
+    """``_formats._number_tables`` as it was first written: exact fractions and a loop per key."""
+    _MIN_X, _MAX_X, _CELL, _U64 = _formats._MIN_X, _formats._MAX_X, _formats._CELL, np.uint64
+
+    def ceil_power_of_ten(exponent):
+        power = Fraction(10) ** exponent
+        nearest = float(power)
+        return nearest if Fraction(nearest) >= power else math.nextafter(nearest, math.inf)
+
+    ceil10 = np.array([ceil_power_of_ten(x) for x in range(_MIN_X, _MAX_X + 2)])
+    pow5 = np.array([5**k for k in range(16 - _MIN_X + 1)], dtype=_U64)
+    chunk = np.arange(10_000)
+    digits = np.zeros((10_000, 8), dtype=np.uint8)
+    for j, scale in enumerate((1000, 100, 10, 1)):
+        digits[:, 2 * j] = chunk // scale % 10 + ord("0")
+    trailing = np.zeros(10_000, dtype=np.int64)
+    for scale in (10, 100, 1000, 10_000):
+        trailing += chunk % scale == 0
+    n_keys = (_MAX_X - _MIN_X + 1) * 17
+    literals = np.zeros((n_keys, _CELL), dtype=np.uint8)
+    shown = np.full((n_keys, _CELL), 0xFF, dtype=np.uint8)
+    for exponent in range(_MIN_X, _MAX_X + 1):
+        for n_digits in range(1, 18):
+            key = (exponent - _MIN_X) * 17 + n_digits - 1
+            cell = literals[key]
+            if exponent >= 0:
+                kept = max(n_digits, exponent + 1)
+                if n_digits > exponent + 1:
+                    cell[7 + 2 * exponent] = ord(".")
+            elif exponent >= -4:
+                kept = n_digits
+                cell[1 : 2 - exponent] = np.frombuffer(b"0." + b"0" * (-exponent - 1), np.uint8)
+            else:
+                kept = n_digits
+                if n_digits > 1:
+                    cell[7] = ord(".")
+                cell[40:44] = np.frombuffer(b"e-%02d" % -exponent, np.uint8)
+            shown[key, 6 + 2 * kept : 40 : 2] = 0
+    return (ceil10, pow5, digits.view(_U64).ravel(), trailing, literals.view(_U64),
+            shown.view(_U64))
+
+
+def test_number_tables_match_the_reference():
+    tables = _formats._number_tables()
+    reference = _reference_number_tables()
+    assert len(tables) == len(reference)
+    for table, expected in zip(tables, reference):
+        assert (table.dtype, table.shape) == (expected.dtype, expected.shape)
+        assert table.tobytes() == expected.tobytes()
+        assert not table.flags.writeable

@@ -211,6 +211,19 @@ PY
   # the field outgrows its limit, and the error names line 4.
   sed -e '4s/^/"/' "$work/data/absolute.csv" > "$work/unclosed.csv"
   rejected unclosed "unclosed.csv:4: field larger than field limit"
+  # A value of 131,073 digits on line 6001, in the middle block: float()
+  # reads it, csv does not, so the block declines and the error names line 6001.
+  python3 - "$work/data/absolute.csv" "$work/oversize.csv" <<'PY'
+import csv
+import sys
+
+lines = open(sys.argv[1], encoding="utf-8").read().split("\n")
+fields = lines[6000].split(",")
+fields[2] = "0" * csv.field_size_limit() + "1"
+lines[6000] = ",".join(fields)
+open(sys.argv[2], "w", encoding="utf-8").write("\n".join(lines))
+PY
+  rejected oversize "oversize.csv:6001: field larger than field limit"
 }
 
 # Every CLI command runs without scipy.

@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import errno
 import io
-import itertools
 import math
 import os
 import stat
@@ -88,47 +87,62 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig
 
 def read_dataset_csv(path):
     """Parse a dataset file; returns (sample_ids, feature_names, values, labels)."""
-    return _read_dataset(path, Path(path).read_bytes())
+    return _read_dataset(path, Path(path).read_bytes())[:4]
 
 
 def _read_dataset(path, data: bytes):
-    """``read_dataset_csv`` of the file ``path`` whose bytes are ``data``."""
+    """``read_dataset_csv`` of the file ``path`` whose bytes are ``data``, and each row's line.
+
+    The lines are an ``array("q")`` of the line where each data record
+    begins: ``reader.line_num + 1``, read before the record. A fault names
+    the line of its record, as does a csv error.
+    """
     utf8_text(path, data)  # a byte that is not UTF-8 wins over every other fault
-    reader = _records(data)
+    reader, line = _records(data), 1
     try:
         try:
             header = next(reader, None)
             _check_header(path, header)
-            sample_ids, values, labels = _parse_rows(
-                path, reader, len(header), lambda record: _first_line(data, record)
-            )
+            n_fields = len(header)
+            sample_ids, values, labels, lines = [], array("d"), [], array("q")
+            line = reader.line_num + 1
+            for row in reader:
+                if len(row) != n_fields:
+                    raise ValueError(f"{path}:{line}: expected {n_fields} fields")
+                try:
+                    feats = list(map(float, row[1:-1]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line}: non-numeric feature value") from exc
+                # A cheap test per row; the scans name the fault (or pass an overflowing sum).
+                if not (math.isfinite(sum(feats)) and min(feats) >= 0):
+                    if not all(map(math.isfinite, feats)):
+                        raise ValueError(f"{path}:{line}: non-finite feature value")
+                    if any(v < 0 for v in feats):
+                        raise ValueError(f"{path}:{line}: negative abundance")
+                if row[-1] not in ("0", "1"):
+                    raise ValueError(f"{path}:{line}: label must be 0 or 1")
+                sample_ids.append(row[0])
+                values.fromlist(feats)
+                labels.append(row[-1] == "1")
+                lines.append(line)
+                line = reader.line_num + 1
             if not sample_ids:
                 raise ValueError(f"{path}: no data rows")
         except ValueError:
+            line = reader.line_num + 1
             for _ in reader:  # a malformed record later in the file still wins
-                pass
+                line = reader.line_num + 1
             raise
     except csv.Error as exc:
         # Name the line where the failing record began (an unclosed quote's), not reader.line_num.
-        raise ValueError(f"{path}:{_first_line(data)}: {exc}") from exc
-    return sample_ids, header[1:-1], values, labels
+        raise ValueError(f"{path}:{line}: {exc}") from exc
+    values_2d = np.array(values).reshape(len(sample_ids), n_fields - 2)
+    return sample_ids, header[1:-1], values_2d, np.array(labels, dtype=int), lines
 
 
 def _records(data: bytes):
     """A csv reader of a UTF-8 file's bytes (io.StringIO(text) would hold 4 bytes a character)."""
     return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-
-
-def _first_line(data: bytes, record: int | None = None) -> int:
-    """The line where ``record`` of ``data`` begins (the header is record 0), found by re-reading.
-
-    Without ``record``, the line where the record that stops the reader with a csv error begins.
-    """
-    reader, line = _records(data), 1
-    with contextlib.suppress(csv.Error):
-        for _ in itertools.islice(reader, record):
-            line = reader.line_num + 1
-    return line
 
 
 def _check_header(path, header) -> None:
@@ -144,35 +158,6 @@ def _check_header(path, header) -> None:
         raise ValueError(f"{path}: feature name {repeated!r} is repeated")
 
 
-def _parse_rows(path, reader, n_fields: int, first_line):
-    """(sample ids, N x (n_fields - 2) values, labels) of the data records of ``reader``.
-
-    A fault names ``first_line(k)``, the line where data record k begins
-    (the header is record 0).
-    """
-    sample_ids, values, labels = [], array("d"), []
-    for record, row in enumerate(reader, start=1):
-        if len(row) != n_fields:
-            raise ValueError(f"{path}:{first_line(record)}: expected {n_fields} fields")
-        try:
-            feats = list(map(float, row[1:-1]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{first_line(record)}: non-numeric feature value") from exc
-        # A cheap test per row; the scans name a failing row's fault (or pass an overflowing sum).
-        if not (math.isfinite(sum(feats)) and min(feats) >= 0):
-            if not all(map(math.isfinite, feats)):
-                raise ValueError(f"{path}:{first_line(record)}: non-finite feature value")
-            if any(v < 0 for v in feats):
-                raise ValueError(f"{path}:{first_line(record)}: negative abundance")
-        if row[-1] not in ("0", "1"):
-            raise ValueError(f"{path}:{first_line(record)}: label must be 0 or 1")
-        sample_ids.append(row[0])
-        values.fromlist(feats)
-        labels.append(row[-1] == "1")
-    values_2d = np.array(values).reshape(len(sample_ids), n_fields - 2)
-    return sample_ids, values_2d, np.array(labels, dtype=int)
-
-
 _TEXT_CELL_MAX = 256  # bytes; a longer id would widen every row's id cell
 
 
@@ -181,13 +166,14 @@ def _parse_block(data: bytes, n_fields: int):
 
     The fast reader of an ``explain`` block, which holds no ``"``, ``\\r`` or
     NUL byte (``_explain_in_blocks`` declines such files before any block).
-    It reads only what ``_parse_rows`` reads to the same ids and values, and
+    It reads only what ``_read_dataset`` reads to the same ids and values, and
     raises ValueError on anything else: a line (lines end at ``\\n``) without
     exactly ``n_fields - 1`` commas; a label other than ``0`` or ``1``; a value
-    byte other than ``0-9 . + - e E``; an id longer than ``_TEXT_CELL_MAX``
-    bytes; a value ``np.loadtxt`` rejects, or a row count it reads otherwise; a
-    non-finite or negative value. The ids are ``_formats.text_cells`` of their
-    bytes.
+    byte other than ``0-9 . + - e E``; a value longer than
+    ``csv.field_size_limit()``, which csv rejects; an id longer than
+    ``_TEXT_CELL_MAX`` bytes; a value ``np.loadtxt`` rejects, or a row count it
+    reads otherwise; a non-finite or negative value. The ids are
+    ``_formats.text_cells`` of their bytes.
     """
     text = str(data, "utf-8")
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -211,6 +197,8 @@ def _parse_block(data: bytes, n_fields: int):
     other = np.flatnonzero(~value_byte)
     if np.any(other >= commas[np.searchsorted(ends, other), 0]):
         raise ValueError("value the block reader leaves to csv")
+    if np.any(np.diff(commas) - 1 > csv.field_size_limit()):  # value bytes are ASCII
+        raise ValueError("value longer than csv's field limit")
     starts = np.concatenate([[0], ends[:-1] + 1])
     widths = commas[:, 0] - starts
     width = int(widths.max())
@@ -234,16 +222,13 @@ def load_dataset(path, delta_fraction: float = DEFAULT_DELTA_FRACTION):
     ``delta_fraction`` is checked even when the file has no zeros to replace.
     """
     check_real(delta_fraction, "delta_fraction", high=1.0, low_open=True)
-    # Read once: a fault's line is found in these bytes, which a pipe gives only once.
-    data = Path(path).read_bytes()
-    sample_ids, feature_names, values, labels = _read_dataset(path, data)
+    sample_ids, feature_names, values, labels, lines = _read_dataset(path, Path(path).read_bytes())
     kind = "relative" if _sums_to_one(values) else "absolute"
     matrix = CompositionMatrix(values, sample_ids, feature_names, kind)
     try:
         return replace_zeros(matrix, delta_fraction), labels
     except _RowFault as exc:
-        line = _first_line(data, exc.row + 1)
-        raise ValueError(f"{path}:{line}: {exc.reason}") from exc
+        raise ValueError(f"{path}:{lines[exc.row]}: {exc.reason}") from exc
 
 
 def write_dataset_csv(path, matrix: CompositionMatrix, labels) -> None:
@@ -442,20 +427,18 @@ _SCAN_CHUNK = 1 << 20  # bytes of the dataset file that explain's block scan rea
 
 
 def _block_bounds(fh):
-    """(the first line of the file ``fh`` without its \\n, the offsets that bound its blocks).
+    """The offsets that bound the blocks of the file ``fh``; its first line ends at ``bounds[0]``.
 
     Block k, the bytes from offset ``bounds[k]`` to ``bounds[k + 1]``, holds
     ``explain._ROW_BLOCK`` data lines, the last block perhaps fewer. The file is read from its start
     in chunks of ``_SCAN_CHUNK`` bytes. None when it holds a ``"``, a
     ``\\r`` or a NUL byte, or no byte after its first line.
     """
-    head, bounds, n_lines, size = b"", [], 0, 0
+    bounds, n_lines, size = [], 0, 0
     while chunk := fh.read(_SCAN_CHUNK):
         if any(byte in chunk for byte in (b'"', b"\r", b"\0")):
             return None
         ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
-        if not bounds:
-            head += chunk[: ends[0]] if ends.size else chunk
         # Line n_lines + j ends at ends[j]; a block starts after lines 0, R, 2R, ...
         bounds += (ends[-n_lines % explain._ROW_BLOCK :: explain._ROW_BLOCK] + size + 1).tolist()
         n_lines += ends.size
@@ -464,7 +447,7 @@ def _block_bounds(fh):
         return None
     if bounds[-1] != size:
         bounds.append(size)
-    return head, bounds
+    return bounds
 
 
 @dataclasses.dataclass(frozen=True)
@@ -480,34 +463,35 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
     """``_explain_whole_file``, with every row stage run per block of ``explain._ROW_BLOCK`` lines.
 
     This process reads the file in fixed-size chunks to find its blocks, and
-    decodes only its first line. Each ``ordered_fork_map`` task reads one
-    block with ``os.pread``, parses it with ``_parse_block``, imputes,
-    explains and formats it, and returns a ``_Block``; this process writes
-    each block's lines and merges its moments, in block order. The map sends
-    blocks only while this process waits for the next one, at most two per
-    worker sent and not returned, so it holds few blocks. An OSError raises
-    here as it does in the whole-file read. Returns None where the blocks
-    cannot stand for the whole file, and the whole-file path then gives the
-    result, or the error, of reading the file at once: before any byte is
-    read, data that is not a regular file, such as a pipe; before any block,
-    a file holding a ``"`` (a quoted field may span lines), a ``\\r`` or a
-    NUL byte, or a first line that is not one valid UTF-8 header for the
-    model; then any block that raises (a byte that is not UTF-8 and
-    ``_parse_block``'s rejections included) or warns, since each block turns
-    warnings into errors.
+    parses only its first line, with ``_read_dataset``'s csv reader and
+    header check. Each ``ordered_fork_map`` task reads one block with
+    ``os.pread``, parses it with ``_parse_block``, imputes, explains and
+    formats it, and returns a ``_Block``; this process writes each block's
+    lines and merges its moments, in block order. The map sends blocks only
+    while this process waits for the next one, at most two per worker sent
+    and not returned, so it holds few blocks. An OSError raises here as it
+    does in the whole-file read. Returns None where the blocks cannot stand
+    for the whole file, and the whole-file path then gives the result, or the
+    error, of reading the file at once: before any byte is read, data that is
+    not a regular file, such as a pipe; before any block, a file holding a
+    ``"`` (a quoted field may span lines), a ``\\r`` or a NUL byte, or a first
+    line that csv does not read as one valid header for the model (a byte
+    that is not UTF-8 and a field longer than csv's limit included); then any
+    block that raises (a byte that is not UTF-8 and ``_parse_block``'s
+    rejections included) or warns, since each block turns warnings into
+    errors.
     """
     with open(path, "rb", buffering=0) as fh:
         # Only a regular file can be read at the blocks' offsets; a pipe, unread, is read whole.
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             return None
-        scanned = _block_bounds(fh)
-        if scanned is None:
+        bounds = _block_bounds(fh)
+        if bounds is None:
             return None
-        head, bounds = scanned
         try:
-            header = str(head, "utf-8").split(",")
+            header = next(_records(os.pread(fh.fileno(), bounds[0], 0)), None)
             _check_header(path, header)
-        except ValueError:
+        except (ValueError, csv.Error):
             return None
         if len(header) - 2 != params.dims[0]:
             return None

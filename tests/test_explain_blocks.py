@@ -79,8 +79,10 @@ LINE_FAULTS = {
 }
 # Fields on which np.loadtxt and float(), or the csv rules, may part ways. The
 # block reader must read each as the whole-file reader does, or leave it to it.
+# The last value is one digit longer than csv's field limit: float() reads it, csv does not.
 VALUE_TOKENS = ["1_0", "\uff11", "0x1", "1e400", "1e-400", "-0", "+1", "infinity", "nan", "007",
-                "1.5e1", "2E-3", " 7", "7 ", "\v7", "7\x85", "\x1c7", "7\x00", "#7", "\xa07", ""]
+                "1.5e1", "2E-3", " 7", "7 ", "\v7", "7\x85", "\x1c7", "7\x00", "#7", "\xa07", "",
+                "0" * csv.field_size_limit() + "1"]
 ID_TOKENS = ["i\vd", "i\x85d", "i\x1cd", "i\x00d", "\ufeffid", "#id", " id ", "\u0438\u0434", "i\u2028d"]
 
 
@@ -88,9 +90,14 @@ def _in_field(index, text):
     return lambda f: [*f[:index], text, *f[index + 1:]]
 
 
+def _shown(token):
+    """``repr(token)``, or its length where it is too long to name a test."""
+    return repr(token) if len(token) < 40 else f"<{len(token)} chars>"
+
+
 TOKEN_FAULTS = {
-    **{f"value {t!r}": _in_field(2, t) for t in VALUE_TOKENS},
-    **{f"id {t!r}": _in_field(0, t) for t in ID_TOKENS},
+    **{f"value {_shown(t)}": _in_field(2, t) for t in VALUE_TOKENS},
+    **{f"id {_shown(t)}": _in_field(0, t) for t in ID_TOKENS},
     "label ' 1'": lambda f: [*f[:-1], " 1"],
     "extra field": lambda f: [*f, "1"],
 }
@@ -280,10 +287,9 @@ def test_the_block_reader_reads_what_the_csv_reader_reads(n_rows, seed, faults, 
     data = dataset_bytes(counts(n_rows, seed), faults, **layout)
     block = data[data.find(b"\n") + 1 :]
     assume(block)
-    try:
-        reader = csv.reader(io.StringIO(str(block, "utf-8"), newline=""))
-        sample_ids, values, _ = cli._parse_rows("data.csv", reader, D + 2, lambda k: k + 1)
-    except (ValueError, csv.Error):
+    try:  # the header, which holds no fault, and the block
+        sample_ids, _, values, _, _ = cli._read_dataset("data.csv", data)
+    except ValueError:
         # Python 3.10's csv rejects a NUL byte, which 3.11's and the block reader
         # read; no block holds one, since _explain_in_blocks declines such files.
         if b"\0" in block and not csv_reads_nul():
@@ -298,6 +304,16 @@ def test_the_block_reader_reads_what_the_csv_reader_reads(n_rows, seed, faults, 
         return
     assert got.tobytes() == values.tobytes()
     assert np.array_equal(ids, text_cells([sid.encode() for sid in sample_ids]))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_header_field_longer_than_csvs_limit_gives_the_whole_file_error(tmp_path, cpus):
+    # A feature name one character longer than csv's limit; such a value is in VALUE_TOKENS.
+    limit = csv.field_size_limit()
+    data = dataset_bytes(counts(10, 5)).replace(b",f2,", b",f" + b"2" * limit + b",", 1)
+    (code, _, stderr, _), _ = assert_matches_reference(tmp_path, data, False, 3, cpus)
+    assert code == EXIT_USAGE
+    assert stderr.endswith(f"data.csv:1: field larger than field limit ({limit})\n")
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -94,11 +94,23 @@ check_explain() {
   { cat "$work/data/relative.csv"
     echo 'drift,0.18337780306830323,0.1651560664806076,0.14698177255737394,0.061191411624961632,0,0.10763746162742269,0.016279230655204924,0.12745460031013756,0.095884513083640308,0.096037141592348094,1'
   } > "$work/drift.csv"
-  inputs="relative zeros quoted crlf underscore drift"
+  # Twelve copies of one row: every W and Z column is constant, and explain
+  # prints one warning line for them.
+  { head -n 1 "$work/data/relative.csv"
+    for i in $(seq 12); do sed -n "2s/^[^,]*,/same$i,/p" "$work/data/relative.csv"; done
+  } > "$work/same.csv"
+  echo 'warning: constant columns detected; their correlations are reported as 0' > "$work/same.err"
+  inputs="relative zeros quoted crlf underscore drift same"
   for input in $inputs; do
+    # Every other input's stderr stays empty.
+    expected=/dev/null
+    if [ "$input" = same ]; then expected="$work/same.err"; fi
     explain="python3 -m deepcoda explain $work/model.txt $work/$input.csv"
-    taskset -c 0 $explain --out "$work/$input/serial"
-    $explain --out "$work/$input/parallel"
+    taskset -c 0 $explain --out "$work/$input/serial" 2> "$work/serial.err"
+    $explain --out "$work/$input/parallel" 2> "$work/parallel.err"
+    cat "$work/serial.err" "$work/parallel.err"
+    cmp "$work/serial.err" "$expected"
+    cmp "$work/parallel.err" "$expected"
     for name in explanations.csv memberships.csv correlations.csv summary.txt; do
       cmp "$work/$input/serial/$name" "$work/$input/parallel/$name"
     done

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import explain
 from ._forkmap import ordered_fork_map
-from ._formats import (NUMBER, _number_tables, csv_table, key_values, parse_file, text_cells,
-                       utf8_text)
+from ._formats import NUMBER, _number_tables, csv_table, key_values, parse_file, utf8_text
 from .baselines import (
     TRANSFORMS,
     apply_transform,
@@ -56,24 +55,10 @@ from .evaluate import (
     results_to_csv,
     standardize_scores,
 )
-# ``explain_sample`` and ``render_report`` are not called here; perfbench/tracer.py wraps them.
-from .explain import (  # noqa: F401
-    DECISION_NEGATIVE,
-    DECISION_POSITIVE,
-    _correlation_moments,
-    _correlations,
-    _explanation_lines,
-    _explanations_header,
-    _explanations_table,
-    _Moments,
-    _positives,
-    _summary_tables,
-    contrast_membership,
-    explain_batch,
-    explain_sample,
-    render_report,
-    weight_contrast_correlation,
-)
+from .explain import (_correlation_moments, _explanations_header, _explanations_table, _positives,
+                      explain_batch)
+# Not called here; perfbench/tracer.py wraps them by their names in this module.
+from .explain import explain_sample, render_report, weight_contrast_correlation  # noqa: F401
 from .model import load_params, save_params
 from .simulate import gen_cmyc, gen_toy
 from .train import TrainConfig, TrainingDivergedError, train
@@ -390,13 +375,8 @@ def cmd_explain(args) -> int:
         explained = _explain_in_blocks(params, args.data, args.delta_fraction, explanations)
         if explained is None:
             explained = _explain_whole_file(params, args.data, args.delta_fraction, explanations)
-        feature_names, n_rows, n_positive, moments = explained
-        n_bottlenecks = params.dims[1]
-        memberships = [contrast_membership(params, b, feature_names) for b in range(n_bottlenecks)]
-        # weight_contrast_correlation's finisher, on the moments of the rows' [W | Z].
-        correlations = _correlations(moments, n_bottlenecks) if n_rows > n_bottlenecks else None
         # render_report's other tables; explanations.csv is already written.
-        tables = _summary_tables(n_rows, n_positive, memberships, correlations)
+        tables = explain._report_tables(params, *explained)
         for name, text in zip(["memberships.csv", "correlations.csv", "summary.txt"], tables):
             stage(out_dir / name).write_text(text, encoding="utf-8", newline="")
     print(tables[-1], end="")
@@ -450,36 +430,27 @@ def _block_bounds(fh):
     return bounds
 
 
-@dataclasses.dataclass(frozen=True)
-class _Block:
-    """What an explain block task returns: nothing that grows with its rows but its lines."""
-
-    lines: bytes  # its rows of the explanations table
-    positives: int  # rows with the decision DECISION_POSITIVE
-    moments: _Moments  # of its rows' [W | Z]; its count is the row count
-
-
 def _explain_in_blocks(params, path, delta_fraction, explanations):
     """``_explain_whole_file``, with every row stage run per block of ``explain._ROW_BLOCK`` lines.
 
     This process reads the file in fixed-size chunks to find its blocks, and
-    parses only its first line, with ``_read_dataset``'s csv reader and
-    header check. Each ``ordered_fork_map`` task reads one block with
-    ``os.pread``, parses it with ``_parse_block``, imputes, explains and
-    formats it, and returns a ``_Block``; this process writes each block's
-    lines and merges its moments, in block order. The map sends blocks only
-    while this process waits for the next one, at most two per worker sent
-    and not returned, so it holds few blocks. An OSError raises here as it
-    does in the whole-file read. Returns None where the blocks cannot stand
-    for the whole file, and the whole-file path then gives the result, or the
-    error, of reading the file at once: before any byte is read, data that is
-    not a regular file, such as a pipe; before any block, a file holding a
-    ``"`` (a quoted field may span lines), a ``\\r`` or a NUL byte, or a first
-    line that csv does not read as one valid header for the model (a byte
-    that is not UTF-8 and a field longer than csv's limit included); then any
-    block that raises (a byte that is not UTF-8 and ``_parse_block``'s
-    rejections included) or warns, since each block turns warnings into
-    errors.
+    parses only its first line, with ``_read_dataset``'s csv reader and header
+    check. Each ``ordered_fork_map`` task reads one block with ``os.pread``,
+    parses it with ``_parse_block``, imputes it, and returns the
+    ``explain._Part`` of its rows, explained and formatted; this process
+    writes each block's lines and merges its moments, in block order. The map
+    sends blocks only while this process waits for the next one, at most two
+    per worker sent and not returned, so it holds few blocks. An OSError
+    raises here as it does in the whole-file read. Returns None where the
+    blocks cannot stand for the whole file, and the whole-file path then gives
+    the result, or the error, of reading the file at once: before any byte is
+    read, data that is not a regular file, such as a pipe; before any block, a
+    file holding a ``"`` (a quoted field may span lines), a ``\\r`` or a NUL
+    byte, or a first line that csv does not read as one valid header for the
+    model (a byte that is not UTF-8 and a field longer than csv's limit
+    included); then any block that raises (a byte that is not UTF-8 and
+    ``_parse_block``'s rejections included) or warns, since each block turns
+    warnings into errors.
     """
     with open(path, "rb", buffering=0) as fh:
         # Only a regular file can be read at the blocks' offsets; a pipe, unread, is read whole.
@@ -496,11 +467,9 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
         if len(header) - 2 != params.dims[0]:
             return None
 
-        # Built here, before the fork map starts, so every worker inherits them.
-        decisions = text_cells([DECISION_NEGATIVE.encode(), DECISION_POSITIVE.encode()])
-        _number_tables()
+        _number_tables()  # built before the fork map starts, so every worker inherits them
 
-        def block(k: int) -> _Block:
+        def block(k: int) -> explain._Part:
             # The whole-file path's steps on one block. Its error messages count
             # lines from the block's start, so a fault only declines the blocks.
             with warnings.catch_warnings():
@@ -509,14 +478,7 @@ def _explain_in_blocks(params, path, delta_fraction, explanations):
                 if len(data) != bounds[k + 1] - bounds[k]:
                     raise ValueError("the file shrank while it was read")
                 ids, values = _parse_block(data, len(header))
-                imputed = _replace_zeros_values(values, delta_fraction)
-                batch = explain_batch(params, imputed, range(len(imputed)))
-                positive = (batch.decisions == DECISION_POSITIVE) * 1
-                return _Block(
-                    _explanation_lines(batch, ids, decisions[positive]),
-                    _positives(batch),
-                    _Moments.of(np.hstack([batch.w, batch.z])),
-                )
+                return explain._part(params, _replace_zeros_values(values, delta_fraction), ids)
 
         n_positive, moments = 0, None
         try:
@@ -632,6 +594,8 @@ def run(argv=None) -> int:
 def main() -> None:
     # Names from a UTF-8 file may not fit a narrower locale's stdout; escape them.
     sys.stdout.reconfigure(errors="backslashreplace")
+    # A warning is one line, as baseline's is, without the source line that warned.
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     sys.exit(run())
 
 

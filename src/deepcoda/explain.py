@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._formats import cell_lines, csv_field, csv_row, csv_table
+from ._formats import cell_lines, csv_field, csv_row, csv_table, text_cells
 from .checks import check_array, check_count, check_names, check_real
 # ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
 from .model import DeepCodaParams, _forward_batch, forward  # noqa: F401
@@ -39,6 +39,8 @@ __all__ = [
 
 DECISION_POSITIVE = "unhealthy"
 DECISION_NEGATIVE = "healthy"
+# ``_part``'s decision cells, indexed by positive; built at import, so forked workers inherit them.
+_DECISION_CELLS = text_cells([DECISION_NEGATIVE.encode(), DECISION_POSITIVE.encode()])
 
 _CCA_JITTER = 1e-8
 # Rows per chunk of the correlation moments, and so per block of ``deepcoda explain``.
@@ -241,8 +243,8 @@ def _inverse_sqrt(sym: np.ndarray) -> np.ndarray:
 def _correlations(moments: _Moments, n_weights: int):
     """``weight_contrast_correlation`` of the rows whose [W | Z] has ``moments``.
 
-    W is the first ``n_weights`` columns. Warns, on behalf of the caller's
-    caller, when a column is constant.
+    W is the first ``n_weights`` columns. Warns when a column is constant, on behalf of
+    the caller of ``weight_contrast_correlation`` or ``_report_tables``.
     """
     # By min and max, as a constant column whose mean is inexact has a tiny
     # nonzero spread; a zero spread (an underflow) would divide by zero.
@@ -330,6 +332,26 @@ def _explanations_table(batch: ExplanationBatch) -> bytes:
     return b"".join([_explanations_header(batch.z.shape[1] if len(batch) else 0).encode(), *rows])
 
 
+@dataclass(frozen=True)
+class _Part:
+    """``_part``'s report of some rows: nothing that grows with them but their lines."""
+
+    lines: bytes  # their rows of the explanations table
+    positives: int  # rows with the decision DECISION_POSITIVE
+    moments: _Moments  # of their [W | Z]; its count is the row count
+
+
+def _part(p: DeepCodaParams, X: np.ndarray, id_cells) -> _Part:
+    """The ``_Part`` of the strictly positive rows ``X``; ``id_cells`` are their ids' ``text_cells``."""
+    batch = explain_batch(p, X, range(len(X)))
+    decision_cells = _DECISION_CELLS[(batch.decisions == DECISION_POSITIVE) * 1]
+    return _Part(
+        _explanation_lines(batch, id_cells, decision_cells),
+        _positives(batch),
+        _correlation_moments(batch.w, batch.z),
+    )
+
+
 def _summary_tables(
     n_samples: int, n_positive: int, memberships, correlations
 ) -> tuple[str, str, str]:
@@ -371,6 +393,15 @@ def _summary_tables(
         else:
             lines.append(f"contrast {m.bottleneck_index + 1}: no parts above threshold")
     return memberships_csv, correlations_csv, "\n".join(lines) + "\n"
+
+
+def _report_tables(p: DeepCodaParams, feature_names, n_rows: int, n_positive: int, moments):
+    """``_summary_tables`` of ``n_rows`` rows explained by ``p``, ``n_positive`` of them positive,
+    whose [W | Z] has ``moments`` (None for at most B rows, which have no correlations)."""
+    n_bottlenecks = p.dims[1]
+    memberships = [contrast_membership(p, b, feature_names) for b in range(n_bottlenecks)]
+    correlations = _correlations(moments, n_bottlenecks) if n_rows > n_bottlenecks else None
+    return _summary_tables(n_rows, n_positive, memberships, correlations)
 
 
 def render_report(

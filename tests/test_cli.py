@@ -431,21 +431,38 @@ class TestExplain:
         assert capsys.readouterr().err == f"error: {model}:{message}\n"
         assert not (tmp_path / "r").exists()
 
-    def test_identical_rows_have_zero_correlations(self, tmp_path, capsys):
+    @pytest.fixture(scope="class")
+    def identical_rows(self, tmp_path_factory):
+        """(model, data): a 5-bottleneck model and 12 identical rows for it to explain."""
         # Every W and Z column is constant, and the float mean of most is inexact.
-        (tmp_path / "train.cfg").write_text("epochs = 30\n")
-        assert run(["simulate", "toy", "--n", "40", "--out", str(tmp_path)]) == EXIT_OK
-        assert run(["train", str(tmp_path / "relative.csv"), "--config", str(tmp_path / "train.cfg"),
-                    "--out", str(tmp_path / "model.txt")]) == EXIT_OK
-        data = tmp_path / "same.csv"
+        root = tmp_path_factory.mktemp("identical")
+        (root / "train.cfg").write_text("epochs = 30\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["simulate", "toy", "--n", "40", "--out", str(root)]) == EXIT_OK
+            assert run(["train", str(root / "relative.csv"), "--config", str(root / "train.cfg"),
+                        "--out", str(root / "model.txt")]) == EXIT_OK
+        data = root / "same.csv"
         data.write_text("sample_id,f1,f2,f3,f4,label\n"
                         + "".join(f"s{i},1,2,3,4,{i % 2}\n" for i in range(12)))
+        return root / "model.txt", data
+
+    def test_identical_rows_have_zero_correlations(self, tmp_path, capsys, identical_rows):
+        model, data = identical_rows
         out = tmp_path / "report"
         with pytest.warns(RuntimeWarning, match="constant columns"):
-            code = run(["explain", str(tmp_path / "model.txt"), str(data), "--out", str(out)])
+            code = run(["explain", str(model), str(data), "--out", str(out)])
         assert code == EXIT_OK
         values = [float(row[-1]) for row in read_csv(out / "correlations.csv")[1:]]
         assert values == [0.0] * (5 * 5 + 5)
+
+    def test_a_warning_prints_as_one_line(self, tmp_path, identical_rows):
+        model, data = identical_rows
+        argv = ["explain", str(model), str(data), "--out", str(tmp_path / "report")]
+        done = subprocess.run([sys.executable, "-m", "deepcoda", *argv], env=deepcoda_env(),
+                              capture_output=True)
+        assert done.returncode == EXIT_OK, done.stderr
+        warning = "warning: constant columns detected; their correlations are reported as 0\n"
+        assert done.stderr.decode() == warning
 
     def test_forged_model_dims_exit_2(self, tmp_path, toy_dir, trained_model):
         text = trained_model.read_text()

@@ -430,6 +430,16 @@ def test_the_byte_writer_writes_csv_rows():
         odd = (*ids[:3], odd_id, *ids[4:])
         batch = ExplanationBatch(odd, z, w, products, prediction, np.array(decisions))
         assert render_report(batch, []).explanations_csv.endswith(table(odd))
+    # A block's part of a model's rows is the whole-batch reference, bit for bit.
+    params, X = model_params(False), counts(n, 5) + 1.0
+    part = explain_module._part(params, X, id_cells)
+    batch = explain_batch(params, X, ids)
+    assert 0 < part.positives == explain_module._positives(batch) < n
+    assert part.lines == explain_module._explanations_table(batch).split(b"\n", 1)[1]
+    moments = explain_module._correlation_moments(batch.w, batch.z)
+    assert part.moments.count == moments.count == n
+    for name in ("mean", "cross", "low", "high"):
+        assert getattr(part.moments, name).tobytes() == getattr(moments, name).tobytes()
 
 
 def test_a_rejected_file_leaves_an_earlier_report_as_it_was(tmp_path):

@@ -236,6 +236,11 @@ lines[6000] = ",".join(fields)
 open(sys.argv[2], "w", encoding="utf-8").write("\n".join(lines))
 PY
   rejected oversize "oversize.csv:6001: field larger than field limit"
+  # Line 5000 holds four 1e-323 and six 0: its zeros impute to 5e-324 and its
+  # other parts rescale to 0, which imputation rejects by the row's line.
+  awk -F, 'BEGIN { OFS = "," } NR == 5000 { for (j = 2; j <= 5; j++) $j = "1e-323"; for (j = 6; j <= 11; j++) $j = 0 } 1' \
+    "$work/data/absolute.csv" > "$work/underflow.csv"
+  rejected underflow "underflow.csv:5000: imputed value underflows to zero"
 }
 
 # Every CLI command runs without scipy.

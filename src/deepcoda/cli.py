@@ -136,7 +136,8 @@ def _check_header(path, header) -> None:
     if len(header) < 4:
         raise ValueError(f"{path}: need sample_id, at least two features, and label")
     if header[0] != "sample_id" or header[-1] != "label":
-        raise ValueError(f"{path}: header must start with sample_id and end with label")
+        raise ValueError(f"{path}: header must start with sample_id and end with label, "
+                         f"got {header[0]!r} and {header[-1]!r}")
     names = header[1:-1]
     if len(set(names)) < len(names):
         repeated = next(name for j, name in enumerate(names) if name in names[:j])
@@ -315,12 +316,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _deepcoda_flags(args) -> dict:
+    """``benchmark``'s deepcoda flags that were given; one left out keeps its method's default."""
+    given = {"n_bottlenecks": args.bottlenecks, "lambda_s": args.lambda_s, "epochs": args.epochs}
+    return {key: value for key, value in given.items() if value is not None}
+
+
 def _deepcoda_builder(head: str, name: str):
     def build(args):
-        # A flag left out keeps make_deepcoda_method's default.
-        given = {"n_bottlenecks": args.bottlenecks, "lambda_s": args.lambda_s}
-        options = {key: value for key, value in given.items() if value is not None}
-        return make_deepcoda_method(head=head, epochs=args.epochs, name=name, **options)
+        return make_deepcoda_method(head=head, name=name, **_deepcoda_flags(args))
 
     return build
 
@@ -340,6 +344,7 @@ def cmd_benchmark(args) -> int:
         given = [flag for flag, value in flags if value is not None]
         if given:
             raise ValueError(f"--grid sets the methods itself; drop {', '.join(given)}")
+    TrainConfig(**_deepcoda_flags(args))  # checked before any fit, whichever methods run
     matrix, labels = load_dataset(args.data, args.delta_fraction)
     dataset = LabeledDataset(Path(args.data).stem, matrix.values, labels)
     if args.grid:

@@ -134,7 +134,9 @@ def replace_zeros(
     -------
     CompositionMatrix
         Strictly positive matrix of the same kind. If ``m`` contains no
-        zeros it is returned unchanged.
+        zeros it is returned unchanged. The first row that is entirely zero,
+        whose imputed mass exceeds its total, or whose imputed or rescaled
+        part rounds to 0 raises a ValueError instead.
     """
     check_real(delta_fraction, "delta_fraction", high=1.0, low_open=True)
     values = _replace_zeros_values(m.values, delta_fraction)
@@ -156,35 +158,35 @@ class _RowFault(ValueError):
 
 
 def _replace_zeros_values(values: np.ndarray, delta_fraction: float) -> np.ndarray:
-    """``replace_zeros`` on a bare N x D array; returns ``values`` itself if it holds no zeros."""
+    """``replace_zeros`` on a bare N x D array; returns ``values`` itself if it holds no zeros.
+
+    The one check is of the output: a row with an imputed part not finite and > 0 raises."""
     zero_mask = values == 0
     if not zero_mask.any():
         return values
     rows = np.flatnonzero(zero_mask.any(axis=1))
     sub, zeros = values[rows], zero_mask[rows]
-    empty = zeros.all(axis=1)
-    delta = delta_fraction * np.where(zeros, np.inf, sub).min(axis=1)
-    with np.errstate(over="ignore"):
+    # An all-zero row imputes inf (its delta) and NaN, which the check below rejects unwarned.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        delta = delta_fraction * np.where(zeros, np.inf, sub).min(axis=1)
         row_sums = sub.sum(axis=1)
         mass = zeros.sum(axis=1) * delta
-    # A row whose sum overflows to inf keeps its nonzero parts: a scale of 1,
-    # also where its imputed mass overflows too (inf / inf would give NaN).
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # A row whose sum overflows to inf keeps its nonzero parts: a scale of 1,
+        # also where its imputed mass overflows too (inf / inf would give NaN).
         scale = np.where(row_sums == np.inf, 1.0, 1.0 - mass / row_sums)
-    # delta is 0 where the smallest part is so small (subnormal) that its fraction rounds to 0.
-    bad = empty | (delta == 0) | (scale <= 0)
+        imputed = np.where(zeros, delta[:, None], sub * scale[:, None])
+    bad = ~(np.isfinite(imputed) & (imputed > 0)).all(axis=1)
     if bad.any():
         first = int(np.argmax(bad))
         row = int(rows[first])
-        if empty[first]:
+        if zeros[first].all():
             raise _RowFault(f"row {row} is entirely zero", row, "row is entirely zero")
-        if delta[first] == 0:
-            reason = "imputed value underflows to zero"
-        else:
-            reason = "imputed mass exceeds the row total; use a smaller delta_fraction"
+        # Under a positive scale, a part is not positive where it rounded to 0 (a subnormal's).
+        reason = ("imputed value underflows to zero" if scale[first] > 0
+                  else "imputed mass exceeds the row total; use a smaller delta_fraction")
         raise _RowFault(f"row {row}: {reason}", row, reason)
     out = values.copy()
-    out[rows] = np.where(zeros, delta[:, None], sub * scale[:, None])
+    out[rows] = imputed
     return out
 
 

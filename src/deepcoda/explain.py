@@ -39,7 +39,8 @@ __all__ = [
 
 DECISION_POSITIVE = "unhealthy"
 DECISION_NEGATIVE = "healthy"
-# ``_part``'s decision cells, indexed by positive; built at import, so forked workers inherit them.
+# The decisions indexed by positive, and ``_part``'s cells of them, which forked workers inherit.
+_DECISIONS = np.array([DECISION_NEGATIVE, DECISION_POSITIVE])
 _DECISION_CELLS = text_cells([DECISION_NEGATIVE.encode(), DECISION_POSITIVE.encode()])
 
 _CCA_JITTER = 1e-8
@@ -47,9 +48,9 @@ _CCA_JITTER = 1e-8
 _ROW_BLOCK = 4096
 
 
-def _decisions(products: np.ndarray) -> np.ndarray:
+def _is_positive(products: np.ndarray) -> np.ndarray:
     """Positive class iff the summed product scores exceed zero (logit > 0), per row."""
-    return np.where(products.sum(axis=-1) > 0.0, DECISION_POSITIVE, DECISION_NEGATIVE)
+    return products.sum(axis=-1) > 0.0
 
 
 def _positives(batch: "ExplanationBatch") -> int:
@@ -59,7 +60,7 @@ def _positives(batch: "ExplanationBatch") -> int:
 
 def decision_rule(products) -> str:
     """Positive class iff the summed product scores exceed zero (logit > 0)."""
-    return str(_decisions(np.asarray(products, dtype=float)))
+    return str(_DECISIONS[_is_positive(np.asarray(products, dtype=float)) * 1])
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def explain_batch(p: DeepCodaParams, X, sample_ids: Sequence[str]) -> Explanatio
     ids = check_names(sample_ids, xv.shape[0], "sample ids")
     z, w, _, yhat = _forward_batch(p, xv)
     products = w * z
-    return ExplanationBatch(ids, z, w, products, yhat, _decisions(products))
+    return ExplanationBatch(ids, z, w, products, yhat, _DECISIONS[_is_positive(products) * 1])
 
 
 def explain_sample(p: DeepCodaParams, x, sample_id: str = "sample") -> Explanation:
@@ -311,15 +312,11 @@ def _explanations_header(n_contrasts: int) -> str:
     )
 
 
-def _explanation_lines(batch: ExplanationBatch, id_cells, decision_cells) -> bytes:
-    """The explanations table's lines for ``batch``, as UTF-8.
-
-    Each line holds the id, Z, W, the products, the prediction and the
-    decision. The ids and decisions are given as ``_formats.text_cells``;
-    each number is written as ``NUMBER``.
-    """
-    numbers = np.hstack([batch.z, batch.w, batch.products, batch.prediction[:, None]])
-    return cell_lines(id_cells, numbers, decision_cells)
+def _explanation_lines(id_cells, z, w, products, prediction, decision_cells) -> bytes:
+    """The explanations table's lines, as UTF-8: per row its id, Z, W, products, prediction
+    and decision. The ids and decisions are given as ``_formats.text_cells``; each number is
+    written as ``NUMBER``."""
+    return cell_lines(id_cells, np.hstack([z, w, products, prediction[:, None]]), decision_cells)
 
 
 def _explanations_table(batch: ExplanationBatch) -> bytes:
@@ -327,7 +324,8 @@ def _explanations_table(batch: ExplanationBatch) -> bytes:
     ids = [csv_field(str(sid)).encode("utf-8", "surrogatepass") for sid in batch.sample_ids]
     decisions = [str(d).encode("utf-8", "surrogatepass") for d in batch.decisions.tolist()]
     empty = np.zeros((len(ids), 0), dtype=np.uint8)  # each id and decision joins its line
-    lines = _explanation_lines(batch, empty, empty).split(b"\n")
+    numbers = batch.z, batch.w, batch.products, batch.prediction
+    lines = _explanation_lines(empty, *numbers, empty).split(b"\n")
     rows = [sid + line + d + b"\n" for sid, line, d in zip(ids, lines, decisions)]
     return b"".join([_explanations_header(batch.z.shape[1] if len(batch) else 0).encode(), *rows])
 
@@ -342,14 +340,14 @@ class _Part:
 
 
 def _part(p: DeepCodaParams, X: np.ndarray, id_cells) -> _Part:
-    """The ``_Part`` of the strictly positive rows ``X``; ``id_cells`` are their ids' ``text_cells``."""
-    batch = explain_batch(p, X, range(len(X)))
-    decision_cells = _DECISION_CELLS[(batch.decisions == DECISION_POSITIVE) * 1]
-    return _Part(
-        _explanation_lines(batch, id_cells, decision_cells),
-        _positives(batch),
-        _correlation_moments(batch.w, batch.z),
-    )
+    """The ``_Part`` of the rows ``X``, whose ids' ``text_cells`` are ``id_cells``. Unchecked,
+    the rows must be finite, > 0 and ``p.dims[0]`` wide, as ``cli._parse_block`` and imputation
+    leave them."""
+    z, w, _, yhat = _forward_batch(p, X)
+    products = w * z
+    positive = _is_positive(products)
+    lines = _explanation_lines(id_cells, z, w, products, yhat, _DECISION_CELLS[positive * 1])
+    return _Part(lines, int(np.count_nonzero(positive)), _correlation_moments(w, z))
 
 
 def _summary_tables(

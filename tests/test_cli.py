@@ -375,6 +375,25 @@ class TestBenchmark:
             ["benchmark", str(toy_dir / "relative.csv"), flag, "0", "--out", str(tmp_path / "b.csv")]
         ) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--bottlenecks", "0", "n_bottlenecks must be at least 1, got 0"),
+            ("--epochs", "0", "epochs must be at least 1, got 0"),
+            ("--lambda-s", "-1", "lambda_s must be a finite number in [0, inf), got -1.0"),
+        ],
+    )
+    def test_deepcoda_flags_are_checked_whichever_methods_run(
+        self, tmp_path, toy_dir, capsys, monkeypatch, flag, value, message
+    ):
+        monkeypatch.setattr(cli, "benchmark", None)  # no fit may start
+        out = tmp_path / "b.csv"
+        argv = ["benchmark", str(toy_dir / "relative.csv"), "--methods", "lasso", flag, value,
+                "--splits", "1", "--out", str(out)]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestExplain:
     def test_report_rows_and_identity(self, tmp_path, toy_dir, trained_model):
@@ -1029,6 +1048,60 @@ class TestDatasetIo:
         argv = {"train": ["train", str(bad)], "explain": ["explain", str(trained_model), str(bad)]}
         assert run([*argv[command], "--out", str(tmp_path / "out")]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {bad}: feature name 'a' is repeated\n"
+
+    @pytest.mark.parametrize("command", ["train", "explain"])
+    def test_a_bad_header_names_the_fields_it_read(
+        self, tmp_path, toy_dir, trained_model, capsys, command
+    ):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark, which stays in the first field.
+        bad = tmp_path / "bom.csv"
+        bad.write_bytes(b"\xef\xbb\xbf" + (toy_dir / "absolute.csv").read_bytes())
+        argv = {"train": ["train", str(bad)], "explain": ["explain", str(trained_model), str(bad)]}
+        assert run([*argv[command], "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {bad}: header must start with sample_id and end with label, "
+            "got '\\ufeffsample_id' and 'label'\n"
+        )
+
+    @pytest.fixture(scope="class")
+    def underflow_files(self, tmp_path_factory):
+        """A cmyc model, and a 40-row absolute file whose line 6 imputes to zeros at delta 0.5:
+        its zeros to 5e-324, and its 1e-323 parts, rescaled by 0.25, to 0."""
+        root = tmp_path_factory.mktemp("underflow")
+        (root / "train.cfg").write_text("epochs = 5\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["simulate", "cmyc", "--n", "40", "--out", str(root)]) == EXIT_OK
+            assert run(["train", str(root / "relative.csv"), "--config", str(root / "train.cfg"),
+                        "--out", str(root / "model.txt")]) == EXIT_OK
+        rows = read_csv(root / "absolute.csv")
+        rows[5][1:-1] = ["1e-323"] * 4 + ["0"] * 6
+        bad = root / "underflow.csv"
+        bad.write_text("".join(",".join(row) + "\n" for row in rows))
+        return root / "model.txt", bad
+
+    @pytest.mark.parametrize(
+        "command", ["train", "benchmark", "baseline", "baseline-clr", "explain", "explain-pipe"]
+    )
+    def test_a_row_whose_rescaled_parts_round_to_zero_names_its_line(
+        self, tmp_path, capsys, underflow_files, command
+    ):
+        model, bad = underflow_files
+        out = tmp_path / "out"
+        argv = {"train": ["train", str(bad)], "benchmark": ["benchmark", str(bad)],
+                "baseline": ["baseline", str(bad)],
+                "baseline-clr": ["baseline", str(bad), "--transform", "clr"],
+                "explain": ["explain", str(model), str(bad)]}
+        if command == "explain-pipe":
+            argv = ["explain", str(model), "/dev/stdin", "--out", str(out)]
+            done = deepcoda_from_pipe(argv, bad.read_bytes())
+            assert done.returncode == EXIT_USAGE
+            err = done.stderr.decode()
+        else:
+            assert run([*argv[command], "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+        path = "/dev/stdin" if command == "explain-pipe" else bad
+        assert err == f"error: {path}:6: imputed value underflows to zero\n"
+        assert not out.exists()
 
     def test_zero_replacement_on_ingest(self, tmp_path):
         data = tmp_path / "zeros.csv"

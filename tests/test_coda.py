@@ -16,7 +16,7 @@ from deepcoda import (
     replace_zeros,
     subcomposition,
 )
-from deepcoda.coda import _replace_zeros_values, _sums_to_one
+from deepcoda.coda import _replace_zeros_values, _RowFault, _sums_to_one
 
 positive_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -189,6 +189,8 @@ class TestReplaceZeros:
             if scale <= 0:
                 return f"row {i}: imputed mass exceeds the row total"
             out[i] = np.where(zero_mask[i], delta, row * scale)
+            if not out[i].all():  # a rescaled part rounded to 0
+                return f"row {i}: imputed value underflows to zero"
         return out
 
     @pytest.mark.parametrize("d", [2, 3, 8, 9, 17])
@@ -214,13 +216,37 @@ class TestReplaceZeros:
             # Half the subnormal 5e-324 rounds to 0, which would leave a zero in the output.
             ([[1.0, 2.0, 3.0], [0.0, 5e-324, 1.0], [0.0, 0.0, 0.0]],
              "row 1: imputed value underflows to zero"),
+            # Half of 1e-323 is 5e-324, and the rescaled 1e-323 (scale 0.25) rounds to 0.
+            ([[1.0] * 10, [1e-323] * 4 + [0.0] * 6, [0.0] * 10],
+             "row 1: imputed value underflows to zero"),
         ],
     )
     def test_first_offending_row_is_reported(self, values, message):
-        m = CompositionMatrix(values, ["s0", "s1", "s2"], list("abc"), "absolute")
+        names = [f"f{j}" for j in range(len(values[0]))]
+        m = CompositionMatrix(values, ["s0", "s1", "s2"], names, "absolute")
         assert self._row_loop(np.array(values), 0.5).startswith(message)
         with pytest.raises(ValueError, match=message):
             replace_zeros(m, delta_fraction=0.5)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        row=st.lists(st.sampled_from([0.0, 5e-324, 1e-323, 2.2e-308, 1.0, 3.0, 1e300, 1.7e308]),
+                     min_size=2, max_size=10),
+        fraction=st.sampled_from([0.1, 0.5, 0.9, 0.999]),
+    )
+    # Rows whose rescaled parts round to 0.
+    @example(row=[5e-324, 0.0, 5e-324], fraction=0.9)
+    @example(row=[1e-323] * 4 + [0.0] * 6, fraction=0.5)
+    def test_imputed_rows_are_positive_or_rejected(self, row, fraction):
+        values = np.array([row])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = _replace_zeros_values(values, fraction)
+            except _RowFault as exc:
+                assert exc.row == 0
+                return
+        assert np.isfinite(out).all() and (out > 0).all(), out
 
 
 class TestClr:

@@ -584,7 +584,8 @@ def reference_read_dataset_csv(path):
     if len(header) < 4:
         raise ValueError(f"{path}: need sample_id, at least two features, and label")
     if header[0] != "sample_id" or header[-1] != "label":
-        raise ValueError(f"{path}: header must start with sample_id and end with label")
+        raise ValueError(f"{path}: header must start with sample_id and end with label, "
+                         f"got {header[0]!r} and {header[-1]!r}")
     feature_names = header[1:-1]
     for j, name in enumerate(feature_names):
         if name in feature_names[:j]:

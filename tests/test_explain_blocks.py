@@ -421,10 +421,10 @@ def test_the_byte_writer_writes_csv_rows():
             for i, sid in enumerate(ids)
         )
 
-    batch = ExplanationBatch(tuple(ids), z, w, products, prediction, np.array(decisions))
     id_cells = text_cells([sid.encode() for sid in ids])
     decision_cells = text_cells([d.encode() for d in decisions])
-    assert _explanation_lines(batch, id_cells, decision_cells) == table(ids).encode()
+    lines = _explanation_lines(id_cells, z, w, products, prediction, decision_cells)
+    assert lines == table(ids).encode()
     # The whole-file path writes the batch's ids and decisions, a long id or a NUL included.
     for odd_id in ("x\x00y", "x" * (_TEXT_CELL_MAX + 1)):
         odd = (*ids[:3], odd_id, *ids[4:])

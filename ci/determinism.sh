@@ -140,16 +140,27 @@ for name in sys.argv[2:]:
     for file, text in tables.items():
         assert (work / name / "serial" / file).read_bytes() == text.encode(), (name, file)
 PY
-  # A pipe, which has no offsets to read blocks at, is read whole: the file's report.
-  cat "$work/relative.csv" | python3 -m deepcoda explain "$work/model.txt" /dev/stdin --out "$work/pipe"
-  for name in explanations.csv memberships.csv correlations.csv summary.txt; do
-    cmp "$work/pipe/$name" "$work/relative/serial/$name"
+  # A pipe, which has no offsets to read blocks at, is read once into memory
+  # and then split into blocks, or, quoted or CRLF, read whole from those
+  # bytes: `piped MODEL DATA REPORT` checks that DATA through a pipe gives the
+  # files in REPORT.
+  piped() {
+    cat "$2" | python3 -m deepcoda explain "$1" /dev/stdin --out "$3.pipe"
+    for name in explanations.csv memberships.csv correlations.csv summary.txt; do
+      cmp "$3.pipe/$name" "$3/$name"
+    done
+  }
+  for input in relative quoted crlf; do
+    piped "$work/model.txt" "$work/$input.csv" "$work/$input/serial"
   done
   # The parent process holds one block at a time, and so does each worker,
   # which keeps the memory its blocks free: explaining perfbench's explain
   # input (50,000 rows) and that input repeated to 800,000 rows, the
   # parent's own peak memory and the largest worker's (getrusage of an
-  # in-process run) each grow by 10 MiB at most.
+  # in-process run) each grow by 10 MiB at most. A pipe of the 800,000 rows
+  # is held once, in the parent and inherited by the workers: each peaks at
+  # most the pipe's bytes above the file's, within the same 10 MiB, which
+  # covers the runs' spread (a whole-file read of those rows takes over 1 GiB).
   mkdir "$work/memory"
   python3 - "$work/memory" "$PWD/perfbench" <<'PY'
 import os
@@ -174,12 +185,12 @@ PY
   for name in explanations.csv memberships.csv correlations.csv summary.txt; do
     cmp "$work/memory/serial/$name" "$work/memory/parallel/$name"
   done
+  piped "$work/memory/model.txt" "$work/memory/data.csv" "$work/memory/serial"
   {
     head -n 1 "$work/memory/data.csv"
     for _ in $(seq 16); do tail -n +2 "$work/memory/data.csv"; done
   } > "$work/memory/data800k.csv"
-  peak_kib() {
-    python3 - "$work/memory" "$1" <<'PY'
+  cat > "$work/memory/peak.py" <<'PY'
 import contextlib
 import io
 import resource
@@ -189,17 +200,29 @@ from deepcoda.cli import run
 
 work, data = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
-    assert run(["explain", f"{work}/model.txt", f"{work}/{data}", "--out", f"{work}/out"]) == 0
+    assert run(["explain", f"{work}/model.txt", data, "--out", f"{work}/out"]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
       resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 PY
+  peak_kib() {
+    python3 "$work/memory/peak.py" "$work/memory" "$1"
   }
-  read -r small small_worker <<< "$(peak_kib data.csv)"
-  read -r large large_worker <<< "$(peak_kib data800k.csv)"
-  echo "explain's peak memory: $small KiB at 50,000 rows, $large KiB at 800,000 rows"
-  echo "its largest worker's: $small_worker KiB at 50,000 rows, $large_worker KiB at 800,000 rows"
+  # Each run's peaks are assigned first: a run that fails then stops the script.
+  peaks=$(peak_kib "$work/memory/data.csv")
+  read -r small small_worker <<< "$peaks"
+  peaks=$(peak_kib "$work/memory/data800k.csv")
+  read -r large large_worker <<< "$peaks"
+  peaks=$(cat "$work/memory/data800k.csv" | peak_kib /dev/stdin)
+  read -r piped piped_worker <<< "$peaks"
+  pipe_kib=$(( $(wc -c < "$work/memory/data800k.csv") / 1024 ))
+  echo "explain's peak memory: $small KiB at 50,000 rows, $large KiB at 800,000 rows," \
+    "$piped KiB at 800,000 rows through a pipe of $pipe_kib KiB"
+  echo "its largest worker's: $small_worker KiB at 50,000 rows, $large_worker KiB at 800,000" \
+    "rows, $piped_worker KiB through the pipe"
   test "$((large - small))" -le 10240
   test "$((large_worker - small_worker))" -le 10240
+  test "$((piped - large))" -le "$((pipe_kib + 10240))"
+  test "$((piped_worker - large_worker))" -le "$((pipe_kib + 10240))"
 
   # A rejected input: the serial and the free run exit 2 with the same error
   # line, which holds $2, and neither makes its --out directory.

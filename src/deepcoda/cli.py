@@ -28,7 +28,7 @@ import numpy as np
 
 from . import explain
 from ._forkmap import ordered_fork_map
-from ._formats import NUMBER, _number_tables, csv_table, key_values, parse_file, utf8_text
+from ._formats import NUMBER, _number_tables, csv_field, csv_table, key_values, parse_file, utf8_text
 from .baselines import (
     TRANSFORMS,
     apply_transform,
@@ -55,8 +55,6 @@ from .evaluate import (
     results_to_csv,
     standardize_scores,
 )
-from .explain import (_correlation_moments, _explanations_header, _explanations_table, _positives,
-                      explain_batch)
 # Not called here; perfbench/tracer.py wraps them by their names in this module.
 from .explain import explain_sample, render_report, weight_contrast_correlation  # noqa: F401
 from .model import load_params, save_params
@@ -208,7 +206,12 @@ def load_dataset(path, delta_fraction: float = DEFAULT_DELTA_FRACTION):
     ``delta_fraction`` is checked even when the file has no zeros to replace.
     """
     check_real(delta_fraction, "delta_fraction", high=1.0, low_open=True)
-    sample_ids, feature_names, values, labels, lines = _read_dataset(path, Path(path).read_bytes())
+    return _load_dataset(path, Path(path).read_bytes(), delta_fraction)
+
+
+def _load_dataset(path, data: bytes, delta_fraction: float):
+    """``load_dataset`` of the file ``path`` whose bytes are ``data``, ``delta_fraction`` unchecked."""
+    sample_ids, feature_names, values, labels, lines = _read_dataset(path, data)
     kind = "relative" if _sums_to_one(values) else "absolute"
     matrix = CompositionMatrix(values, sample_ids, feature_names, kind)
     try:
@@ -374,12 +377,16 @@ def cmd_explain(args) -> int:
     if params.head != "self_explain":
         raise ValueError("model uses the linear head; explanations need self_explain")
     check_real(args.delta_fraction, "delta_fraction", high=1.0, low_open=True)
-    out_dir = Path(args.out)
+    out_dir, path, delta_fraction = Path(args.out), args.data, args.delta_fraction
     with _staged_outputs() as stage:
         explanations = stage(out_dir / "explanations.csv")
-        explained = _explain_in_blocks(params, args.data, args.delta_fraction, explanations)
-        if explained is None:
-            explained = _explain_whole_file(params, args.data, args.delta_fraction, explanations)
+        with open(path, "rb", buffering=0) as fh:
+            # A pipe has no offsets to read blocks at, and can be read only once: it is held.
+            data = None if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else fh.read()
+            explained = _explain_in_blocks(params, path, fh, data, delta_fraction, explanations)
+            if explained is None:
+                data = _read(fh, data, 0, os.fstat(fh.fileno()).st_size) if data is None else data
+                explained = _explain_whole(params, path, data, delta_fraction, explanations)
         # render_report's other tables; explanations.csv is already written.
         tables = explain._report_tables(params, *explained)
         for name, text in zip(["memberships.csv", "correlations.csv", "summary.txt"], tables):
@@ -389,23 +396,36 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _explain_whole_file(params, path, delta_fraction, explanations):
-    """Read the whole dataset, explain it and write explanations.csv to ``explanations``.
+def _write_explanations(params, parts, explanations):
+    """Write explanations.csv to ``explanations``: its header, then the lines of each of ``parts``,
+    ``explain._Part`` records in row order. Returns (positive decisions, merged moments)."""
+    n_positive, moments = 0, None
+    with open(explanations, "wb") as out:
+        out.write(explain._explanations_header(params.dims[1]).encode())
+        for part in parts:
+            out.write(part.lines)
+            n_positive += part.positives
+            # A merge that would warn raises, and so declines the blocks, as a block that warns does.
+            with np.errstate(over="raise", invalid="raise"):
+                moments = part.moments if moments is None else moments.merge(part.moments)
+    return n_positive, moments
 
-    Returns (feature names, row count, positive decisions, the moments of
-    the rows' [W | Z], or None for a row count of at most B, which has no
-    correlations). This is the reference that ``_explain_in_blocks`` matches
-    byte for byte, and its errors are the ones ``explain`` reports.
-    """
-    matrix, _labels = load_dataset(path, delta_fraction)
+
+def _explain_whole(params, path, data, delta_fraction, explanations):
+    """``_explain_in_blocks`` of every row at once: ``data`` read by ``load_dataset``'s rules, one
+    ``explain._part`` (without moments for at most B rows, which have no correlations), and each
+    row's id, which may need quotes, be long or hold a NUL byte, joined in front of its line."""
+    matrix, _labels = _load_dataset(path, data, delta_fraction)
     d, n_bottlenecks, _ = params.dims
     if matrix.n_features != d:
         raise ValueError(f"model expects {d} features, data has {matrix.n_features}")
-    batch = explain_batch(params, matrix.values, matrix.sample_ids)
-    with open(explanations, "wb") as fh:
-        fh.write(_explanations_table(batch))
-    moments = _correlation_moments(batch.w, batch.z) if len(batch) > n_bottlenecks else None
-    return matrix.feature_names, len(batch), _positives(batch), moments
+    n_rows = len(matrix.sample_ids)
+    part = explain._part(params, matrix.values, np.zeros((n_rows, 0), np.uint8),
+                         moments=n_rows > n_bottlenecks)
+    ids = (csv_field(sid).encode("utf-8", "surrogatepass") for sid in matrix.sample_ids)
+    lines = b"".join(sid + line + b"\n" for sid, line in zip(ids, part.lines.split(b"\n")))
+    parts = [dataclasses.replace(part, lines=lines)]
+    return matrix.feature_names, n_rows, *_write_explanations(params, parts, explanations)
 
 
 _SCAN_CHUNK = 1 << 20  # bytes of the dataset file that explain's block scan reads at a time
@@ -414,10 +434,9 @@ _SCAN_CHUNK = 1 << 20  # bytes of the dataset file that explain's block scan rea
 def _block_bounds(fh):
     """The offsets that bound the blocks of the file ``fh``; its first line ends at ``bounds[0]``.
 
-    Block k, the bytes from offset ``bounds[k]`` to ``bounds[k + 1]``, holds
-    ``explain._ROW_BLOCK`` data lines, the last block perhaps fewer. The file is read from its start
-    in chunks of ``_SCAN_CHUNK`` bytes. None when it holds a ``"``, a
-    ``\\r`` or a NUL byte, or no byte after its first line.
+    Block k, from offset ``bounds[k]`` to ``bounds[k + 1]``, holds ``explain._ROW_BLOCK`` data
+    lines, the last perhaps fewer. ``fh`` is read from its start in chunks of ``_SCAN_CHUNK``
+    bytes. None when it holds a ``"``, a ``\\r`` or a NUL byte, or no byte after its first line.
     """
     bounds, n_lines, size = [], 0, 0
     while chunk := fh.read(_SCAN_CHUNK):
@@ -435,72 +454,52 @@ def _block_bounds(fh):
     return bounds
 
 
-def _explain_in_blocks(params, path, delta_fraction, explanations):
-    """``_explain_whole_file``, with every row stage run per block of ``explain._ROW_BLOCK`` lines.
+def _read(fh, data, start: int, stop: int) -> bytes:
+    """The bytes from offset ``start`` to ``stop`` of ``data``, or, if None, of the file ``fh``."""
+    chunk = os.pread(fh.fileno(), stop - start, start) if data is None else data[start:stop]
+    if len(chunk) != stop - start:
+        raise ValueError("the file shrank while it was read")
+    return chunk
 
-    This process reads the file in fixed-size chunks to find its blocks, and
-    parses only its first line, with ``_read_dataset``'s csv reader and header
-    check. Each ``ordered_fork_map`` task reads one block with ``os.pread``,
-    parses it with ``_parse_block``, imputes it, and returns the
-    ``explain._Part`` of its rows, explained and formatted; this process
-    writes each block's lines and merges its moments, in block order. The map
-    sends blocks only while this process waits for the next one, at most two
-    per worker sent and not returned, so it holds few blocks. An OSError
-    raises here as it does in the whole-file read. Returns None where the
-    blocks cannot stand for the whole file, and the whole-file path then gives
-    the result, or the error, of reading the file at once: before any byte is
-    read, data that is not a regular file, such as a pipe; before any block, a
-    file holding a ``"`` (a quoted field may span lines), a ``\\r`` or a NUL
-    byte, or a first line that csv does not read as one valid header for the
-    model (a byte that is not UTF-8 and a field longer than csv's limit
-    included); then any block that raises (a byte that is not UTF-8 and
-    ``_parse_block``'s rejections included) or warns, since each block turns
-    warnings into errors.
+
+def _explain_in_blocks(params, path, fh, data, delta_fraction, explanations):
+    """``_explain_whole``, with every row stage run per block of ``explain._ROW_BLOCK`` lines.
+
+    The blocks are ``_read`` from ``data``, a pipe's bytes read once, or if
+    None from the regular file ``fh``. This process scans the bytes in chunks
+    to find the blocks and parses the first line with ``_read_dataset``'s csv
+    reader and header check. Each ``ordered_fork_map`` task parses a block
+    with ``_parse_block``, imputes it and returns its ``explain._Part``; the
+    map sends at most two blocks per worker ahead, so this process holds few.
+    Returns None, leaving the file to ``_explain_whole``, when it holds a
+    ``"``, a ``\\r`` or a NUL byte, when csv does not read its first line as
+    one valid header for the model, or when any block raises or warns.
     """
-    with open(path, "rb", buffering=0) as fh:
-        # Only a regular file can be read at the blocks' offsets; a pipe, unread, is read whole.
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            return None
-        bounds = _block_bounds(fh)
-        if bounds is None:
-            return None
-        try:
-            header = next(_records(os.pread(fh.fileno(), bounds[0], 0)), None)
-            _check_header(path, header)
-        except (ValueError, csv.Error):
-            return None
-        if len(header) - 2 != params.dims[0]:
-            return None
+    bounds = _block_bounds(fh if data is None else io.BytesIO(data))
+    if bounds is None:
+        return None
+    try:
+        header = next(_records(_read(fh, data, 0, bounds[0])), None)
+        _check_header(path, header)
+    except (ValueError, csv.Error):
+        return None
+    if len(header) - 2 != params.dims[0]:
+        return None
 
-        _number_tables()  # built before the fork map starts, so every worker inherits them
+    _number_tables()  # built before the fork map starts, so every worker inherits them
 
-        def block(k: int) -> explain._Part:
-            # The whole-file path's steps on one block. Its error messages count
-            # lines from the block's start, so a fault only declines the blocks.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                data = os.pread(fh.fileno(), bounds[k + 1] - bounds[k], bounds[k])
-                if len(data) != bounds[k + 1] - bounds[k]:
-                    raise ValueError("the file shrank while it was read")
-                ids, values = _parse_block(data, len(header))
-                return explain._part(params, _replace_zeros_values(values, delta_fraction), ids)
+    def block(k: int) -> explain._Part:
+        # _explain_whole's steps on one block; a fault, named by the block's lines, only declines.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids, values = _parse_block(_read(fh, data, bounds[k], bounds[k + 1]), len(header))
+            return explain._part(params, _replace_zeros_values(values, delta_fraction), ids)
 
-        n_positive, moments = 0, None
-        try:
-            with (contextlib.closing(ordered_fork_map(block, len(bounds) - 1)) as blocks,
-                  open(explanations, "wb") as out):
-                out.write(_explanations_header(params.dims[1]).encode())
-                for result in blocks:
-                    out.write(result.lines)
-                    n_positive += result.positives
-                    if moments is None:
-                        moments = result.moments
-                    else:
-                        # A merge that would warn declines, as a block that warns does.
-                        with np.errstate(over="raise", invalid="raise"):
-                            moments = moments.merge(result.moments)
-        except (ValueError, ArithmeticError, MemoryError, Warning):
-            return None
+    try:
+        with contextlib.closing(ordered_fork_map(block, len(bounds) - 1)) as parts:
+            n_positive, moments = _write_explanations(params, parts, explanations)
+    except (ValueError, ArithmeticError, MemoryError, Warning):
+        return None
     return header[1:-1], moments.count, n_positive, moments
 
 

@@ -53,14 +53,12 @@ def _is_positive(products: np.ndarray) -> np.ndarray:
     return products.sum(axis=-1) > 0.0
 
 
-def _positives(batch: "ExplanationBatch") -> int:
-    """How many rows of ``batch`` have the decision ``DECISION_POSITIVE``."""
-    return int(np.count_nonzero(batch.decisions == DECISION_POSITIVE))
-
-
 def decision_rule(products) -> str:
-    """Positive class iff the summed product scores exceed zero (logit > 0)."""
-    return str(_DECISIONS[_is_positive(np.asarray(products, dtype=float)) * 1])
+    """Positive class iff the summed product scores of one sample exceed zero (logit > 0).
+
+    Raises ValueError unless ``products`` is one row of finite product scores.
+    """
+    return str(_DECISIONS[int(_is_positive(check_array(products, "products", 1)))])
 
 
 @dataclass(frozen=True)
@@ -336,18 +334,19 @@ class _Part:
 
     lines: bytes  # their rows of the explanations table
     positives: int  # rows with the decision DECISION_POSITIVE
-    moments: _Moments  # of their [W | Z]; its count is the row count
+    moments: _Moments | None  # of their [W | Z], its count the row count; None if not asked for
 
 
-def _part(p: DeepCodaParams, X: np.ndarray, id_cells) -> _Part:
-    """The ``_Part`` of the rows ``X``, whose ids' ``text_cells`` are ``id_cells``. Unchecked,
-    the rows must be finite, > 0 and ``p.dims[0]`` wide, as ``cli._parse_block`` and imputation
-    leave them."""
+def _part(p: DeepCodaParams, X: np.ndarray, id_cells, moments: bool = True) -> _Part:
+    """The ``_Part`` of the rows ``X``, whose ids' ``text_cells`` are ``id_cells``; its moments
+    are None unless ``moments``. Unchecked, the rows must be finite, > 0 and ``p.dims[0]`` wide,
+    as ``cli._parse_block`` and imputation leave them."""
     z, w, _, yhat = _forward_batch(p, X)
     products = w * z
     positive = _is_positive(products)
     lines = _explanation_lines(id_cells, z, w, products, yhat, _DECISION_CELLS[positive * 1])
-    return _Part(lines, int(np.count_nonzero(positive)), _correlation_moments(w, z))
+    return _Part(lines, int(np.count_nonzero(positive)),
+                 _correlation_moments(w, z) if moments else None)
 
 
 def _summary_tables(
@@ -415,8 +414,9 @@ def render_report(
     batch = explanations
     if not isinstance(batch, ExplanationBatch):
         batch = ExplanationBatch.stack(explanations)
+    n_positive = int(np.count_nonzero(batch.decisions == DECISION_POSITIVE))
     memberships_csv, correlations_csv, summary = _summary_tables(
-        len(batch), _positives(batch), memberships, correlations
+        len(batch), n_positive, memberships, correlations
     )
     explanations_csv = _explanations_table(batch).decode("utf-8", "surrogatepass")
     return ReportBundle(summary, explanations_csv, memberships_csv, correlations_csv)

@@ -53,3 +53,14 @@ def fail_fork(monkeypatch):
         return tried
 
     return fail_fork
+
+
+@pytest.fixture
+def no_whole_file(monkeypatch):
+    """Fail the test if ``deepcoda explain`` falls back from its blocks to reading every row at once."""
+    from deepcoda import cli
+
+    def whole_file(*args):
+        raise AssertionError("the blocks fell back to the whole-file path")
+
+    monkeypatch.setattr(cli, "_explain_whole", whole_file)

@@ -493,19 +493,67 @@ class TestExplain:
         ) == EXIT_USAGE
 
 
-def _no_whole_file(*args):
-    raise AssertionError("explain read the whole file")
+@contextlib.contextmanager
+def pipe_of(data: bytes):
+    """The path of a pipe that gives ``data`` and then its end; ``data`` must fit its buffer."""
+    read_end, write_end = os.pipe()
+    try:
+        assert os.write(write_end, data) == len(data)
+        os.close(write_end)
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
 
 
-def test_explain_reads_a_pipe_whole(tmp_path, toy_dir, trained_model):
+def explain_outputs(out):
+    return {name: (out / name).read_bytes() for name in OUTPUTS["explain"]}
+
+
+def record_whole_file_reads(monkeypatch):
+    """The (path, bytes) of each whole-file read that ``deepcoda explain`` makes from now on."""
+    reads = []
+
+    def whole_file(params, path, data, *args):
+        reads.append((path, data))
+        return explain_whole(params, path, data, *args)
+
+    explain_whole = cli._explain_whole
+    monkeypatch.setattr(cli, "_explain_whole", whole_file)
+    return reads
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_pipe_is_read_in_blocks(tmp_path, toy_dir, trained_model, monkeypatch, set_cpus,
+                                  no_whole_file, cpus):
+    # toy_dir's 120 rows are three blocks of 40 lines.
+    monkeypatch.setattr(explain_module, "_ROW_BLOCK", 40)
+    set_cpus(cpus)
     data = toy_dir / "relative.csv"
     explain = ["explain", str(trained_model)]
     assert run([*explain, str(data), "--out", str(tmp_path / "file")]) == EXIT_OK
-    argv = [*explain, "/dev/stdin", "--out", str(tmp_path / "pipe")]
-    done = deepcoda_from_pipe(argv, data.read_bytes())
-    assert done.returncode == EXIT_OK, done.stderr
-    for name in OUTPUTS["explain"]:
-        assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+    with pipe_of(data.read_bytes()) as pipe:
+        assert run([*explain, pipe, "--out", str(tmp_path / "pipe")]) == EXIT_OK
+    assert explain_outputs(tmp_path / "pipe") == explain_outputs(tmp_path / "file")
+
+
+@pytest.mark.parametrize("layout", ["quoted", "crlf"])
+def test_a_pipe_the_blocks_decline_gives_the_files_report(tmp_path, toy_dir, trained_model,
+                                                          monkeypatch, layout):
+    # The whole-file read parses the bytes the pipe gave; it cannot read them again.
+    monkeypatch.setattr(explain_module, "_ROW_BLOCK", 40)
+    data = (toy_dir / "relative.csv").read_bytes()
+    if layout == "quoted":
+        data = re.sub(rb"(?m)^(S[0-9]+),", rb'"\1,q",', data)  # a quoted id holding a comma
+    else:
+        data = data.replace(b"\n", b"\r\n")
+    (tmp_path / "data.csv").write_bytes(data)
+    whole_file_reads = record_whole_file_reads(monkeypatch)
+    explain = ["explain", str(trained_model)]
+    assert run([*explain, str(tmp_path / "data.csv"), "--out", str(tmp_path / "file")]) == EXIT_OK
+    with pipe_of(data) as pipe:
+        assert run([*explain, pipe, "--out", str(tmp_path / "pipe")]) == EXIT_OK
+    assert whole_file_reads == [(str(tmp_path / "data.csv"), data), (pipe, data)]
+    assert explain_outputs(tmp_path / "pipe") == explain_outputs(tmp_path / "file")
 
 
 class TestExplainBlocksRaise:
@@ -522,32 +570,37 @@ class TestExplainBlocksRaise:
 
     def test_a_bad_byte_in_the_middle_block(self, tmp_path, toy_dir, trained_model, monkeypatch,
                                             capsys):
+        self.bad_byte_in_the_middle_block(tmp_path, toy_dir, trained_model, monkeypatch, capsys,
+                                          "file")
+
+    def test_a_bad_byte_in_the_middle_block_of_a_pipe(self, tmp_path, toy_dir, trained_model,
+                                                      monkeypatch, capsys):
+        self.bad_byte_in_the_middle_block(tmp_path, toy_dir, trained_model, monkeypatch, capsys,
+                                          "pipe")
+
+    def bad_byte_in_the_middle_block(self, tmp_path, toy_dir, trained_model, monkeypatch, capsys,
+                                     source):
         lines = (toy_dir / "absolute.csv").read_bytes().split(b"\n")
         lines[60] = b"\xff" + lines[60]  # the start of line 61
         bad = tmp_path / "data.csv"
         bad.write_bytes(b"\n".join(lines))
         offset = len(b"\n".join(lines[:60])) + 1
         # Only the first line is decoded up front: the middle block declines to
-        # the whole-file read, which names the byte.
-        whole_file_reads = []
-
-        def whole_file(*args):
-            whole_file_reads.append(args[1])
-            return explain_whole_file(*args)
-
-        explain_whole_file = cli._explain_whole_file
-        monkeypatch.setattr(cli, "_explain_whole_file", whole_file)
-        assert self.explain(trained_model, bad, tmp_path / "r") == EXIT_USAGE
-        assert whole_file_reads == [str(bad)]
+        # the whole-file read, which names the byte. It parses the bytes read
+        # before: a pipe, read again, would give none.
+        whole_file_reads = record_whole_file_reads(monkeypatch)
+        with contextlib.ExitStack() as stack:
+            path = str(bad) if source == "file" else stack.enter_context(pipe_of(bad.read_bytes()))
+            assert self.explain(trained_model, path, tmp_path / "r") == EXIT_USAGE
+        assert whole_file_reads == [(path, bad.read_bytes())]
         assert capsys.readouterr().err == (
-            f"error: {bad}:61: 'utf-8' codec can't decode byte 0xff in position {offset}: "
+            f"error: {path}:61: 'utf-8' codec can't decode byte 0xff in position {offset}: "
             "invalid start byte\n"
         )
         assert not (tmp_path / "r").exists()
 
-    def test_a_missing_data_file(self, tmp_path, trained_model, monkeypatch, capsys):
+    def test_a_missing_data_file(self, tmp_path, trained_model, no_whole_file, capsys):
         missing = tmp_path / "missing.csv"
-        monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
         assert self.explain(trained_model, missing, tmp_path / "r") == EXIT_USAGE
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: '{missing}'\n"

@@ -27,7 +27,6 @@ from deepcoda import (
     train,
     weight_contrast_correlation,
 )
-from deepcoda import cli
 from deepcoda.cli import EXIT_NUMERIC, EXIT_OK, load_dataset, run
 from deepcoda.explain import _ROW_BLOCK, DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch
 
@@ -56,6 +55,17 @@ class TestDecisionRule:
 
     def test_zero_sum_is_healthy(self):
         assert decision_rule([1.0, -1.0]) == DECISION_NEGATIVE
+
+    @pytest.mark.parametrize(
+        "products,message",
+        [([[1.0, 2.0], [-5.0, 1.0]], "products must have 1 dimensions"),
+         (3.0, "products must have 1 dimensions"),
+         ([1.0, np.nan], "products must be finite"), ([np.inf, -1.0], "products must be finite")],
+        ids=["batch", "scalar", "nan", "inf"],
+    )
+    def test_anything_but_one_row_of_finite_scores_is_rejected(self, products, message):
+        with pytest.raises(ValueError, match=message):
+            decision_rule(products)
 
 
 class TestExplainSample:
@@ -443,16 +453,11 @@ def block_inputs(tmp_path_factory):
 
 
 def explain_blocks(inputs, n, tmp_path):
-    """explanations.csv from ``deepcoda explain`` on the n-row file; the blocks must give it."""
-
-    def whole_file(*args):
-        raise AssertionError("the blocks fell back to the whole-file path")
-
+    """explanations.csv from ``deepcoda explain`` on the n-row file; with the ``no_whole_file``
+    fixture, the blocks must give it."""
     out = tmp_path / "report"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_explain_whole_file", whole_file)
-        assert run(["explain", str(inputs / "model.txt"), str(inputs / f"data{n}.csv"),
-                    "--out", str(out)]) == EXIT_OK
+    assert run(["explain", str(inputs / "model.txt"), str(inputs / f"data{n}.csv"),
+                "--out", str(out)]) == EXIT_OK
     return (out / "explanations.csv").read_bytes()
 
 
@@ -507,7 +512,7 @@ class TestStreamedReport:
         ids=["one_block", "two_blocks", "three_blocks"],
     )
     def test_workers_start_only_for_two_or_more_blocks(
-        self, tmp_path, set_cpus, forked_workers, block_inputs, n, workers
+        self, tmp_path, set_cpus, forked_workers, no_whole_file, block_inputs, n, workers
     ):
         set_cpus(8)
         assert explain_blocks(block_inputs, n, tmp_path) == reference_file(block_inputs, n)
@@ -516,7 +521,7 @@ class TestStreamedReport:
     @needs_fork
     @pytest.mark.parametrize("fails_at", [1, 2], ids=["first_worker", "second_worker"])
     def test_failed_fork_explains_in_process(
-        self, tmp_path, set_cpus, fail_fork, block_inputs, fails_at
+        self, tmp_path, set_cpus, fail_fork, no_whole_file, block_inputs, fails_at
     ):
         tried = fail_fork(fails_at)
         set_cpus(2)
@@ -528,7 +533,7 @@ class TestStreamedReport:
 
     @pytest.mark.parametrize("cause", ["no_fork", "other_thread"])
     def test_explains_in_process_without_a_safe_fork(
-        self, tmp_path, monkeypatch, set_cpus, forked_workers, block_inputs, cause
+        self, tmp_path, monkeypatch, set_cpus, forked_workers, no_whole_file, block_inputs, cause
     ):
         set_cpus(2)
         if cause == "no_fork":

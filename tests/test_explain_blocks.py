@@ -291,7 +291,7 @@ def test_the_block_reader_reads_what_the_csv_reader_reads(n_rows, seed, faults, 
         sample_ids, _, values, _, _ = cli._read_dataset("data.csv", data)
     except ValueError:
         # Python 3.10's csv rejects a NUL byte, which 3.11's and the block reader
-        # read; no block holds one, since _explain_in_blocks declines such files.
+        # read; no block holds one, since _block_bounds declines such files.
         if b"\0" in block and not csv_reads_nul():
             return
         with pytest.raises(ValueError):
@@ -362,8 +362,8 @@ def test_a_block_that_warns_gives_the_whole_file_warnings(tmp_path, monkeypatch,
 
     monkeypatch.setattr(coda_module, "_replace_zeros_values", warning_impute)
     monkeypatch.setattr(cli, "_replace_zeros_values", warning_impute)
-    whole_file = mock.Mock(wraps=cli._explain_whole_file)
-    monkeypatch.setattr(cli, "_explain_whole_file", whole_file)
+    whole_file = mock.Mock(wraps=cli._explain_whole)
+    monkeypatch.setattr(cli, "_explain_whole", whole_file)
     data = dataset_bytes(counts(8, 3), [(5, "huge_with_zero")])
     (code, _, _, _), caught = assert_matches_reference(tmp_path, data, False, 3, cpus)
     assert code == EXIT_OK
@@ -371,16 +371,13 @@ def test_a_block_that_warns_gives_the_whole_file_warnings(tmp_path, monkeypatch,
     assert caught == [(RuntimeWarning, "a huge row")]
 
 
-def _no_whole_file(*args):
-    raise AssertionError("the blocks fell back to the whole-file path")
-
-
-def test_a_good_file_is_explained_without_the_whole_file_path(tmp_path, monkeypatch, set_cpus):
+def test_a_good_file_is_explained_without_the_whole_file_path(
+    tmp_path, monkeypatch, set_cpus, no_whole_file
+):
     save_params(model_params(False), tmp_path / "model.txt")
     (tmp_path / "data.csv").write_bytes(dataset_bytes(counts(30, 4)))
 
     monkeypatch.setattr(explain_module, "_ROW_BLOCK", 7)
-    monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
     set_cpus(2)
     argv = ["explain", str(tmp_path / "model.txt"), str(tmp_path / "data.csv"),
             "--out", str(tmp_path / "out")]
@@ -397,10 +394,9 @@ def test_a_good_file_is_explained_without_the_whole_file_path(tmp_path, monkeypa
     ids=["counts-with-zeros", "relative", "exponent", "relative-unterminated", "huge-row-sum",
          "huge-row-sum-with-zero"],
 )
-def test_good_files_are_read_by_the_block_reader(tmp_path, monkeypatch, layout, cpus):
+def test_good_files_are_read_by_the_block_reader(tmp_path, no_whole_file, layout, cpus):
     # Every third id is non-ASCII. A silent fallback would give the same bytes, slower.
     # A row sum that overflows warns nowhere, so its block does not decline.
-    monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
     data = dataset_bytes(counts(30, 4), **layout)
     assert assert_matches_reference(tmp_path, data, False, 7, cpus)[0][0] == EXIT_OK
 
@@ -434,7 +430,7 @@ def test_the_byte_writer_writes_csv_rows():
     params, X = model_params(False), counts(n, 5) + 1.0
     part = explain_module._part(params, X, id_cells)
     batch = explain_batch(params, X, ids)
-    assert 0 < part.positives == explain_module._positives(batch) < n
+    assert 0 < part.positives == np.count_nonzero(batch.decisions == DECISION_POSITIVE) < n
     assert part.lines == explain_module._explanations_table(batch).split(b"\n", 1)[1]
     moments = explain_module._correlation_moments(batch.w, batch.z)
     assert part.moments.count == moments.count == n
@@ -518,12 +514,13 @@ def test_constant_columns_are_the_whole_batch_constant_columns(block, monkeypatc
     assert np.all(pearson[0] != 0.0) and np.all(pearson[1] == 0.0)
 
 
-def test_the_number_tables_are_built_before_the_map_starts(tmp_path, monkeypatch, set_cpus):
+def test_the_number_tables_are_built_before_the_map_starts(
+    tmp_path, monkeypatch, set_cpus, no_whole_file
+):
     # Forked workers inherit the tables: none builds its own in its first block.
     save_params(model_params(False), tmp_path / "model.txt")
     (tmp_path / "data.csv").write_bytes(dataset_bytes(counts(30, 4)))
     monkeypatch.setattr(explain_module, "_ROW_BLOCK", 7)
-    monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
     set_cpus(2)
     tables_built = []
 
@@ -541,11 +538,10 @@ def test_the_number_tables_are_built_before_the_map_starts(tmp_path, monkeypatch
     assert tables_built == [1]
 
 
-def test_a_block_task_returns_no_per_row_array(tmp_path, monkeypatch, set_cpus):
+def test_a_block_task_returns_no_per_row_array(tmp_path, monkeypatch, set_cpus, no_whole_file):
     save_params(model_params(False), tmp_path / "model.txt")
     (tmp_path / "data.csv").write_bytes(dataset_bytes(counts(30, 4)))
     monkeypatch.setattr(explain_module, "_ROW_BLOCK", 7)
-    monkeypatch.setattr(cli, "_explain_whole_file", _no_whole_file)
     set_cpus(2)
     records = []
 

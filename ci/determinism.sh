@@ -212,6 +212,7 @@ PY
   read -r small small_worker <<< "$peaks"
   peaks=$(peak_kib "$work/memory/data800k.csv")
   read -r large large_worker <<< "$peaks"
+  mv "$work/memory/out" "$work/memory/out800k"
   peaks=$(cat "$work/memory/data800k.csv" | peak_kib /dev/stdin)
   read -r piped piped_worker <<< "$peaks"
   pipe_kib=$(( $(wc -c < "$work/memory/data800k.csv") / 1024 ))
@@ -223,6 +224,20 @@ PY
   test "$((large_worker - small_worker))" -le 10240
   test "$((piped - large))" -le "$((pipe_kib + 10240))"
   test "$((piped_worker - large_worker))" -le "$((pipe_kib + 10240))"
+  # The same 800,000 rows with CRLF line ends, which the blocks decline: the
+  # whole-file path reads every row in this process, but writes them
+  # explain._ROW_BLOCK at a time, so its peak stays within 16 times the
+  # file's bytes (a whole report of those rows held at once takes 38 times),
+  # and its report is the LF file's.
+  sed -e 's/$/\r/' "$work/memory/data800k.csv" > "$work/memory/crlf800k.csv"
+  peaks=$(peak_kib "$work/memory/crlf800k.csv")
+  read -r crlf _ <<< "$peaks"
+  for name in explanations.csv memberships.csv correlations.csv summary.txt; do
+    cmp "$work/memory/out/$name" "$work/memory/out800k/$name"
+  done
+  crlf_bytes=$(wc -c < "$work/memory/crlf800k.csv")
+  echo "its peak memory with CRLF line ends: $crlf KiB for $crlf_bytes bytes"
+  test "$((crlf * 1024))" -le "$((16 * crlf_bytes))"
 
   # A rejected input: the serial and the free run exit 2 with the same error
   # line, which holds $2, and neither makes its --out directory.

@@ -100,7 +100,7 @@ class LassoModel:
         check_count(self.n_iter, "n_iter", 0)
 
     def decision(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.coef + self.intercept
+        return check_array(X, "X", (1, 2), length=self.coef.size) @ self.coef + self.intercept
 
     def predict_proba(self, X) -> np.ndarray:
         return expit(self.decision(X))
@@ -410,7 +410,9 @@ def apply_transform(X, transform: str) -> np.ndarray:
 
 def scaled_magnitudes(coef) -> np.ndarray:
     """Min-max scaled |coef| for heatmap-style comparison; 1 marks the largest."""
-    mags = np.abs(np.asarray(coef, dtype=float))
+    mags = np.abs(check_array(coef, "coef", 1))
+    if not mags.size:
+        raise ValueError("coef must not be empty")
     lo, hi = mags.min(), mags.max()
     if hi == lo:
         return np.zeros_like(mags)

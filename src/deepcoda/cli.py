@@ -398,33 +398,34 @@ def cmd_explain(args) -> int:
 
 def _write_explanations(params, parts, explanations):
     """Write explanations.csv to ``explanations``: its header, then the lines of each of ``parts``,
-    ``explain._Part`` records in row order. Returns (positive decisions, merged moments)."""
+    ``explain._Part`` records in row order. Returns (positive decisions, merged moments): the one
+    place the command merges moments, under the caller's ``np.errstate``."""
     n_positive, moments = 0, None
     with open(explanations, "wb") as out:
         out.write(explain._explanations_header(params.dims[1]).encode())
         for part in parts:
             out.write(part.lines)
             n_positive += part.positives
-            # A merge that would warn raises, and so declines the blocks, as a block that warns does.
-            with np.errstate(over="raise", invalid="raise"):
-                moments = part.moments if moments is None else moments.merge(part.moments)
+            moments = part.moments if moments is None else moments.merge(part.moments)
     return n_positive, moments
 
 
 def _explain_whole(params, path, data, delta_fraction, explanations):
-    """``_explain_in_blocks`` of every row at once: ``data`` read by ``load_dataset``'s rules, one
-    ``explain._part`` (without moments for at most B rows, which have no correlations), and each
-    row's id, which may need quotes, be long or hold a NUL byte, joined in front of its line."""
+    """``_explain_in_blocks`` in this process, after reading every row: ``data`` read by
+    ``load_dataset``'s rules and one forward pass, then ``explain._parts``'s ``_ROW_BLOCK`` rows at
+    a time (without moments for at most B rows, which have no correlations), each part written as
+    it is made, with each row's id, which may need quotes, be long or hold a NUL byte, in front."""
     matrix, _labels = _load_dataset(path, data, delta_fraction)
     d, n_bottlenecks, _ = params.dims
     if matrix.n_features != d:
         raise ValueError(f"model expects {d} features, data has {matrix.n_features}")
     n_rows = len(matrix.sample_ids)
-    part = explain._part(params, matrix.values, np.zeros((n_rows, 0), np.uint8),
-                         moments=n_rows > n_bottlenecks)
     ids = (csv_field(sid).encode("utf-8", "surrogatepass") for sid in matrix.sample_ids)
-    lines = b"".join(sid + line + b"\n" for sid, line in zip(ids, part.lines.split(b"\n")))
-    parts = [dataclasses.replace(part, lines=lines)]
+    parts = explain._parts(params, matrix.values, np.zeros((n_rows, 0), np.uint8),
+                           moments=n_rows > n_bottlenecks)
+    # zip takes a line before its id, so a part's end takes none of the next part's ids.
+    parts = (dataclasses.replace(part, lines=b"".join(
+        sid + line + b"\n" for line, sid in zip(part.lines.splitlines(), ids))) for part in parts)
     return matrix.feature_names, n_rows, *_write_explanations(params, parts, explanations)
 
 
@@ -493,10 +494,13 @@ def _explain_in_blocks(params, path, fh, data, delta_fraction, explanations):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ids, values = _parse_block(_read(fh, data, bounds[k], bounds[k + 1]), len(header))
-            return explain._part(params, _replace_zeros_values(values, delta_fraction), ids)
+            [part] = explain._parts(params, _replace_zeros_values(values, delta_fraction), ids)
+            return part
 
     try:
-        with contextlib.closing(ordered_fork_map(block, len(bounds) - 1)) as parts:
+        # A merge that would warn raises, and so declines the blocks, as a block that warns does.
+        with np.errstate(over="raise", invalid="raise"), \
+                contextlib.closing(ordered_fork_map(block, len(bounds) - 1)) as parts:
             n_positive, moments = _write_explanations(params, parts, explanations)
     except (ValueError, ArithmeticError, MemoryError, Warning):
         return None

@@ -39,12 +39,12 @@ __all__ = [
 
 DECISION_POSITIVE = "unhealthy"
 DECISION_NEGATIVE = "healthy"
-# The decisions indexed by positive, and ``_part``'s cells of them, which forked workers inherit.
+# The decisions indexed by positive, and ``_parts``'s cells of them, which forked workers inherit.
 _DECISIONS = np.array([DECISION_NEGATIVE, DECISION_POSITIVE])
 _DECISION_CELLS = text_cells([DECISION_NEGATIVE.encode(), DECISION_POSITIVE.encode()])
 
 _CCA_JITTER = 1e-8
-# Rows per chunk of the correlation moments, and so per block of ``deepcoda explain``.
+# Rows per chunk of the correlation moments, and so per part and per block of ``deepcoda explain``.
 _ROW_BLOCK = 4096
 
 
@@ -222,17 +222,6 @@ class _Moments:
         )
 
 
-def _correlation_moments(W: np.ndarray, Z: np.ndarray) -> _Moments:
-    """The moments of the rows of [W | Z], merged in order from chunks of ``_ROW_BLOCK`` rows.
-
-    A block of ``deepcoda explain`` is such a chunk, so merging its blocks'
-    moments gives these bits.
-    """
-    rows = np.hstack([W, Z])
-    chunks = (_Moments.of(rows[i : i + _ROW_BLOCK]) for i in range(0, rows.shape[0], _ROW_BLOCK))
-    return functools.reduce(_Moments.merge, chunks)
-
-
 def _inverse_sqrt(sym: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(sym)
     vals = np.maximum(vals, _CCA_JITTER)
@@ -278,9 +267,9 @@ def weight_contrast_correlation(W, Z):
     them). Canonical correlations are the singular values of the
     whitened cross-correlation block, computed on standardized columns
     with a 1e-8 ridge on the diagonals, clipped to [0, 1], descending.
-    The column moments are merged from fixed chunks of rows, so
-    ``deepcoda explain``, which merges them from its blocks, writes these
-    bits whatever its CPU count.
+    The column moments are merged in order from chunks of ``_ROW_BLOCK``
+    rows, so ``deepcoda explain``, which merges them from its parts, writes
+    these bits whatever its CPU count and whichever reader it takes.
     """
     wv = check_array(W, "W", 2)
     zv = check_array(Z, "Z", 2)
@@ -289,7 +278,9 @@ def weight_contrast_correlation(W, Z):
     n = wv.shape[0]
     if n <= max(wv.shape[1], zv.shape[1]):
         raise ValueError("need more samples than columns for correlation analysis")
-    return _correlations(_correlation_moments(wv, zv), wv.shape[1])
+    rows = np.hstack([wv, zv])
+    chunks = (_Moments.of(rows[i : i + _ROW_BLOCK]) for i in range(0, n, _ROW_BLOCK))
+    return _correlations(functools.reduce(_Moments.merge, chunks), wv.shape[1])
 
 
 @dataclass(frozen=True)
@@ -320,7 +311,7 @@ def _explanation_lines(id_cells, z, w, products, prediction, decision_cells) -> 
 def _explanations_table(batch: ExplanationBatch) -> bytes:
     """The explanations table, header first, as UTF-8, for any ids and decisions."""
     ids = [csv_field(str(sid)).encode("utf-8", "surrogatepass") for sid in batch.sample_ids]
-    decisions = [str(d).encode("utf-8", "surrogatepass") for d in batch.decisions.tolist()]
+    decisions = [csv_field(str(d)).encode("utf-8", "surrogatepass") for d in batch.decisions]
     empty = np.zeros((len(ids), 0), dtype=np.uint8)  # each id and decision joins its line
     numbers = batch.z, batch.w, batch.products, batch.prediction
     lines = _explanation_lines(empty, *numbers, empty).split(b"\n")
@@ -330,23 +321,27 @@ def _explanations_table(batch: ExplanationBatch) -> bytes:
 
 @dataclass(frozen=True)
 class _Part:
-    """``_part``'s report of some rows: nothing that grows with them but their lines."""
+    """``_parts``'s report of some rows: nothing that grows with them but their lines."""
 
     lines: bytes  # their rows of the explanations table
     positives: int  # rows with the decision DECISION_POSITIVE
     moments: _Moments | None  # of their [W | Z], its count the row count; None if not asked for
 
 
-def _part(p: DeepCodaParams, X: np.ndarray, id_cells, moments: bool = True) -> _Part:
-    """The ``_Part`` of the rows ``X``, whose ids' ``text_cells`` are ``id_cells``; its moments
-    are None unless ``moments``. Unchecked, the rows must be finite, > 0 and ``p.dims[0]`` wide,
-    as ``cli._parse_block`` and imputation leave them."""
+def _parts(p: DeepCodaParams, X: np.ndarray, id_cells, moments: bool = True):
+    """Yield the ``_Part`` of each ``_ROW_BLOCK`` rows of ``X`` in turn, whose ids' ``text_cells``
+    are ``id_cells``; their moments are None unless ``moments``. One forward pass of every row runs
+    first, so a non-finite value raises before any line is formatted. Unchecked, the rows must be
+    finite, > 0 and ``p.dims[0]`` wide, as ``cli._parse_block`` and imputation leave them."""
     z, w, _, yhat = _forward_batch(p, X)
     products = w * z
     positive = _is_positive(products)
-    lines = _explanation_lines(id_cells, z, w, products, yhat, _DECISION_CELLS[positive * 1])
-    return _Part(lines, int(np.count_nonzero(positive)),
-                 _correlation_moments(w, z) if moments else None)
+    for i in range(0, X.shape[0], _ROW_BLOCK):
+        rows = slice(i, i + _ROW_BLOCK)
+        lines = _explanation_lines(id_cells[rows], z[rows], w[rows], products[rows], yhat[rows],
+                                   _DECISION_CELLS[positive[rows] * 1])
+        yield _Part(lines, int(np.count_nonzero(positive[rows])),
+                    _Moments.of(np.hstack([w[rows], z[rows]])) if moments else None)
 
 
 def _summary_tables(

@@ -165,6 +165,28 @@ class TestLassoModel:
         with pytest.raises(ValueError, match=f"^{message}"):
             LassoModel(coef, intercept, 0.1)
 
+    @pytest.mark.parametrize(
+        "X,message",
+        [
+            ([[np.nan, 1.0]], "X must be finite"),
+            ([np.inf, 1.0], "X must be finite"),
+            ([[1.0]], "X must have 2 entries along its last axis"),
+            ([[[1.0, 2.0]]], "X must have 1 or 2 dimensions"),
+        ],
+        ids=["nan-row", "inf-sample", "too-few-columns", "3-d"],
+    )
+    def test_decision_and_predict_proba_reject_a_bad_X(self, X, message):
+        # A NaN row once gave a NaN decision without an error.
+        model = LassoModel(np.array([0.5, -1.0]), 0.25, 0.1)
+        for method in (model.decision, model.predict_proba):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                method(X)
+
+    def test_decision_of_one_sample_and_of_a_batch(self):
+        model = LassoModel(np.array([0.5, -1.0]), 0.25, 0.1)
+        assert model.decision([2.0, 1.0]) == 0.25
+        assert np.array_equal(model.decision([[2.0, 1.0], [0.0, 1.0]]), [0.25, -0.75])
+
 
 class TestLassoFit:
     def test_huge_penalty_shrinks_to_prevalence(self):
@@ -319,3 +341,18 @@ class TestScaledMagnitudes:
 
     def test_constant_coefficients_scale_to_zero(self):
         assert np.array_equal(scaled_magnitudes([2.0, -2.0, 2.0]), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "coef,message",
+        [
+            ([], "coef must not be empty"),
+            ([np.nan, 1.0], "coef must be finite"),
+            ([np.inf, 1.0], "coef must be finite"),
+            ([[1.0, 2.0]], "coef must have 1 dimensions"),
+        ],
+        ids=["empty", "nan", "inf", "2-d"],
+    )
+    def test_rejects_coefficients_outside_the_contract(self, coef, message):
+        # Once: numpy's zero-size reduction error, a silent [nan nan], and a divide warning.
+        with pytest.raises(ValueError, match=f"^{message}"):
+            scaled_magnitudes(coef)

@@ -28,7 +28,8 @@ from deepcoda import (
     weight_contrast_correlation,
 )
 from deepcoda.cli import EXIT_NUMERIC, EXIT_OK, load_dataset, run
-from deepcoda.explain import _ROW_BLOCK, DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch
+from deepcoda.explain import (_ROW_BLOCK, DECISION_NEGATIVE, DECISION_POSITIVE, Explanation,
+                              ExplanationBatch)
 
 
 def small_params(head="self_explain", seed=0, d=4, n_b=3):
@@ -396,6 +397,13 @@ class TestRenderReport:
         batch = explain_batch(p, np.random.default_rng(13).uniform(0.5, 20.0, size=(5, 4)), ids)
         rows = list(csv.reader(io.StringIO(render_report(batch, [], None).explanations_csv)))
         assert [row[0] for row in rows[1:]] == ids
+
+    def test_decisions_needing_quotes_round_trip(self):
+        # Once written bare: 'a,"b"' split its row into 7 fields.
+        explanation = Explanation("s,1", np.array([1.0]), np.array([2.0]), np.array([2.0]), 0.5,
+                                  'a,"b"')
+        rows = list(csv.reader(io.StringIO(render_report([explanation], []).explanations_csv)))
+        assert rows[1] == ["s,1", "1", "2", "2", "0.5", 'a,"b"']
 
     @pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK + 1])
     def test_explanations_table_matches_csv_writer_bytes(self, n):

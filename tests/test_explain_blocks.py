@@ -8,6 +8,7 @@ exit code, the error line and the file system a whole-file read gives.
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import os
 import tempfile
@@ -371,6 +372,57 @@ def test_a_block_that_warns_gives_the_whole_file_warnings(tmp_path, monkeypatch,
     assert caught == [(RuntimeWarning, "a huge row")]
 
 
+def recording_writer(monkeypatch) -> list[list[int]]:
+    """Record the row count of each part ``cli._write_explanations`` is handed, one list a call."""
+    calls = []
+    write = cli._write_explanations
+
+    def recording_write(params, parts, explanations):
+        calls.append([])
+
+        def recorded():
+            for part in parts:
+                calls[-1].append(part.lines.count(b"\n"))
+                yield part
+
+        return write(params, recorded(), explanations)
+
+    monkeypatch.setattr(cli, "_write_explanations", recording_write)
+    return calls
+
+
+def test_the_whole_file_path_writes_row_block_parts(tmp_path, monkeypatch):
+    # CRLF line ends take the whole-file path, which hands the writer _ROW_BLOCK rows at a time.
+    calls = recording_writer(monkeypatch)
+    data = dataset_bytes(counts(12, 8), crlf=True)
+    (code, _, stderr, _), caught = assert_matches_reference(tmp_path, data, False, 4, 1)
+    assert (code, stderr, caught) == (EXIT_OK, "", [])
+    assert calls == [[4, 4, 4]]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("crlf", [True, False], ids=["crlf", "lf"])
+def test_moments_that_overflow_give_the_whole_batch_warnings(tmp_path, monkeypatch, crlf, cpus):
+    # Under the overflowing model every first weight lies near 1e305, finite, as x1 / x2 lies in
+    # [1.5, 2.7]; the squares in the moments of those weights overflow. The whole-file path
+    # merges its parts' moments with numpy's warnings, as the whole batch does; an LF file's
+    # blocks decline on the same overflow.
+    rng = np.random.default_rng(9)
+    values = rng.integers(1, 60, size=(12, D)).astype(float)
+    values[:, 1] = rng.integers(20, 41, size=12)
+    values[:, 0] = np.round(values[:, 1] * rng.uniform(1.55, 2.65, size=12))
+    assert np.all((1.5 <= values[:, 0] / values[:, 1]) & (values[:, 0] / values[:, 1] <= 2.7))
+    calls = recording_writer(monkeypatch)
+    data = dataset_bytes(values, crlf=crlf)
+    (code, _, stderr, _), caught = assert_matches_reference(tmp_path, data, True, 4, cpus)
+    assert (code, stderr) == (EXIT_OK, "")
+    # Each part's moments overflow in matmul, and each merge of them in multiply.
+    matmul, multiply = ((RuntimeWarning, f"overflow encountered in {op}")
+                        for op in ("matmul", "multiply"))
+    assert caught == [matmul, matmul, multiply, matmul, multiply]
+    assert calls[-1] == [4, 4, 4]
+
+
 def test_a_good_file_is_explained_without_the_whole_file_path(
     tmp_path, monkeypatch, set_cpus, no_whole_file
 ):
@@ -401,7 +453,7 @@ def test_good_files_are_read_by_the_block_reader(tmp_path, no_whole_file, layout
     assert assert_matches_reference(tmp_path, data, False, 7, cpus)[0][0] == EXIT_OK
 
 
-def test_the_byte_writer_writes_csv_rows():
+def test_the_byte_writer_writes_csv_rows(monkeypatch):
     rng = np.random.default_rng(12)
     n = 7
     z, w = rng.normal(0.0, 3.0, (n, 2)), rng.uniform(0.0, 1.0, (n, 2))
@@ -426,16 +478,25 @@ def test_the_byte_writer_writes_csv_rows():
         odd = (*ids[:3], odd_id, *ids[4:])
         batch = ExplanationBatch(odd, z, w, products, prediction, np.array(decisions))
         assert render_report(batch, []).explanations_csv.endswith(table(odd))
-    # A block's part of a model's rows is the whole-batch reference, bit for bit.
+    # The parts of a model's rows, one per _ROW_BLOCK rows, are the whole-batch reference, bit
+    # for bit: their lines, their positives and their merged moments.
     params, X = model_params(False), counts(n, 5) + 1.0
-    part = explain_module._part(params, X, id_cells)
     batch = explain_batch(params, X, ids)
-    assert 0 < part.positives == np.count_nonzero(batch.decisions == DECISION_POSITIVE) < n
-    assert part.lines == explain_module._explanations_table(batch).split(b"\n", 1)[1]
-    moments = explain_module._correlation_moments(batch.w, batch.z)
-    assert part.moments.count == moments.count == n
-    for name in ("mean", "cross", "low", "high"):
-        assert getattr(part.moments, name).tobytes() == getattr(moments, name).tobytes()
+    rows = explain_module._explanations_table(batch).split(b"\n", 1)[1]
+    for block, sizes in [(explain_module._ROW_BLOCK, [n]), (3, [3, 3, 1])]:
+        monkeypatch.setattr(explain_module, "_ROW_BLOCK", block)
+        parts = list(explain_module._parts(params, X, id_cells))
+        assert [part.lines.count(b"\n") for part in parts] == sizes
+        assert b"".join(part.lines for part in parts) == rows
+        positives = sum(part.positives for part in parts)
+        assert 0 < positives == np.count_nonzero(batch.decisions == DECISION_POSITIVE) < n
+        moments = functools.reduce(explain_module._Moments.merge, [p.moments for p in parts])
+        expected = block_moments(batch.w, batch.z, block)
+        assert moments.count == expected.count == n
+        for name in ("mean", "cross", "low", "high"):
+            assert getattr(moments, name).tobytes() == getattr(expected, name).tobytes()
+        assert [part.moments for part in explain_module._parts(params, X, id_cells, False)] \
+            == [None] * len(sizes)
 
 
 def test_a_rejected_file_leaves_an_earlier_report_as_it_was(tmp_path):

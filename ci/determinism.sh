@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end checks of the deepcoda CLI: outputs that must not depend on the
 # CPU count, commands that must run without scipy, under an ASCII locale
-# and cleanly in Python's dev mode, and failed commands that must leave the
-# file system as they found it.
+# and cleanly in Python's dev mode (and give the same bytes outside it), and
+# failed commands that must leave the file system as they found it.
 #
 #   bash ci/determinism.sh            # every check
 #   bash ci/determinism.sh explain    # the named checks only
@@ -314,25 +314,38 @@ check_ascii_locale() {
   done
 }
 
-# Every CLI command runs clean in Python's dev mode.
+# Every CLI command runs clean in Python's dev mode, and the same outside it.
 check_dev_mode() {
   work=$(mktemp -d "$root/check.XXXXXX")
+  mkdir "$work/dev" "$work/frozen"
   # Dev mode prints ResourceWarnings (an unclosed file) and
   # DeprecationWarnings. One raised in __del__ is only printed, and the
   # exit code stays 0 even under -W error, so any stderr fails the check.
+  # Outside dev mode main() freezes the garbage collector before it exits,
+  # so shutdown skips its full collections: each command also runs that
+  # way, with each @ in its arguments standing for its mode's directory,
+  # and its stdout (@ again in place of that directory) and every file it
+  # writes must match the dev-mode run's byte for byte.
   dev() {
-    status=0
-    python3 -X dev -m deepcoda "$@" > /dev/null 2> "$work/stderr.txt" || status=$?
-    cat "$work/stderr.txt"
-    test "$status" -eq 0 && test ! -s "$work/stderr.txt"
+    for mode in dev frozen; do
+      flags=()
+      if [ "$mode" = dev ]; then flags=(-X dev); fi
+      status=0
+      python3 "${flags[@]}" -m deepcoda "${@//@/$work/$mode}" \
+        > "$work/stdout.txt" 2> "$work/stderr.txt" || status=$?
+      cat "$work/stderr.txt"
+      test "$status" -eq 0 && test ! -s "$work/stderr.txt"
+      sed "s|$work/$mode|@|g" "$work/stdout.txt" >> "$work/$mode/stdout.txt"
+    done
   }
-  dev simulate toy --n 10000 --out "$work/data"
-  dev train "$work/data/relative.csv" --out "$work/model.txt"
+  dev simulate toy --n 10000 --out @/data
+  dev train @/data/relative.csv --out @/model.txt
   # 10,000 rows: three blocks of the explanations table, so the fork
   # map forks its workers where more than one CPU is usable.
-  dev explain "$work/model.txt" "$work/data/relative.csv" --out "$work/explain"
-  dev benchmark "$work/data/relative.csv" --splits 2 --epochs 50 --out "$work/bench.csv"
-  dev baseline "$work/data/relative.csv" --out "$work/baseline.csv"
+  dev explain @/model.txt @/data/relative.csv --out @/explain
+  dev benchmark @/data/relative.csv --splits 2 --epochs 50 --out @/bench.csv
+  dev baseline @/data/relative.csv --out @/baseline.csv
+  diff -r "$work/dev" "$work/frozen"
 }
 
 # A command that fails leaves the file system as it found it: with a

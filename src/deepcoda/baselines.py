@@ -28,7 +28,7 @@ import numpy as np
 
 from ._expit import expit
 from .checks import check_array, check_choice, check_count, check_labels, check_real, check_seed
-from .coda import CompositionMatrix, clr
+from .coda import TRANSFORMS, CompositionMatrix, clr
 from .metrics import auc
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "scaled_magnitudes",
     "soft_threshold",
 ]
-
-TRANSFORMS = ("none", "clr")
 
 # 8 logarithmically spaced penalty weights in [1e-4, 1].
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 0.0, 8))

@@ -15,6 +15,8 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import gc
+import importlib
 import io
 import math
 import os
@@ -26,40 +28,47 @@ from pathlib import Path
 
 import numpy as np
 
-from . import explain
-from ._forkmap import ordered_fork_map
 from ._formats import NUMBER, _number_tables, csv_field, csv_table, key_values, parse_file, utf8_text
-from .baselines import (
-    TRANSFORMS,
-    apply_transform,
-    cv_select_lambda,
-    lasso_logistic_fit,
-    scaled_magnitudes,
-)
 from .checks import check_real
 from .coda import (
     DEFAULT_DELTA_FRACTION,
+    TRANSFORMS,
     CompositionMatrix,
     _replace_zeros_values,
     _RowFault,
     _sums_to_one,
     replace_zeros,
 )
-from .evaluate import (
-    DEFAULT_N_SPLITS,
-    LabeledDataset,
-    benchmark,
-    grid_search,
-    make_deepcoda_method,
-    make_lasso_method,
-    results_to_csv,
-    standardize_scores,
-)
-# Not called here; perfbench/tracer.py wraps them by their names in this module.
-from .explain import explain_sample, render_report, weight_contrast_correlation  # noqa: F401
 from .model import load_params, save_params
-from .simulate import gen_cmyc, gen_toy
 from .train import TrainConfig, TrainingDivergedError, train
+
+# The names only some commands use, by the module that holds them ("explain": that module too).
+# Commands bind theirs (_bind), a lookup here binds one (__getattr__): no command loads a module
+# it does not run. Three explain names go unused here; perfbench/tracer.py wraps them here.
+_LAZY = {
+    "baselines": ("apply_transform", "cv_select_lambda", "lasso_logistic_fit", "scaled_magnitudes"),
+    "evaluate": ("LabeledDataset", "benchmark", "grid_search", "make_deepcoda_method",
+                 "make_lasso_method", "results_to_csv", "standardize_scores"),
+    "explain": ("explain", "explain_sample", "render_report", "weight_contrast_correlation"),
+    "simulate": ("gen_cmyc", "gen_toy"),
+    "_forkmap": ("ordered_fork_map",),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import each of ``modules`` and bind here its ``_LAZY`` names; a name bound already stays."""
+    for name in modules:
+        module = importlib.import_module(f".{name}", __package__)
+        for attr in _LAZY[name]:
+            globals().setdefault(attr, module if attr == name else getattr(module, attr))
+
+
+def __getattr__(attr: str):
+    for name in [name for name, attrs in _LAZY.items() if attr in attrs]:
+        _bind(name)
+        return globals()[attr]
+    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -288,6 +297,7 @@ def parse_train_config(text: str) -> TrainConfig:
 
 
 def cmd_simulate(args) -> int:
+    _bind("simulate")
     generator = gen_toy if args.kind == "toy" else gen_cmyc
     dataset = generator(args.n, args.seed)
     out_dir = Path(args.out)
@@ -341,6 +351,7 @@ _METHOD_BUILDERS = {
 
 
 def cmd_benchmark(args) -> int:
+    _bind("evaluate")
     if args.grid:
         flags = [("--methods", args.methods), ("--bottlenecks", args.bottlenecks),
                  ("--lambda-s", args.lambda_s)]
@@ -350,10 +361,9 @@ def cmd_benchmark(args) -> int:
     TrainConfig(**_deepcoda_flags(args))  # checked before any fit, whichever methods run
     matrix, labels = load_dataset(args.data, args.delta_fraction)
     dataset = LabeledDataset(Path(args.data).stem, matrix.values, labels)
+    splits = {} if args.splits is None else {"n_splits": args.splits}  # absent: evaluate's default
     if args.grid:
-        results = grid_search(
-            dataset, n_splits=args.splits, base_seed=args.seed, epochs=args.epochs
-        )
+        results = grid_search(dataset, base_seed=args.seed, epochs=args.epochs, **splits)
     else:
         methods = []
         names = list(_METHOD_BUILDERS) if args.methods is None else args.methods.split(",")
@@ -364,7 +374,7 @@ def cmd_benchmark(args) -> int:
                     f"unknown method {name!r}; choose from {sorted(_METHOD_BUILDERS)}"
                 )
             methods.append(_METHOD_BUILDERS[name](args))
-        results = benchmark(dataset, methods, n_splits=args.splits, base_seed=args.seed)
+        results = benchmark(dataset, methods, base_seed=args.seed, **splits)
     results = standardize_scores(results)
     with _staged_outputs() as stage:
         stage(args.out).write_text(results_to_csv(results), encoding="utf-8", newline="")
@@ -373,6 +383,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    _bind("explain", "_forkmap")
     params = load_params(args.model)
     if params.head != "self_explain":
         raise ValueError("model uses the linear head; explanations need self_explain")
@@ -508,6 +519,7 @@ def _explain_in_blocks(params, path, fh, data, delta_fraction, explanations):
 
 
 def cmd_baseline(args) -> int:
+    _bind("baselines")
     matrix, labels = load_dataset(args.data, args.delta_fraction)
     features = apply_transform(matrix, args.transform)
     lam = cv_select_lambda(features, labels, seed=args.seed)
@@ -559,11 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("data")
     # --methods, --bottlenecks and --lambda-s have no default, so that
     # --grid can reject them; left out, the method builders' defaults apply.
+    # Nor has --splits, whose default evaluate holds: the parser loads no evaluate.
     p_bench.add_argument(
         "--methods", help=f"comma-separated method names (default: {','.join(_METHOD_BUILDERS)})"
     )
     p_bench.add_argument("--grid", action="store_true", help="run the full hyper-parameter grid")
-    p_bench.add_argument("--splits", type=int, default=DEFAULT_N_SPLITS)
+    p_bench.add_argument("--splits", type=int)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--bottlenecks", type=int)
     p_bench.add_argument("--lambda-s", type=float, dest="lambda_s")
@@ -590,7 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails the command here, not at shutdown
+        return code
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -604,7 +619,14 @@ def main() -> None:
     sys.stdout.reconfigure(errors="backslashreplace")
     # A warning is one line, as baseline's is, without the source line that warned.
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:  # run() has named the fault; what stdout holds goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if not sys.flags.dev_mode:  # there shutdown's collections still warn of an unclosed file
+        gc.freeze()  # shutdown skips its full collections over all numpy and the command made
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,9 @@ __all__ = [
 
 KINDS = ("absolute", "relative")
 
+# The transforms a LASSO baseline fits on: the abundances as they are, or their CLR.
+TRANSFORMS = ("none", "clr")
+
 # An imputed zero's size relative to its row's smallest nonzero entry.
 DEFAULT_DELTA_FRACTION = 0.5
 

@@ -127,6 +127,23 @@ class TestSimulate:
             run(["simulate", "gamma", "--out", str(tmp_path / "x")])
         assert err.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_a_closed_stdout_exits_2_with_one_error_line(self, tmp_path, unbuffered):
+        # Buffered, the command's line reaches the pipe only when stdout is flushed.
+        env = deepcoda_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # each write to the pipe fails with EPIPE
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "deepcoda", "simulate", "toy", "--n", "20", "--out",
+                 str(tmp_path)], stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (EXIT_USAGE, b"error: [Errno 32] Broken pipe\n")
+
 
 class TestTrain:
     def test_model_round_trips_through_predict(self, toy_dir, trained_model):

@@ -600,6 +600,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failed(exc: BaseException, code: int) -> int:
+    """``code``, once ``exc`` is printed as one ``error:`` line; a stderr that fails drops it."""
+    with contextlib.suppress(OSError):
+        print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -607,11 +614,9 @@ def run(argv=None) -> int:
         sys.stdout.flush()  # a closed stdout fails the command here, not at shutdown
         return code
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _failed(exc, EXIT_USAGE)
     except (TrainingDivergedError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _failed(exc, EXIT_NUMERIC)
 
 
 def main() -> None:
@@ -619,11 +624,19 @@ def main() -> None:
     sys.stdout.reconfigure(errors="backslashreplace")
     # A warning is one line, as baseline's is, without the source line that warned.
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
-    code = run()
     try:
-        sys.stdout.flush()
-    except OSError:  # run() has named the fault; what stdout holds goes to the null device
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = run()
+    except SystemExit as stop:  # argparse's, after --help or a usage error: flushed as run() does
+        code = stop.code
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            code = _failed(exc, EXIT_USAGE)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # the fault is named, or cannot be; what it holds goes to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     if not sys.flags.dev_mode:  # there shutdown's collections still warn of an unclosed file
         gc.freeze()  # shutdown skips its full collections over all numpy and the command made
     sys.exit(code)

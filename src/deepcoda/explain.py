@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._formats import cell_lines, csv_field, csv_row, csv_table, text_cells
+from ._formats import cell_lines, csv_row, csv_table, text_cells
 from .checks import check_array, check_count, check_names, check_real
 # ``forward`` is not called here; perfbench/tracer.py wraps it by name on this module.
 from .model import DeepCodaParams, _forward_batch, forward  # noqa: F401
@@ -308,15 +308,13 @@ def _explanation_lines(id_cells, z, w, products, prediction, decision_cells) -> 
     return cell_lines(id_cells, np.hstack([z, w, products, prediction[:, None]]), decision_cells)
 
 
-def _explanations_table(batch: ExplanationBatch) -> bytes:
-    """The explanations table, header first, as UTF-8, for any ids and decisions."""
-    ids = [csv_field(str(sid)).encode("utf-8", "surrogatepass") for sid in batch.sample_ids]
-    decisions = [csv_field(str(d)).encode("utf-8", "surrogatepass") for d in batch.decisions]
-    empty = np.zeros((len(ids), 0), dtype=np.uint8)  # each id and decision joins its line
-    numbers = batch.z, batch.w, batch.products, batch.prediction
-    lines = _explanation_lines(empty, *numbers, empty).split(b"\n")
-    rows = [sid + line + d + b"\n" for sid, line, d in zip(ids, lines, decisions)]
-    return b"".join([_explanations_header(batch.z.shape[1] if len(batch) else 0).encode(), *rows])
+def _explanations_table(batch: ExplanationBatch) -> str:
+    """The explanations table, header first; numbers as float64, as ``cell_lines`` writes them."""
+    z, w, products, prob = (np.asarray(a, dtype=float).tolist()
+                            for a in (batch.z, batch.w, batch.products, batch.prediction))
+    rows = zip(batch.sample_ids, z, w, products, prob, batch.decisions)
+    return _explanations_header(batch.z.shape[1] if len(batch) else 0) + "".join(
+        csv_row([str(sid), *zi, *wi, *pi, p, str(d)]) for sid, zi, wi, pi, p, d in rows)
 
 
 @dataclass(frozen=True)
@@ -413,5 +411,4 @@ def render_report(
     memberships_csv, correlations_csv, summary = _summary_tables(
         len(batch), n_positive, memberships, correlations
     )
-    explanations_csv = _explanations_table(batch).decode("utf-8", "surrogatepass")
-    return ReportBundle(summary, explanations_csv, memberships_csv, correlations_csv)
+    return ReportBundle(summary, _explanations_table(batch), memberships_csv, correlations_csv)

@@ -145,6 +145,61 @@ class TestSimulate:
         assert (done.returncode, done.stderr) == (EXIT_USAGE, b"error: [Errno 32] Broken pipe\n")
 
 
+def failed_stream(how: str) -> int:
+    """A write descriptor on which every write fails: a pipe with no reader, or /dev/full."""
+    if how == "full":
+        return os.open("/dev/full", os.O_WRONLY)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+STDIO_ARGV = {
+    "help": ["--help"],
+    "explain_help": ["explain", "--help"],
+    "usage_error": ["bogus"],
+    "failing": ["train", "nope.csv", "--out", "model.txt"],
+    "valid": ["simulate", "toy", "--n", "20", "--out", "sim"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command,stream,how,unbuffered,code", [
+    ("help", "stdout", "pipe", False, EXIT_USAGE),
+    ("help", "stdout", "full", True, EXIT_OK),  # argparse drops the error, and the help
+    ("help", "stderr", "full", False, EXIT_OK),
+    ("explain_help", "stdout", "full", False, EXIT_USAGE),
+    ("usage_error", "stdout", "pipe", False, EXIT_USAGE),
+    ("usage_error", "stderr", "pipe", False, EXIT_USAGE),
+    ("usage_error", "stderr", "full", True, EXIT_USAGE),
+    ("failing", "stdout", "pipe", True, EXIT_USAGE),
+    ("failing", "stderr", "pipe", False, EXIT_USAGE),
+    ("failing", "stderr", "full", True, EXIT_USAGE),
+    ("valid", "stdout", "pipe", False, EXIT_USAGE),
+    ("valid", "stdout", "full", True, EXIT_USAGE),
+    ("valid", "stderr", "pipe", False, EXIT_OK),
+])
+def test_a_failed_stdout_or_stderr_exits_0_2_or_3(tmp_path, command, stream, how, unbuffered,
+                                                  code):
+    env = deepcoda_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    failed = failed_stream(how)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: failed}
+    try:
+        done = subprocess.run([sys.executable, "-m", "deepcoda", *STDIO_ARGV[command]],
+                              cwd=tmp_path, env=env, **streams)
+    finally:
+        os.close(failed)
+    assert done.returncode == code
+    # Besides the usage line that argparse prints before its own error line; None if it failed.
+    stderr = [line for line in (done.stderr or b"").splitlines() if not line.startswith(b"usage: ")]
+    assert len(stderr) <= 1, done.stderr
+    if command == "valid":  # a stdout that fails once the outputs are in place keeps them
+        assert sorted(os.listdir(tmp_path / "sim")) == ["absolute.csv", "relative.csv"]
+
+
 class TestTrain:
     def test_model_round_trips_through_predict(self, toy_dir, trained_model):
         params = load_params(trained_model)

@@ -405,6 +405,16 @@ class TestRenderReport:
         rows = list(csv.reader(io.StringIO(render_report([explanation], []).explanations_csv)))
         assert rows[1] == ["s,1", "1", "2", "2", "0.5", 'a,"b"']
 
+    def test_numbers_are_written_as_their_float64_values(self):
+        # An int64 2**53 + 1 rounds to 2**53 as a float64; a float32 0.1 is not the float64 0.1.
+        batch = ExplanationBatch(("s",), np.array([[2**53 + 1]], dtype=np.int64),
+                                 np.array([[0.1]], dtype=np.float32), np.array([[-0.0]]),
+                                 np.array([0.5]), np.array([DECISION_NEGATIVE]))
+        assert render_report(batch, []).explanations_csv == (
+            "sample_id,z_1,w_1,prod_1,prob,decision\n"
+            f"s,9007199254740992,0.10000000149011612,-0,0.5,{DECISION_NEGATIVE}\n"
+        )
+
     @pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK + 1])
     def test_explanations_table_matches_csv_writer_bytes(self, n):
         batch = synthetic_batch(n)

@@ -482,7 +482,7 @@ def test_the_byte_writer_writes_csv_rows(monkeypatch):
     # for bit: their lines, their positives and their merged moments.
     params, X = model_params(False), counts(n, 5) + 1.0
     batch = explain_batch(params, X, ids)
-    rows = explain_module._explanations_table(batch).split(b"\n", 1)[1]
+    rows = explain_module._explanations_table(batch).split("\n", 1)[1].encode()
     for block, sizes in [(explain_module._ROW_BLOCK, [n]), (3, [3, 3, 1])]:
         monkeypatch.setattr(explain_module, "_ROW_BLOCK", block)
         parts = list(explain_module._parts(params, X, id_cells))

@@ -57,7 +57,9 @@ def test_importing_the_cli_loads_no_optional_module():
     ("train", set(), OPTIONAL),
     ("explain", {"explain", "_forkmap"}, {"evaluate", "baselines", "simulate", "metrics"}),
     ("benchmark", {"evaluate", "baselines", "metrics", "_forkmap"}, {"explain", "simulate"}),
-], ids=["train", "explain", "benchmark"])
+    ("simulate", {"simulate"}, OPTIONAL - {"simulate"}),
+    ("baseline", {"baselines", "metrics"}, {"evaluate", "explain", "simulate", "_forkmap"}),
+], ids=["train", "explain", "benchmark", "simulate", "baseline"])
 def test_a_command_loads_only_the_modules_it_runs(files, tmp_path, command, runs, skips):
     data = files / "relative.csv"
     argv = {
@@ -65,6 +67,8 @@ def test_a_command_loads_only_the_modules_it_runs(files, tmp_path, command, runs
         "explain": ["explain", files / "model.txt", data, "--out", tmp_path / "report"],
         "benchmark": ["benchmark", data, "--methods", "deepcoda,lasso", "--splits", "2",
                       "--epochs", "5", "--out", tmp_path / "b.csv"],
+        "simulate": ["simulate", "toy", "--n", "50", "--out", tmp_path / "sim"],
+        "baseline": ["baseline", data, "--out", tmp_path / "lasso.csv"],
     }[command]
     loaded = loaded_by(argv)
     assert runs <= loaded and not loaded & skips

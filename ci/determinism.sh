@@ -15,6 +15,13 @@ set -eo pipefail
 root=$(mktemp -d)
 trap 'rm -rf "$root"' EXIT
 
+# The four files of an explain report in directory $1 are those in $2, byte for byte.
+same_report() {
+  for name in explanations.csv memberships.csv correlations.csv summary.txt; do
+    cmp "$1/$name" "$2/$name"
+  done
+}
+
 # The benchmark CSV does not depend on the CPU count.
 check_benchmark() {
   work=$(mktemp -d "$root/check.XXXXXX")
@@ -111,9 +118,7 @@ check_explain() {
     cat "$work/serial.err" "$work/parallel.err"
     cmp "$work/serial.err" "$expected"
     cmp "$work/parallel.err" "$expected"
-    for name in explanations.csv memberships.csv correlations.csv summary.txt; do
-      cmp "$work/$input/serial/$name" "$work/$input/parallel/$name"
-    done
+    same_report "$work/$input/serial" "$work/$input/parallel"
   done
   # The files are render_report's tables of the whole batch, byte for byte.
   python3 - "$work" $inputs <<'PY'
@@ -146,9 +151,7 @@ PY
   # files in REPORT.
   piped() {
     cat "$2" | python3 -m deepcoda explain "$1" /dev/stdin --out "$3.pipe"
-    for name in explanations.csv memberships.csv correlations.csv summary.txt; do
-      cmp "$3.pipe/$name" "$3/$name"
-    done
+    same_report "$3.pipe" "$3"
   }
   for input in relative quoted crlf; do
     piped "$work/model.txt" "$work/$input.csv" "$work/$input/serial"
@@ -182,9 +185,7 @@ PY
   explain="python3 -m deepcoda explain $work/memory/model.txt $work/memory/data.csv"
   taskset -c 0 $explain --out "$work/memory/serial"
   $explain --out "$work/memory/parallel"
-  for name in explanations.csv memberships.csv correlations.csv summary.txt; do
-    cmp "$work/memory/serial/$name" "$work/memory/parallel/$name"
-  done
+  same_report "$work/memory/serial" "$work/memory/parallel"
   piped "$work/memory/model.txt" "$work/memory/data.csv" "$work/memory/serial"
   {
     head -n 1 "$work/memory/data.csv"
@@ -232,9 +233,7 @@ PY
   sed -e 's/$/\r/' "$work/memory/data800k.csv" > "$work/memory/crlf800k.csv"
   peaks=$(peak_kib "$work/memory/crlf800k.csv")
   read -r crlf _ <<< "$peaks"
-  for name in explanations.csv memberships.csv correlations.csv summary.txt; do
-    cmp "$work/memory/out/$name" "$work/memory/out800k/$name"
-  done
+  same_report "$work/memory/out" "$work/memory/out800k"
   crlf_bytes=$(wc -c < "$work/memory/crlf800k.csv")
   echo "its peak memory with CRLF line ends: $crlf KiB for $crlf_bytes bytes"
   test "$((crlf * 1024))" -le "$((16 * crlf_bytes))"
@@ -309,9 +308,7 @@ check_ascii_locale() {
   $ascii benchmark "$work/names.csv" --splits 2 --epochs 50 --out "$work/bench.csv"
   $ascii baseline "$work/names.csv" --out "$work/baseline.csv"
   python3 -m deepcoda explain "$work/model.txt" "$work/names.csv" --out "$work/utf8"
-  for name in explanations.csv memberships.csv correlations.csv summary.txt; do
-    cmp "$work/ascii/$name" "$work/utf8/$name"
-  done
+  same_report "$work/ascii" "$work/utf8"
 }
 
 # Every CLI command runs clean in Python's dev mode, and the same outside it.

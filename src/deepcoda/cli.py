@@ -329,51 +329,36 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _deepcoda_flags(args) -> dict:
-    """``benchmark``'s deepcoda flags that were given; one left out keeps its method's default."""
-    given = {"n_bottlenecks": args.bottlenecks, "lambda_s": args.lambda_s, "epochs": args.epochs}
-    return {key: value for key, value in given.items() if value is not None}
-
-
-def _deepcoda_builder(head: str, name: str):
-    def build(args):
-        return make_deepcoda_method(head=head, name=name, **_deepcoda_flags(args))
-
-    return build
-
-
-_METHOD_BUILDERS = {
-    "deepcoda": _deepcoda_builder("self_explain", "deepcoda"),
-    "deepcoda-linear": _deepcoda_builder("linear", "deepcoda-linear"),
-    "lasso": lambda args: make_lasso_method("none"),
-    "lasso-clr": lambda args: make_lasso_method("clr"),
-}
+# benchmark's methods, by name: a deepcoda method's network head, or a LASSO method's transform.
+_METHODS = {"deepcoda": "self_explain", "deepcoda-linear": "linear",
+            "lasso": "none", "lasso-clr": "clr"}
 
 
 def cmd_benchmark(args) -> int:
     _bind("evaluate")
     if args.grid:
-        flags = [("--methods", args.methods), ("--bottlenecks", args.bottlenecks),
-                 ("--lambda-s", args.lambda_s)]
-        given = [flag for flag, value in flags if value is not None]
+        options = [("--methods", args.methods), ("--bottlenecks", args.bottlenecks),
+                   ("--lambda-s", args.lambda_s)]
+        given = [option for option, value in options if value is not None]
         if given:
             raise ValueError(f"--grid sets the methods itself; drop {', '.join(given)}")
-    TrainConfig(**_deepcoda_flags(args))  # checked before any fit, whichever methods run
+    # The deepcoda flags that were given; one left out keeps make_deepcoda_method's default.
+    flags = {"n_bottlenecks": args.bottlenecks, "lambda_s": args.lambda_s, "epochs": args.epochs}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    TrainConfig(**flags)  # checked before any fit, whichever methods run
     matrix, labels = load_dataset(args.data, args.delta_fraction)
     dataset = LabeledDataset(Path(args.data).stem, matrix.values, labels)
     splits = {} if args.splits is None else {"n_splits": args.splits}  # absent: evaluate's default
     if args.grid:
         results = grid_search(dataset, base_seed=args.seed, epochs=args.epochs, **splits)
     else:
+        names = list(_METHODS) if args.methods is None else args.methods.split(",")
         methods = []
-        names = list(_METHOD_BUILDERS) if args.methods is None else args.methods.split(",")
-        for name in names:
-            name = name.strip()
-            if name not in _METHOD_BUILDERS:
-                raise ValueError(
-                    f"unknown method {name!r}; choose from {sorted(_METHOD_BUILDERS)}"
-                )
-            methods.append(_METHOD_BUILDERS[name](args))
+        for name in map(str.strip, names):
+            if name not in _METHODS:
+                raise ValueError(f"unknown method {name!r}; choose from {sorted(_METHODS)}")
+            methods.append(make_lasso_method(_METHODS[name], name=name) if name.startswith("lasso")
+                           else make_deepcoda_method(head=_METHODS[name], name=name, **flags))
         results = benchmark(dataset, methods, base_seed=args.seed, **splits)
     results = standardize_scores(results)
     with _staged_outputs() as stage:
@@ -541,14 +526,25 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage text fail as a command's output does: each write
+    is flushed, and its error raised (argparse drops it from Python 3.11 on)."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deepcoda",
         description="Learn and inspect log-contrast models for compositional data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # The option of every command that reads a dataset file.
-    data_options = argparse.ArgumentParser(add_help=False)
+    data_options = _Parser(add_help=False)
     data_options.add_argument("--delta-fraction", type=float, default=DEFAULT_DELTA_FRACTION)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")
@@ -569,11 +565,11 @@ def build_parser() -> argparse.ArgumentParser:
         "benchmark", parents=[data_options], help="repeated-split AUC benchmark"
     )
     p_bench.add_argument("data")
-    # --methods, --bottlenecks and --lambda-s have no default, so that
-    # --grid can reject them; left out, the method builders' defaults apply.
+    # --methods, --bottlenecks and --lambda-s have no default, so that --grid can reject them;
+    # left out, every name of _METHODS runs, each with make_deepcoda_method's defaults.
     # Nor has --splits, whose default evaluate holds: the parser loads no evaluate.
     p_bench.add_argument(
-        "--methods", help=f"comma-separated method names (default: {','.join(_METHOD_BUILDERS)})"
+        "--methods", help=f"comma-separated method names (default: {','.join(_METHODS)})"
     )
     p_bench.add_argument("--grid", action="store_true", help="run the full hyper-parameter grid")
     p_bench.add_argument("--splits", type=int)
@@ -608,8 +604,8 @@ def _failed(exc: BaseException, code: int) -> int:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # a help or usage text it cannot write fails here
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails the command here, not at shutdown
         return code
@@ -626,12 +622,8 @@ def main() -> None:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         code = run()
-    except SystemExit as stop:  # argparse's, after --help or a usage error: flushed as run() does
+    except SystemExit as stop:  # argparse's, after --help or a usage error, both written
         code = stop.code
-        try:
-            sys.stdout.flush()
-        except OSError as exc:
-            code = _failed(exc, EXIT_USAGE)
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()

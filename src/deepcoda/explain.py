@@ -301,13 +301,6 @@ def _explanations_header(n_contrasts: int) -> str:
     )
 
 
-def _explanation_lines(id_cells, z, w, products, prediction, decision_cells) -> bytes:
-    """The explanations table's lines, as UTF-8: per row its id, Z, W, products, prediction
-    and decision. The ids and decisions are given as ``_formats.text_cells``; each number is
-    written as ``NUMBER``."""
-    return cell_lines(id_cells, np.hstack([z, w, products, prediction[:, None]]), decision_cells)
-
-
 def _explanations_table(batch: ExplanationBatch) -> str:
     """The explanations table, header first; numbers as float64, as ``cell_lines`` writes them."""
     z, w, products, prob = (np.asarray(a, dtype=float).tolist()
@@ -336,8 +329,9 @@ def _parts(p: DeepCodaParams, X: np.ndarray, id_cells, moments: bool = True):
     positive = _is_positive(products)
     for i in range(0, X.shape[0], _ROW_BLOCK):
         rows = slice(i, i + _ROW_BLOCK)
-        lines = _explanation_lines(id_cells[rows], z[rows], w[rows], products[rows], yhat[rows],
-                                   _DECISION_CELLS[positive[rows] * 1])
+        lines = cell_lines(id_cells[rows], np.hstack([z[rows], w[rows], products[rows],
+                                                      yhat[rows, None]]),
+                           _DECISION_CELLS[positive[rows] * 1])
         yield _Part(lines, int(np.count_nonzero(positive[rows])),
                     _Moments.of(np.hstack([w[rows], z[rows]])) if moments else None)
 

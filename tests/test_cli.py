@@ -163,10 +163,9 @@ STDIO_ARGV = {
 }
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("command,stream,how,unbuffered,code", [
+FAILED_STREAM_CASES = [
     ("help", "stdout", "pipe", False, EXIT_USAGE),
-    ("help", "stdout", "full", True, EXIT_OK),  # argparse drops the error, and the help
+    ("help", "stdout", "full", True, EXIT_USAGE),
     ("help", "stderr", "full", False, EXIT_OK),
     ("explain_help", "stdout", "full", False, EXIT_USAGE),
     ("usage_error", "stdout", "pipe", False, EXIT_USAGE),
@@ -178,9 +177,26 @@ STDIO_ARGV = {
     ("valid", "stdout", "pipe", False, EXIT_USAGE),
     ("valid", "stdout", "full", True, EXIT_USAGE),
     ("valid", "stderr", "pipe", False, EXIT_OK),
-])
-def test_a_failed_stdout_or_stderr_exits_0_2_or_3(tmp_path, command, stream, how, unbuffered,
-                                                  code):
+]
+
+# deepcoda's main() under Python 3.10's argparse, whose _print_message raises a write error
+# (3.11 and later drop it), as `python -c` code.
+PY310_ARGPARSE_MAIN = """
+import argparse, sys
+def _print_message(self, message, file=None):
+    if message:
+        if file is None:
+            file = sys.stderr
+        file.write(message)
+argparse.ArgumentParser._print_message = _print_message
+from deepcoda.cli import main
+main()
+"""
+
+
+def check_failed_stream(tmp_path, entry, command, stream, how, unbuffered, code):
+    """``python *entry`` of ``command`` with ``stream`` failed as ``how`` exits ``code``, saying
+    at most one line on stderr, and keeps a valid run's outputs."""
     env = deepcoda_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -188,7 +204,7 @@ def test_a_failed_stdout_or_stderr_exits_0_2_or_3(tmp_path, command, stream, how
     failed = failed_stream(how)
     streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: failed}
     try:
-        done = subprocess.run([sys.executable, "-m", "deepcoda", *STDIO_ARGV[command]],
+        done = subprocess.run([sys.executable, *entry, *STDIO_ARGV[command]],
                               cwd=tmp_path, env=env, **streams)
     finally:
         os.close(failed)
@@ -198,6 +214,21 @@ def test_a_failed_stdout_or_stderr_exits_0_2_or_3(tmp_path, command, stream, how
     assert len(stderr) <= 1, done.stderr
     if command == "valid":  # a stdout that fails once the outputs are in place keeps them
         assert sorted(os.listdir(tmp_path / "sim")) == ["absolute.csv", "relative.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command,stream,how,unbuffered,code", FAILED_STREAM_CASES)
+def test_a_failed_stdout_or_stderr_exits_0_2_or_3(tmp_path, command, stream, how, unbuffered,
+                                                  code):
+    check_failed_stream(tmp_path, ["-m", "deepcoda"], command, stream, how, unbuffered, code)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command,stream,how,unbuffered,code", FAILED_STREAM_CASES)
+def test_a_failed_stream_exits_alike_under_python_310s_argparse(tmp_path, command, stream, how,
+                                                                 unbuffered, code):
+    check_failed_stream(tmp_path, ["-c", PY310_ARGPARSE_MAIN], command, stream, how, unbuffered,
+                        code)
 
 
 class TestTrain:
@@ -302,6 +333,13 @@ class TestBenchmark:
         assert rows[0] == ["dataset", "method", "split", "auc", "standardized_auc"]
         assert len(rows) == 4
 
+    def test_methods_run_by_the_names_given(self, tmp_path, toy_dir):
+        out = tmp_path / "bench.csv"
+        argv = ["benchmark", str(toy_dir / "relative.csv"), "--methods",
+                " lasso-clr, deepcoda-linear", "--splits", "1", "--epochs", "5", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        assert sorted(row[1] for row in read_csv(out)[1:]) == ["deepcoda-linear", "lasso-clr"]
+
     def test_rerun_is_byte_identical(self, tmp_path, toy_dir):
         data = write_noisy_copy(toy_dir / "relative.csv", tmp_path / "noisy.csv")
         files = []
@@ -363,6 +401,8 @@ class TestBenchmark:
             (["--splits", "0"], "n_splits must be at least 1"),
             (["--splits", "-2"], "n_splits must be at least 1"),
             (["--methods", "deepcoda,lasso,deepcoda"], "duplicate method names: deepcoda"),
+            (["--methods", "xgboost"], "unknown method 'xgboost'; choose from "
+             "['deepcoda', 'deepcoda-linear', 'lasso', 'lasso-clr']"),
         ],
     )
     def test_bad_splits_or_methods_exit_2(self, tmp_path, toy_dir, capsys, args, message):

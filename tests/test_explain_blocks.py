@@ -33,10 +33,9 @@ from deepcoda import DECISION_NEGATIVE, DECISION_POSITIVE, ExplanationBatch, cli
 from deepcoda import coda as coda_module
 from deepcoda import _formats
 from deepcoda import explain as explain_module
-from deepcoda._formats import csv_row, text_cells
+from deepcoda._formats import cell_lines, csv_row, text_cells
 from deepcoda.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_dataset, run
 from deepcoda.cli import _TEXT_CELL_MAX
-from deepcoda.explain import _explanation_lines
 
 D = 4
 REPORT_FILES = ("explanations.csv", "memberships.csv", "correlations.csv", "summary.txt")
@@ -471,7 +470,7 @@ def test_the_byte_writer_writes_csv_rows(monkeypatch):
 
     id_cells = text_cells([sid.encode() for sid in ids])
     decision_cells = text_cells([d.encode() for d in decisions])
-    lines = _explanation_lines(id_cells, z, w, products, prediction, decision_cells)
+    lines = cell_lines(id_cells, np.hstack([z, w, products, prediction[:, None]]), decision_cells)
     assert lines == table(ids).encode()
     # The whole-file path writes the batch's ids and decisions, a long id or a NUL included.
     for odd_id in ("x\x00y", "x" * (_TEXT_CELL_MAX + 1)):

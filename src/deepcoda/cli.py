@@ -379,7 +379,9 @@ def cmd_explain(args) -> int:
         with open(path, "rb", buffering=0) as fh:
             # A pipe has no offsets to read blocks at, and can be read only once: it is held.
             data = None if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else fh.read()
-            explained = _explain_in_blocks(params, path, fh, data, delta_fraction, explanations)
+            explained = None
+            with contextlib.suppress(*_DECLINES):  # a decline's traceback is gone before the read
+                explained = _explain_in_blocks(params, path, fh, data, delta_fraction, explanations)
             if explained is None:
                 data = _read(fh, data, 0, os.fstat(fh.fileno()).st_size) if data is None else data
                 explained = _explain_whole(params, path, data, delta_fraction, explanations)
@@ -426,6 +428,8 @@ def _explain_whole(params, path, data, delta_fraction, explanations):
 
 
 _SCAN_CHUNK = 1 << 20  # bytes of the dataset file that explain's block scan reads at a time
+# What the block path raises to decline a file, which cmd_explain then reads whole.
+_DECLINES = (ValueError, csv.Error, ArithmeticError, MemoryError, Warning)
 
 
 def _block_bounds(fh):
@@ -433,19 +437,19 @@ def _block_bounds(fh):
 
     Block k, from offset ``bounds[k]`` to ``bounds[k + 1]``, holds ``explain._ROW_BLOCK`` data
     lines, the last perhaps fewer. ``fh`` is read from its start in chunks of ``_SCAN_CHUNK``
-    bytes. None when it holds a ``"``, a ``\\r`` or a NUL byte, or no byte after its first line.
+    bytes. Raises ValueError if it holds a ``"``, ``\\r`` or NUL byte, or no byte after line 1.
     """
     bounds, n_lines, size = [], 0, 0
     while chunk := fh.read(_SCAN_CHUNK):
         if any(byte in chunk for byte in (b'"', b"\r", b"\0")):
-            return None
+            raise ValueError('a ", \\r or NUL byte')
         ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
         # Line n_lines + j ends at ends[j]; a block starts after lines 0, R, 2R, ...
         bounds += (ends[-n_lines % explain._ROW_BLOCK :: explain._ROW_BLOCK] + size + 1).tolist()
         n_lines += ends.size
         size += len(chunk)
     if not bounds or bounds[0] == size:
-        return None
+        raise ValueError("no byte after the first line")
     if bounds[-1] != size:
         bounds.append(size)
     return bounds
@@ -468,20 +472,15 @@ def _explain_in_blocks(params, path, fh, data, delta_fraction, explanations):
     reader and header check. Each ``ordered_fork_map`` task parses a block
     with ``_parse_block``, imputes it and returns its ``explain._Part``; the
     map sends at most two blocks per worker ahead, so this process holds few.
-    Returns None, leaving the file to ``_explain_whole``, when it holds a
-    ``"``, a ``\\r`` or a NUL byte, when csv does not read its first line as
-    one valid header for the model, or when any block raises or warns.
+    Raises one of ``_DECLINES``, leaving the file to ``_explain_whole``, when
+    it holds a ``"``, a ``\\r`` or a NUL byte, when csv does not read its first
+    line as one valid header for the model, or when any block raises or warns.
     """
     bounds = _block_bounds(fh if data is None else io.BytesIO(data))
-    if bounds is None:
-        return None
-    try:
-        header = next(_records(_read(fh, data, 0, bounds[0])), None)
-        _check_header(path, header)
-    except (ValueError, csv.Error):
-        return None
+    header = next(_records(_read(fh, data, 0, bounds[0])), None)
+    _check_header(path, header)
     if len(header) - 2 != params.dims[0]:
-        return None
+        raise ValueError("a header whose width does not fit the model")
 
     _number_tables()  # built before the fork map starts, so every worker inherits them
 
@@ -493,13 +492,10 @@ def _explain_in_blocks(params, path, fh, data, delta_fraction, explanations):
             [part] = explain._parts(params, _replace_zeros_values(values, delta_fraction), ids)
             return part
 
-    try:
-        # A merge that would warn raises, and so declines the blocks, as a block that warns does.
-        with np.errstate(over="raise", invalid="raise"), \
-                contextlib.closing(ordered_fork_map(block, len(bounds) - 1)) as parts:
-            n_positive, moments = _write_explanations(params, parts, explanations)
-    except (ValueError, ArithmeticError, MemoryError, Warning):
-        return None
+    # A merge that would warn raises, and so declines the blocks, as a block that warns does.
+    with np.errstate(over="raise", invalid="raise"), \
+            contextlib.closing(ordered_fork_map(block, len(bounds) - 1)) as parts:
+        n_positive, moments = _write_explanations(params, parts, explanations)
     return header[1:-1], moments.count, n_positive, moments
 
 
@@ -616,6 +612,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    for fd, name in enumerate(["stdout", "stderr"], 1):
+        if getattr(sys, name) is None:  # closed at start-up: its output goes to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            setattr(sys, name, open(fd, "w", errors="backslashreplace", closefd=False))
     # Names from a UTF-8 file may not fit a narrower locale's stdout; escape them.
     sys.stdout.reconfigure(errors="backslashreplace")
     # A warning is one line, as baseline's is, without the source line that warned.

@@ -307,6 +307,11 @@ class TestCvSelectLambda:
         with pytest.raises(ValueError, match="strat"):
             cv_select_lambda(X, y, n_folds=5)
 
+    def test_rejects_fewer_rows_than_folds(self):
+        X = np.ones((4, 2)) + np.arange(4)[:, None]
+        with pytest.raises(ValueError, match="^need at least as many samples as folds$"):
+            cv_select_lambda(X, np.array([0, 1, 0, 1]), n_folds=5)
+
     def test_rejects_empty_grid(self):
         X, y = overlap_1d()
         with pytest.raises(ValueError):

@@ -146,7 +146,10 @@ class TestSimulate:
 
 
 def failed_stream(how: str) -> int:
-    """A write descriptor on which every write fails: a pipe with no reader, or /dev/full."""
+    """A write descriptor on which every write fails: a pipe with no reader, or /dev/full; or,
+    ``closed``, the null device, which the child closes before it starts Python."""
+    if how == "closed":
+        return os.open(os.devnull, os.O_WRONLY)
     if how == "full":
         return os.open("/dev/full", os.O_WRONLY)
     read_end, write_end = os.pipe()
@@ -177,6 +180,16 @@ FAILED_STREAM_CASES = [
     ("valid", "stdout", "pipe", False, EXIT_USAGE),
     ("valid", "stdout", "full", True, EXIT_USAGE),
     ("valid", "stderr", "pipe", False, EXIT_OK),
+    # Closed at start-up, a stream's output is dropped: Python starts with sys.stdout or
+    # sys.stderr None, and no file the command opens may take its descriptor.
+    ("help", "stdout", "closed", False, EXIT_OK),
+    ("usage_error", "stdout", "closed", True, EXIT_USAGE),
+    ("failing", "stdout", "closed", False, EXIT_USAGE),
+    ("valid", "stdout", "closed", False, EXIT_OK),
+    ("help", "stderr", "closed", True, EXIT_OK),
+    ("usage_error", "stderr", "closed", False, EXIT_USAGE),
+    ("failing", "stderr", "closed", False, EXIT_USAGE),
+    ("valid", "stderr", "closed", True, EXIT_OK),
 ]
 
 # deepcoda's main() under Python 3.10's argparse, whose _print_message raises a write error
@@ -203,15 +216,26 @@ def check_failed_stream(tmp_path, entry, command, stream, how, unbuffered, code)
         env["PYTHONUNBUFFERED"] = "1"
     failed = failed_stream(how)
     streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: failed}
+    fd = {"stdout": 1, "stderr": 2}[stream]
+    # sys.executable, not a shell script that starts Python, which could leave the fd open.
+    close = (lambda: os.close(fd)) if how == "closed" else None
     try:
         done = subprocess.run([sys.executable, *entry, *STDIO_ARGV[command]],
-                              cwd=tmp_path, env=env, **streams)
+                              cwd=tmp_path, env=env, preexec_fn=close, **streams)
     finally:
         os.close(failed)
     assert done.returncode == code
     # Besides the usage line that argparse prints before its own error line; None if it failed.
     stderr = [line for line in (done.stderr or b"").splitlines() if not line.startswith(b"usage: ")]
     assert len(stderr) <= 1, done.stderr
+    if how == "closed" and stream == "stdout":  # a failing command still names its fault
+        assert len(stderr) == (code != EXIT_OK), done.stderr
+    if how == "closed" and stream == "stderr":  # no usage or error line goes to stdout instead
+        stdout = done.stdout
+        if command.endswith("help"):  # besides the help's own first line
+            assert stdout.startswith(b"usage: deepcoda"), done.stdout
+            stdout = stdout.split(b"\n", 1)[1]
+        assert not re.search(rb"^(usage|error):", stdout, re.M), done.stdout
     if command == "valid":  # a stdout that fails once the outputs are in place keeps them
         assert sorted(os.listdir(tmp_path / "sim")) == ["absolute.csv", "relative.csv"]
 

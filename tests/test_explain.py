@@ -172,6 +172,8 @@ class TestContrastMembership:
         m = contrast_membership(p, 0)
         assert m.entries == ()
         assert m.numerator == () and m.denominator == ()
+        summary = render_report(synthetic_batch(2), [m]).summary
+        assert summary.splitlines()[-1] == "contrast 1: no parts above threshold"
 
     def test_sorted_by_magnitude_descending(self):
         p = small_params(seed=6, d=4, n_b=2)
@@ -265,6 +267,11 @@ class TestWeightContrastCorrelation:
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError, match="samples"):
             weight_contrast_correlation(np.ones((3, 3)), np.ones((3, 3)))
+
+    def test_rejects_w_and_z_of_different_row_counts(self):
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError, match="^W and Z must have matching row counts$"):
+            weight_contrast_correlation(rng.normal(size=(20, 2)), rng.normal(size=(19, 2)))
 
     def test_rejects_non_finite_weights(self):
         rng = np.random.default_rng(8)

@@ -452,6 +452,84 @@ def test_good_files_are_read_by_the_block_reader(tmp_path, no_whole_file, layout
     assert assert_matches_reference(tmp_path, data, False, 7, cpus)[0][0] == EXIT_OK
 
 
+def whole_buffer_bounds(data: bytes, block: int) -> list[int]:
+    """``cli._block_bounds`` of ``data`` from one pass over all of it: the offset after newlines
+    0, R, 2R, ... (R = ``block``), then the size if the last is not."""
+    bounds = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")][::block]
+    return bounds if bounds[-1] == len(data) else [*bounds, len(data)]
+
+
+SCANNED_FILES = {
+    **{f"{n}-rows{end}": dataset_bytes(counts(n, n), final_newline=not end)
+       for n in (1, 2, 5, 9) for end in ("", "-unterminated")},
+    "blank-lines": b"sample_id,f1,f2,f3,f4,label\n\nS1,1,2,3,4,0\n\n\n",
+}
+# Files the scan declines: a ", \r or NUL byte anywhere, or no byte after the first line.
+DECLINED_FILES = {
+    "header-only": b"sample_id,f1,f2,f3,f4,label\n",
+    "no-newline": b"sample_id,f1,f2,f3,f4,label",
+    "empty": b"",
+    "quote-in-last-row": dataset_bytes(counts(9, 1)).replace(b"\nS8,", b'\nS"8,'),
+    "cr-in-header": dataset_bytes(counts(9, 1)).replace(b"label\n", b"label\r\n"),
+    "nul-in-row": dataset_bytes(counts(9, 1)).replace(b"\nS4,", b"\nS\x004,"),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_the_block_scan_finds_the_whole_buffer_bounds_across_chunks(monkeypatch, chunk, block):
+    monkeypatch.setattr(cli, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(explain_module, "_ROW_BLOCK", block)
+    cli._bind("explain")  # the scan reads explain._ROW_BLOCK, which a command binds first
+    for name, data in SCANNED_FILES.items():
+        assert cli._block_bounds(io.BytesIO(data)) == whole_buffer_bounds(data, block), name
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("name", sorted(DECLINED_FILES))
+def test_the_block_scan_declines_by_raising(monkeypatch, name, chunk):
+    monkeypatch.setattr(cli, "_SCAN_CHUNK", chunk)
+    cli._bind("explain")
+    with pytest.raises(ValueError):
+        cli._block_bounds(io.BytesIO(DECLINED_FILES[name]))
+
+
+def test_a_file_scanned_in_small_chunks_gives_the_whole_batch_report(
+    tmp_path, monkeypatch, no_whole_file
+):
+    monkeypatch.setattr(cli, "_SCAN_CHUNK", 7)
+    data = dataset_bytes(counts(23, 2))
+    assert assert_matches_reference(tmp_path, data, False, 5, 1)[0][0] == EXIT_OK
+
+
+def test_a_quote_in_the_last_chunk_gives_the_whole_file_report(tmp_path, monkeypatch):
+    # csv reads a " inside an unquoted field as itself; the blocks decline the id S"22.
+    data = dataset_bytes(counts(23, 2)).replace(b"\nS22,", b'\nS"22,')
+    quote = data.index(b'"')
+    # A chunk size whose last chunk, of a file read in several, holds the quote.
+    chunk = next(size for size in range(8, 64) if (len(data) - 1) // size * size <= quote)
+    monkeypatch.setattr(cli, "_SCAN_CHUNK", chunk)
+    whole_file = mock.Mock(wraps=cli._explain_whole)
+    monkeypatch.setattr(cli, "_explain_whole", whole_file)
+    (code, _, _, files), _ = assert_matches_reference(tmp_path, data, False, 5, 1)
+    assert code == EXIT_OK and whole_file.call_count == 1
+    assert b'\n"S""22",' in files["explanations.csv"]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["lf", "quoted-id"])
+def test_a_file_that_shrinks_while_it_is_read_exits_2(tmp_path, monkeypatch, quoted):
+    # Every read at an offset gives one byte fewer than asked: the blocks decline on the
+    # header's read, or before it on the quote, and the whole file's read then fails.
+    save_params(model_params(False), tmp_path / "model.txt")
+    (tmp_path / "data.csv").write_bytes(dataset_bytes(counts(10, 3), quoted=quoted))
+    pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, offset: pread(fd, n, offset)[:-1])
+    out = tmp_path / "out"
+    code, stdout, stderr, _ = explain_cli(tmp_path / "model.txt", tmp_path / "data.csv", out)
+    assert (code, stdout, stderr) == (EXIT_USAGE, "", "error: the file shrank while it was read\n")
+    assert not out.exists()
+
+
 def test_the_byte_writer_writes_csv_rows(monkeypatch):
     rng = np.random.default_rng(12)
     n = 7

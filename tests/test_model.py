@@ -568,14 +568,18 @@ class TestSerialization:
 
 
     @pytest.mark.parametrize(
-        "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy], ids=["pickle", "deepcopy"]
+        "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, DeepCodaParams.copy],
+        ids=["pickle", "deepcopy", "copy"],
     )
     def test_pickle_and_deepcopy_keep_views_on_one_buffer(self, clone):
         p = random_params(seed=37)
+        before = p.flat.tobytes()
         q = clone(p)
         assert params_to_text(q) == params_to_text(p)
+        assert q.flat.tobytes() == before
         assert not np.shares_memory(q.flat, p.flat)
         q.flat[:] = 0.5  # a write through the buffer, as Adam makes it
+        assert p.flat.tobytes() == before
         assert np.all(q.beta == 0.5) and np.all(q.linear_v0 == 0.5)
         assert all(np.all(block == 0.5) for block in q._affine)
         assert params_to_text(p) != params_to_text(q)
@@ -607,6 +611,23 @@ class TestParamsValidation:
                 mlp_w2=np.zeros((4, 2)),
                 mlp_b2=np.zeros(2),
             )
+
+    @pytest.mark.parametrize(
+        "beta,mlp_w1,message",
+        [(np.zeros(3), np.zeros((1, 4)), "beta must be a D x B matrix"),
+         (np.zeros((3, 2)), np.zeros((3, 4)), "mlp_w1 must be a B x H matrix")],
+        ids=["1-d-beta", "mlp_w1-rows-not-B"],
+    )
+    def test_rejects_a_beta_or_mlp_w1_of_the_wrong_shape(self, beta, mlp_w1, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DeepCodaParams(beta=beta, beta0=np.zeros(2), mlp_w1=mlp_w1, mlp_b1=np.zeros(4),
+                           mlp_w2=np.zeros((4, 2)), mlp_b2=np.zeros(2))
+
+    def test_a_name_outside_the_layout_raises_key_error(self):
+        p = random_params(seed=38)
+        assert p["beta"] is p.beta
+        with pytest.raises(KeyError, match="^'nope'$"):
+            p["nope"]
 
     @pytest.mark.parametrize("dims", [(3, 2), (3, 2, 4, 5)])
     def test_rejects_dims_of_other_length(self, dims):
